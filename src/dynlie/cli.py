@@ -28,6 +28,7 @@ precondition of the dual construction).
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -357,16 +358,6 @@ def _tol(overrides, name):
     return overrides.get(name, DEFAULT_TOLS[name])
 
 
-def _split_closure_residual(G, decomp):
-    c = G.g.c
-    sub = list(decomp.sub)
-    comp = list(decomp.comp)
-    bad = float(np.max(np.abs(c[np.ix_(sub, sub, comp)]))) if comp else 0.0
-    if comp:
-        bad = max(bad, float(np.max(np.abs(c[np.ix_(sub, comp, sub)]))))
-    return bad
-
-
 def _make_field(spec):
     kind = spec.field_kind or "canonical"
     if kind == "zero":
@@ -398,7 +389,9 @@ def build_report(spec, seed=0, samples=6, overrides=None):
             _tol(overrides, "double-jacobi"), "identity")
 
     if spec.decomp is not None:
-        rep.add("split-closure", _split_closure_residual(G, spec.decomp),
+        red = lie.check_reductive(G.g, spec.decomp.sub, spec.decomp.comp)
+        rep.add("split-closure",
+                max(red["closure_residual"], red["action_residual"]),
                 _tol(overrides, "split-closure"), "identity")
 
     if spec.twist_matrix is not None:
@@ -604,7 +597,13 @@ def main(argv=None):
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_catalog)
 
-    args = parser.parse_args(argv)
+    # argparse reads a token with a leading "-" as an option unless it is a
+    # plain number, so a point like "-0.3,0.2" would be rejected.  No option
+    # starts with "-" and a digit, and a token that starts with a space is
+    # always positional (the point and int parsers ignore the space).
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a
+                              for a in argv])
     try:
         return args.func(args)
     except SpecParseError as exc:

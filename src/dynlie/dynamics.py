@@ -39,16 +39,6 @@ class UnsupportedCocycle(ValueError):
     pass
 
 
-def _dist_to_poles(a):
-    # distance of the spectrum to { i pi k : k nonzero integer }
-    w = linalg.spectrum(a)
-    k = np.rint(w.imag / np.pi)
-    k_up = np.where(k == 0, 1.0, k)
-    k_dn = np.where(k == 0, -1.0, k)
-    d = np.minimum(np.abs(w - 1j * np.pi * k_up), np.abs(w - 1j * np.pi * k_dn))
-    return float(np.min(d))
-
-
 class PolynomialMap:
     """Polynomial map from base coordinates to vectors, degree at most two.
 
@@ -444,7 +434,8 @@ def in_domain(p, field, spectral_margin=SPECTRAL_MARGIN,
         return in_domain(p, field.base, spectral_margin, cond_limit)
     if field.kind == "cocom":
         a = field.double.d.ad_matrix(field.double.embed(xi=p))
-        rep["spectral_margin"] = _dist_to_poles(a)
+        rep["spectral_margin"] = float(np.min(
+            linalg._dist_to_ipi_nonzero(linalg.spectrum(a))))
         if rep["spectral_margin"] < spectral_margin:
             rep["in_domain"] = False
             rep["failing"] = "spectral-margin"
@@ -452,7 +443,8 @@ def in_domain(p, field, spectral_margin=SPECTRAL_MARGIN,
     if field.kind == "canonical":
         n = field.G.dim
         a_small = field.small_double.d.ad_matrix(field.small_double.embed(xi=p))
-        rep["spectral_margin"] = _dist_to_poles(a_small)
+        rep["spectral_margin"] = float(np.min(
+            linalg._dist_to_ipi_nonzero(linalg.spectrum(a_small))))
         if rep["spectral_margin"] < spectral_margin:
             rep["in_domain"] = False
             rep["failing"] = "spectral-margin"

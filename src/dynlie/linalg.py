@@ -2,10 +2,12 @@
 
 Linear maps are plain numpy arrays acting on coordinate columns, 3-tensors
 are arrays T[i, j, k].  The main machinery here is the evaluation of
-analytic functions of matrices (two routes, eigendecomposition and Taylor
-series, cross-checked when both apply) together with their exact Frechet
+analytic functions of matrices together with their exact Frechet
 derivatives, which the dynamical-field code uses instead of finite
-differences.
+differences.  Each call takes one route: the eigendecomposition when the
+eigenvector matrix is well conditioned (cond(V) < EIG_COND_LIMIT), the
+Taylor series otherwise.  The series is that fallback and the reference
+the tests compare against; the two routes are not compared at run time.
 """
 
 import math
@@ -23,7 +25,6 @@ POWER_OVERFLOW_LIMIT = 1e280
 
 # eigendecomposition route
 EIG_COND_LIMIT = 1e8
-CROSS_CHECK_TOL = 1e-10
 SINGULAR_SET_TOL = 1e-8
 DD_CLOSE_TOL = 1e-6
 
@@ -125,11 +126,6 @@ def spectrum(a):
 def skew_residual(m):
     m = np.asarray(m)
     return float(np.max(np.abs(m + m.T))) if m.size else 0.0
-
-
-def sym_residual(m):
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.T))) if m.size else 0.0
 
 
 _PERM_SIGNS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -289,9 +285,10 @@ class AnalyticFunction:
 
     Carries the Taylor table at 0 with its convergence radius, a closed-form
     complex evaluator used away from 0, and the scalar derivative (for the
-    divided-difference matrices of the Frechet derivative).  `apply` prefers
-    the eigendecomposition route and falls back to the series; when both
-    routes are available their results are cross-checked.
+    divided-difference matrices of the Frechet derivative).  `apply` and
+    `frechet` eigendecompose their matrix at most once (not at all when it
+    is the matrix of this function's previous call); they take the eigen
+    route when cond(V) < EIG_COND_LIMIT and the series otherwise.
     """
 
     def __init__(self, name, coeffs, radius, fz, dfz, singular_distance=None):
@@ -304,6 +301,7 @@ class AnalyticFunction:
         self._poly = self.coeffs[:SCALAR_SERIES_TERMS][::-1]
         dc = self.coeffs[1:] * np.arange(1, len(self.coeffs))
         self._dpoly = dc[:SCALAR_SERIES_TERMS][::-1]
+        self._last = (None, None)
 
     def __repr__(self):
         return "AnalyticFunction(%r)" % self.name
@@ -320,25 +318,37 @@ class AnalyticFunction:
         zsafe = np.where(small, 1.0, z)
         return np.where(small, np.polyval(self._dpoly, z), self._dfz(zsafe))
 
-    def _check_singularities(self, w):
+    def _decompose(self, a):
+        """Eigen data of a: {w, v, vinv, fw = f(w)}, or None when cond(V) is
+        not below EIG_COND_LIMIT (the caller then takes the series).
+
+        One eig call; the singular-set check runs on its eigenvalues.  The
+        result for the last matrix is kept, since callers evaluate f and its
+        Frechet derivative at one ad(p) many times in a row.
+        """
+        key = (a.shape, a.tobytes())
+        last_key, last = self._last
+        if last_key == key:
+            return last
+        w, v = np.linalg.eig(a)
         if self._singular_distance is not None:
             d = float(np.min(self._singular_distance(w)))
             if d < SINGULAR_SET_TOL:
                 raise SpectrumOnSingularSet(
                     "%s: eigenvalue within %.3g of a singularity" % (self.name, d))
+        eig = None
+        if np.linalg.cond(v) < EIG_COND_LIMIT:
+            eig = {"w": w, "v": v, "vinv": np.linalg.inv(v), "fw": self.f(w)}
+        self._last = (key, eig)
+        return eig
 
-    def _eig_route(self, a):
-        w, v = np.linalg.eig(a)
-        if np.linalg.cond(v) >= EIG_COND_LIMIT:
-            return None
-        fa = (v * self.f(w)) @ np.linalg.inv(v)
-        return self._realify(a, fa)
-
-    def _series_route(self, a):
+    def _series(self, a):
         try:
             return entire_series_apply(self.coeffs, a, radius=self.radius)
-        except RadiusExceeded:
-            return None
+        except RadiusExceeded as exc:
+            raise EvaluationFailed(
+                "%s: matrix is not reliably diagonalizable and the series "
+                "radius check failed" % self.name) from exc
 
     @staticmethod
     def _realify(a, fa):
@@ -350,23 +360,13 @@ class AnalyticFunction:
         return fa
 
     def apply(self, a):
+        """f(a): eigen route when cond(V) < EIG_COND_LIMIT, else the series."""
         a = _check_square(np.asarray(a, dtype=float))
-        w = np.linalg.eigvals(a) if a.size else np.zeros(0, dtype=complex)
-        self._check_singularities(w)
-        r_eig = self._eig_route(a)
-        r_ser = self._series_route(a)
-        if r_eig is None and r_ser is None:
-            raise EvaluationFailed(
-                "%s: matrix is not reliably diagonalizable and the series "
-                "radius check failed" % self.name)
-        if r_eig is not None and r_ser is not None:
-            diff = np.linalg.norm(r_eig - r_ser, 2)
-            if diff > CROSS_CHECK_TOL * (1.0 + np.linalg.norm(r_ser, 2)):
-                raise EvaluationFailed(
-                    "%s: eigen and series evaluators disagree by %.3g"
-                    % (self.name, diff))
-        out = r_eig if r_eig is not None else r_ser
-        return assert_finite(out)
+        eig = self._decompose(a)
+        if eig is None:
+            return assert_finite(self._series(a))
+        fa = (eig["v"] * eig["fw"]) @ eig["vinv"]
+        return assert_finite(self._realify(a, fa))
 
     def frechet(self, a, e):
         """Directional derivative D f(a)[e], exact up to roundoff.
@@ -379,25 +379,19 @@ class AnalyticFunction:
         e = np.asarray(e, dtype=float)
         if e.shape != a.shape:
             raise NonSquare("direction shape %s != matrix shape %s" % (e.shape, a.shape))
-        w0 = np.linalg.eigvals(a) if a.size else np.zeros(0, dtype=complex)
-        self._check_singularities(w0)
-        w, v = np.linalg.eig(a)
-        if np.linalg.cond(v) < EIG_COND_LIMIT:
-            vinv = np.linalg.inv(v)
-            dd = self._divided_differences(w)
-            out = v @ ((vinv @ e @ v) * dd) @ vinv
+        eig = self._decompose(a)
+        if eig is not None:
+            if "dd" not in eig:
+                eig["dd"] = self._divided_differences(eig["w"])
+            v, vinv = eig["v"], eig["vinv"]
+            out = v @ ((vinv @ e @ v) * eig["dd"]) @ vinv
             return assert_finite(self._realify(a, out))
         n = a.shape[0]
         big = np.zeros((2 * n, 2 * n))
         big[:n, :n] = a
         big[:n, n:] = e
         big[n:, n:] = a
-        try:
-            fa = entire_series_apply(self.coeffs, big, radius=self.radius)
-        except RadiusExceeded as exc:
-            raise EvaluationFailed(
-                "%s: no applicable route for the Frechet derivative" % self.name) from exc
-        return assert_finite(fa[:n, n:])
+        return assert_finite(self._series(big)[:n, n:])
 
     def _divided_differences(self, w):
         scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
@@ -469,7 +463,7 @@ def matfun_F(a):
     """F(a) for F(z) = coth(z) - 1/z, with F(0) = 0 on kernel directions.
 
     Eigendecomposition route when the eigenvector matrix is well conditioned,
-    Bernoulli-type series otherwise; cross-checked whenever both apply.
+    Bernoulli-type series otherwise (one route per call).
     Raises SpectrumOnSingularSet when an eigenvalue sits within
     SINGULAR_SET_TOL of i*pi*k, k a nonzero integer.
     """

@@ -278,3 +278,24 @@ def test_every_catalog_entry_emits_and_reverifies(tmp_path, capsys):
         code = cli.main(["verify", str(out), "--samples", "3"])
         report = capsys.readouterr().out
         assert code == 0, (name, report)
+
+
+ROT_SPEC = ("dynlie-spec 1\ndim 3\n"
+            "c 0 1 2 1\nc 1 2 0 1\nc 2 0 1 1\n"
+            "phi 0 1 2 0.0625\nfield cocommutative\n")
+
+
+@pytest.mark.parametrize("spec,point", [
+    (ROT_SPEC, "-0.3,0.2,0.1"),
+    (ROT_SPEC, "-.3,-2e-1,0.1"),
+    (GOOD_SPEC, "-3e-1"),
+], ids=["comma-list", "leading-dot", "exponent"])
+def test_lcan_negative_first_coordinate_parses(tmp_path, capsys, spec, point):
+    path = tmp_path / "p.spec"
+    path.write_text(spec)
+    code = cli.main(["lcan", str(path), point, "--check"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # the "--" form reads the same point and prints the same bytes
+    assert cli.main(["lcan", str(path), "--check", "--", point]) == 0
+    assert capsys.readouterr().out == out

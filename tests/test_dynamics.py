@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynlie import dynamics as dyn
-from dynlie import lie, linalg, qbia, twist
+from dynlie import catalog, lie, linalg, qbia, twist
 
 TOL = 1e-10
 
@@ -436,3 +436,20 @@ def test_adjoint_flow_transport_identity():
         assert rep["membership_residual"] < TOL
         assert rep["identity_residual"] < TOL
         assert rep["offdiag_identity_residual"] < TOL
+
+
+# -- evaluation inside the domain ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["su2-lagrangian", "so3-identity"])
+def test_in_domain_point_near_series_radius_evaluates(name):
+    # spectral radius of the small double's ad(p) is 2.97, just inside the
+    # 0.95 pi series guard, where matrix powers overflow long before the
+    # series converges; the point is in the domain and must evaluate
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    p = np.array([-0.00965, 4.1003, 4.3104])
+    assert dyn.in_domain(p, field)["in_domain"]
+    assert dyn.cdybe_residual(field, p)["passed"]
+    for z in np.eye(field.base_dim):
+        assert dyn.equivariance_residual(field, p, z) <= 1e-8

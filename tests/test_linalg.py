@@ -1,12 +1,13 @@
-"""Matrix-function layer: frozen scalar values, route cross-checks,
-derivative identities, and the error paths."""
+"""Matrix-function layer: frozen scalar values, the eigen route against a
+high-precision oracle, the series fallback, derivative identities, and the
+error paths."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dynlie import linalg
+from dynlie import catalog, dynamics, linalg
 from dynlie.lie import sl2_data
 
 # reference values, frozen from independent scalar evaluations
@@ -218,3 +219,153 @@ def test_entire_series_scalar_consistency(n, s):
 def test_f_scalar_matches_coth(z):
     ref = np.cosh(z) / np.sinh(z) - 1.0 / z
     assert abs(linalg.F_MEROMORPHIC.f(z) - ref) < 1e-12
+
+
+# -- one route per call ------------------------------------------------------
+
+
+def test_repeated_matrix_reuses_its_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(22)
+    a, b, e = (random_matrix(rng, 4) for _ in range(3))
+    first = linalg.SINHC.apply(a)
+    d_first = linalg.SINHC.frechet(a, e)
+    linalg.SINHC.apply(b)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    # a replaced b as the kept matrix after one decomposition; the results
+    # are bitwise those of the first evaluation
+    assert np.array_equal(linalg.SINHC.apply(a), first)
+    assert np.array_equal(linalg.SINHC.frechet(a, e), d_first)
+    assert np.array_equal(linalg.SINHC.apply(a), first)
+    assert len(calls) == 1
+    # the key is the matrix's contents, so an in-place change is seen
+    a[0, 0] += 1.0
+    assert not np.array_equal(linalg.SINHC.apply(a), first)
+    assert len(calls) == 2
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Records the matrices `entire_series_apply` is called on."""
+    calls = []
+    inner = linalg.entire_series_apply
+
+    def spy(coeffs, a, radius=np.inf):
+        calls.append(a)
+        return inner(coeffs, a, radius=radius)
+
+    monkeypatch.setattr(linalg, "entire_series_apply", spy)
+    return calls
+
+
+def jordan(lam, n):
+    return lam * np.eye(n) + np.eye(n, k=1)
+
+
+def _mp_matfuns(mp, fs, a):
+    """[f(a) for f in fs] from one 50-digit eigendecomposition of a.
+
+    mpmath's shifted QR can cycle on the +-lambda spectra of ad matrices,
+    so it runs on b = q a q^-1 for a fixed random q; f(a) = q^-1 f(b) q
+    holds exactly.
+    """
+    q = np.random.default_rng(0).standard_normal(a.shape) + 3.0 * np.eye(len(a))
+    outs = []
+    with mp.workdps(50):
+        qm = mp.matrix(q.tolist())
+        qinv = mp.inverse(qm)
+        w, v = mp.eig(qm * mp.matrix(a.tolist()) * qinv)
+        left, right = qinv * v, mp.inverse(v) * qm
+        for f in fs:
+            fa = left * mp.diag([f(z) for z in w]) * right
+            out = np.array([[complex(x) for x in row] for row in fa.tolist()])
+            assert np.max(np.abs(out.imag)) < 1e-30 * (1.0 + np.max(np.abs(out)))
+            outs.append(out.real)
+    return outs
+
+
+def _mp_functions(mp):
+    # below |z| = 1e-12 the Taylor polynomials are exact to far beyond 50
+    # digits; they take over at the removable singularity z = 0, where
+    # F(0) = 0, sinh(z)/z -> 1 and (sinh z - z)/z^2 -> 0
+    def near_zero(series, closed):
+        return lambda z: series(z) if abs(z) < mp.mpf(10) ** -12 else closed(z)
+
+    return {
+        linalg.F_MEROMORPHIC: near_zero(lambda z: z / 3 - z ** 3 / 45,
+                                        lambda z: mp.coth(z) - 1 / z),
+        linalg.SINHC: near_zero(lambda z: 1 + z ** 2 / 6 + z ** 4 / 120,
+                                lambda z: mp.sinh(z) / z),
+        linalg.SINH_REM: near_zero(lambda z: z / 6 + z ** 3 / 120,
+                                   lambda z: (mp.sinh(z) - z) / z ** 2),
+        linalg.SINH: mp.sinh,
+    }
+
+
+def _in_domain_point(field, norm, rng, tries=50):
+    for _ in range(tries):
+        u = rng.standard_normal(field.base_dim)
+        p = norm * u / np.linalg.norm(u)
+        if dynamics.in_domain(p, field)["in_domain"]:
+            return p
+    raise AssertionError("no in-domain point at norm %g" % norm)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_eigen_route_matches_mpmath_oracle(name, series_calls):
+    # norms on both sides of the 0.95 pi series radius; only the eigen
+    # route runs, held to 1e-10 (1 + |ref|) in the 2-norm
+    mp = pytest.importorskip("mpmath").mp
+    scalar = _mp_functions(mp)
+    entry = catalog.get(name)
+    field = dynamics.canonical_field(entry.G, entry.decomp)
+    rng = np.random.default_rng(20)
+    for norm in (0.3, 2.5, 6.0):
+        p = _in_domain_point(field, norm, rng)
+        small = field.small_double.d.ad_matrix(field.small_double.embed(xi=p))
+        big = field._big_ad(p)
+        for a, fns in ((small, [linalg.F_MEROMORPHIC]),
+                       (big, [linalg.SINHC, linalg.SINH_REM, linalg.SINH])):
+            refs = _mp_matfuns(mp, [scalar[fn] for fn in fns], a)
+            for fn, ref in zip(fns, refs):
+                err = np.linalg.norm(fn.apply(a) - ref, 2)
+                assert err <= 1e-10 * (1.0 + np.linalg.norm(ref, 2)), (
+                    fn.name, norm, err)
+    assert series_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_series_fallback_exp_on_jordan_block(n, series_calls):
+    j = jordan(0.7, n)
+    _, v = np.linalg.eig(j)
+    assert np.linalg.cond(v) >= linalg.EIG_COND_LIMIT
+    out = linalg.EXP.apply(j)
+    assert len(series_calls) == 1
+    assert np.max(np.abs(out - scipy.linalg.expm(j))) < 1e-14
+
+
+def test_series_fallback_f_on_jordan_block_matches_closed_form(series_calls):
+    lam = 1.3
+    f = np.cosh(lam) / np.sinh(lam) - 1.0 / lam
+    df = 1.0 / lam ** 2 - 1.0 / np.sinh(lam) ** 2
+    out = linalg.F_MEROMORPHIC.apply(jordan(lam, 2))
+    assert len(series_calls) == 1
+    assert np.max(np.abs(out - np.array([[f, df], [0.0, f]]))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_series_fallback_exp_frechet_on_jordan_block(n, series_calls):
+    rng = np.random.default_rng(21)
+    j = jordan(-0.4, n)
+    e = rng.standard_normal((n, n))
+    out = linalg.EXP.frechet(j, e)
+    assert [a.shape for a in series_calls] == [(2 * n, 2 * n)]
+    _, ref = scipy.linalg.expm_frechet(j, e)
+    assert np.max(np.abs(out - ref)) < 1e-13
+
+
+def test_series_fallback_past_its_radius_fails():
+    # 3.2 lies past the 0.95 pi series guard and away from the poles +- i pi
+    with pytest.raises(linalg.EvaluationFailed):
+        linalg.F_MEROMORPHIC.apply(jordan(3.2, 2))
