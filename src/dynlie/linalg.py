@@ -301,7 +301,7 @@ class AnalyticFunction:
         self._poly = self.coeffs[:SCALAR_SERIES_TERMS][::-1]
         dc = self.coeffs[1:] * np.arange(1, len(self.coeffs))
         self._dpoly = dc[:SCALAR_SERIES_TERMS][::-1]
-        self._last = (None, None)
+        self._last = (None, None, {})
 
     def __repr__(self):
         return "AnalyticFunction(%r)" % self.name
@@ -327,7 +327,7 @@ class AnalyticFunction:
         Frechet derivative at one ad(p) many times in a row.
         """
         key = (a.shape, a.tobytes())
-        last_key, last = self._last
+        last_key, last, _ = self._last
         if last_key == key:
             return last
         w, v = np.linalg.eig(a)
@@ -339,16 +339,24 @@ class AnalyticFunction:
         eig = None
         if np.linalg.cond(v) < EIG_COND_LIMIT:
             eig = {"w": w, "v": v, "vinv": np.linalg.inv(v), "fw": self.f(w)}
-        self._last = (key, eig)
+        self._last = (key, eig, {})
         return eig
 
     def _series(self, a):
-        try:
-            return entire_series_apply(self.coeffs, a, radius=self.radius)
-        except RadiusExceeded as exc:
-            raise EvaluationFailed(
-                "%s: matrix is not reliably diagonalizable and the series "
-                "radius check failed" % self.name) from exc
+        """A copy of entire_series_apply(coeffs, a).  Up to a.size results
+        are kept until `_decompose` sees another matrix."""
+        memo = self._last[2]
+        out = memo.get(a.tobytes())
+        if out is None:
+            try:
+                out = entire_series_apply(self.coeffs, a, radius=self.radius)
+            except RadiusExceeded as exc:
+                raise EvaluationFailed(
+                    "%s: matrix is not reliably diagonalizable and the series "
+                    "radius check failed" % self.name) from exc
+            if len(memo) < a.size:
+                memo[a.tobytes()] = out
+        return out.copy()
 
     @staticmethod
     def _realify(a, fa):
@@ -387,10 +395,7 @@ class AnalyticFunction:
             out = v @ ((vinv @ e @ v) * eig["dd"]) @ vinv
             return assert_finite(self._realify(a, out))
         n = a.shape[0]
-        big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = a
-        big[:n, n:] = e
-        big[n:, n:] = a
+        big = np.block([[a, e], [np.zeros_like(a), a]])
         return assert_finite(self._series(big)[:n, n:])
 
     def _divided_differences(self, w):

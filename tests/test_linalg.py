@@ -365,6 +365,28 @@ def test_series_fallback_exp_frechet_on_jordan_block(n, series_calls):
     assert np.max(np.abs(out - ref)) < 1e-13
 
 
+def test_series_fallback_keeps_results_until_the_matrix_changes(series_calls):
+    rng = np.random.default_rng(23)
+    j = jordan(0.55, 3)
+    e1, e2 = rng.standard_normal((2, 3, 3))
+    first = linalg.SINHC.apply(j)
+    d1 = linalg.SINHC.frechet(j, e1)
+    d2 = linalg.SINHC.frechet(j, e2)
+    assert len(series_calls) == 3
+    kept = first.copy(), d1.copy()
+    # a caller that changes a result in place does not change the kept one
+    first[0, 0] += 1.0
+    d1[0, 0] += 1.0
+    assert np.array_equal(linalg.SINHC.apply(j), kept[0])
+    assert np.array_equal(linalg.SINHC.frechet(j, e1), kept[1])
+    assert np.array_equal(linalg.SINHC.frechet(j, e2), d2)
+    assert len(series_calls) == 3
+    # a new matrix drops what was kept
+    linalg.SINHC.apply(jordan(0.45, 3))
+    linalg.SINHC.apply(j)
+    assert len(series_calls) == 5
+
+
 def test_series_fallback_past_its_radius_fails():
     # 3.2 lies past the 0.95 pi series guard and away from the poles +- i pi
     with pytest.raises(linalg.EvaluationFailed):
