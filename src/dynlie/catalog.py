@@ -483,14 +483,10 @@ def _semidirect_fixtures(star, decomp, roots, pair, positive, gens):
     out_levi = [m for m in range(n) if m not in levi]
     out_nil = [m for m in range(n) if m not in nil]
     cs = star.g.c
-
-    def mx(a):
-        return float(np.max(np.abs(a))) if a.size else 0.0
-
-    closed = mx(cs[np.ix_(levi, levi, out_levi)])
-    ideal = max(mx(cs[np.ix_(levi, nil, out_nil)]),
-                mx(cs[np.ix_(nil, nil, out_nil)]))
-    cross = mx(cs[np.ix_(nilp, nilm)])
+    closed = qbia._max_abs(cs[np.ix_(levi, levi, out_levi)])
+    ideal = max(qbia._max_abs(cs[np.ix_(levi, nil, out_nil)]),
+                qbia._max_abs(cs[np.ix_(nil, nil, out_nil)]))
+    cross = qbia._max_abs(cs[np.ix_(nilp, nilm)])
     return [
         _fixture("reductive-part-closed", closed, EXACT_TOL, "identity"),
         _fixture("nilpotent-part-ideal", ideal, EXACT_TOL, "identity"),

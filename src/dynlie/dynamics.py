@@ -78,12 +78,21 @@ class LMatrixField:
     constant, polynomial, cocom, canonical, shifted, gauged.  Every
     evaluation is expected to be skew; skewness is part of what the residual
     reports certify, so `value` returns the raw matrix.
+
+    The cocom and canonical kinds keep a record of the last base point they
+    evaluated, keyed on the point's shape and bytes: the domain report with
+    the adjoint matrices and (canonical) the flow expm(-ad_big(p)) it was
+    computed from, the value, and derivatives keyed on the direction's
+    bytes (at most G.dim**2 of them).  Callers receive copies.  The record
+    is replaced as soon as another point comes in, so alternating between
+    points recomputes.
     """
 
     def __init__(self, kind, G, decomp=None):
         self.kind = kind
         self.G = G
         self.decomp = decomp
+        self._last = (None, None)
         n = G.dim
         if decomp is None:
             self.sub = np.arange(n)
@@ -120,20 +129,12 @@ class LMatrixField:
                     + np.einsum('a,b,abij->ij', p, p, self.t2))
         if self.kind == "shifted":
             return self.base.value(p) + self.offset
-        if self.kind == "cocom":
+        if self.kind in ("cocom", "canonical"):
             self._require_domain(p)
-            a = self.double.d.ad_matrix(self.double.embed(xi=p))
-            n = self.G.dim
-            return linalg.F_MEROMORPHIC.apply(a)[:n, n:]
-        if self.kind == "canonical":
-            self._require_domain(p)
-            n, k = self.G.dim, self.base_dim
-            big = scipy.linalg.expm(-self._big_ad(p))
-            m_blk, n_blk = big[:n, :n], big[:n, n:]
-            a_small = self.small_double.d.ad_matrix(self.small_double.embed(xi=p))
-            r_small = linalg.F_MEROMORPHIC.apply(a_small)[:k, k:]
-            perp = np.linalg.solve(m_blk, n_blk @ self.diag_comp)
-            return self.inj @ r_small @ self.inj.T - perp
+            rec = self._at(p)
+            if rec["value"] is None:
+                rec["value"] = self._closed_form_value(rec)
+            return rec["value"].copy()
         if self.kind == "gauged":
             ad_big, theta, _, _ = self._gauge_data(p)
             lb = self.base.value(p)
@@ -155,27 +156,16 @@ class LMatrixField:
                     + 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2))
         if self.kind == "shifted":
             return self.base.derivative(p, alpha)
-        if self.kind == "cocom":
+        if self.kind in ("cocom", "canonical"):
             self._require_domain(p)
-            a = self.double.d.ad_matrix(self.double.embed(xi=p))
-            da = self.double.d.ad_matrix(self.double.embed(xi=alpha))
-            return linalg.F_MEROMORPHIC.frechet(a, da)[:n, n:]
-        if self.kind == "canonical":
-            self._require_domain(p)
-            k = self.base_dim
-            a = self._big_ad(p)
-            da = self.double.d.ad_matrix(self.double.embed(xi=self.inj @ alpha))
-            big, dbig = scipy.linalg.expm_frechet(-a, -da)
-            m_blk, n_blk = big[:n, :n], big[:n, n:]
-            dm, dn = dbig[:n, :n], dbig[:n, n:]
-            nd = n_blk @ self.diag_comp
-            dperp = (np.linalg.solve(m_blk, dn @ self.diag_comp)
-                     - np.linalg.solve(m_blk, dm @ np.linalg.solve(m_blk, nd)))
-            a_small = self.small_double.d.ad_matrix(self.small_double.embed(xi=p))
-            da_small = self.small_double.d.ad_matrix(
-                self.small_double.embed(xi=alpha))
-            dr = linalg.F_MEROMORPHIC.frechet(a_small, da_small)[:k, k:]
-            return self.inj @ dr @ self.inj.T - dperp
+            rec = self._at(p)
+            key = (alpha.shape, alpha.tobytes())
+            out = rec["derivative"].get(key)
+            if out is None:
+                out = self._closed_form_derivative(rec, alpha)
+                if len(rec["derivative"]) < n * n:
+                    rec["derivative"][key] = out
+            return out.copy()
         if self.kind == "gauged":
             ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
             lb = self.base.value(p)
@@ -192,6 +182,63 @@ class LMatrixField:
 
     def _big_ad(self, p):
         return self.double.d.ad_matrix(self.double.embed(xi=self.inj @ p))
+
+    def _at(self, p):
+        """The record of the validated base point p (cocom, canonical)."""
+        key = (p.shape, p.tobytes())
+        if self._last[0] != key:
+            self._last = (key, self._domain_record(p))
+        return self._last[1]
+
+    def _domain_record(self, p):
+        """Evaluate the two domain conditions at p (see `in_domain`),
+        keeping the matrices they are computed from for the evaluators."""
+        rep = {"in_domain": True, "spectral_margin": np.inf,
+               "block_condition": 1.0, "failing": None}
+        rec = {"report": rep, "value": None, "derivative": {}}
+        small = self.double if self.kind == "cocom" else self.small_double
+        rec["ad"] = small.d.ad_matrix(small.embed(xi=p))
+        rep["spectral_margin"] = float(np.min(
+            linalg._dist_to_ipi_nonzero(linalg.spectrum(rec["ad"]))))
+        if rep["spectral_margin"] < SPECTRAL_MARGIN:
+            rep["in_domain"] = False
+            rep["failing"] = "spectral-margin"
+        elif self.kind == "canonical":
+            n = self.G.dim
+            rec["ad_big"] = self._big_ad(p)
+            rec["big"] = scipy.linalg.expm(-rec["ad_big"])
+            rep["block_condition"] = float(np.linalg.cond(rec["big"][:n, :n]))
+            if not rep["block_condition"] < BLOCK_COND_LIMIT:
+                rep["in_domain"] = False
+                rep["failing"] = "block-condition"
+        return rec
+
+    def _closed_form_value(self, rec):
+        n, k = self.G.dim, self.base_dim
+        if self.kind == "cocom":
+            return linalg.F_MEROMORPHIC.apply(rec["ad"])[:n, n:]
+        big = rec["big"]
+        m_blk, n_blk = big[:n, :n], big[:n, n:]
+        r_small = linalg.F_MEROMORPHIC.apply(rec["ad"])[:k, k:]
+        perp = np.linalg.solve(m_blk, n_blk @ self.diag_comp)
+        return self.inj @ r_small @ self.inj.T - perp
+
+    def _closed_form_derivative(self, rec, alpha):
+        n, k = self.G.dim, self.base_dim
+        if self.kind == "cocom":
+            da = self.double.d.ad_matrix(self.double.embed(xi=alpha))
+            return linalg.F_MEROMORPHIC.frechet(rec["ad"], da)[:n, n:]
+        da = self.double.d.ad_matrix(self.double.embed(xi=self.inj @ alpha))
+        big, dbig = scipy.linalg.expm_frechet(-rec["ad_big"], -da)
+        m_blk, n_blk = big[:n, :n], big[:n, n:]
+        dm, dn = dbig[:n, :n], dbig[:n, n:]
+        nd = n_blk @ self.diag_comp
+        dperp = (np.linalg.solve(m_blk, dn @ self.diag_comp)
+                 - np.linalg.solve(m_blk, dm @ np.linalg.solve(m_blk, nd)))
+        da_small = self.small_double.d.ad_matrix(
+            self.small_double.embed(xi=alpha))
+        dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)[:k, k:]
+        return self.inj @ dr @ self.inj.T - dperp
 
     def _require_domain(self, p):
         rep = in_domain(p, self)
@@ -417,44 +464,23 @@ def _sigma_equivariance_residual(field, samples=6, seed=0, scale=0.4):
 # domain
 
 
-def in_domain(p, field, spectral_margin=SPECTRAL_MARGIN,
-              cond_limit=BLOCK_COND_LIMIT):
+def in_domain(p, field):
     """Report on the two open conditions defining the field's domain.
 
     The first predicate asks the relevant adjoint spectrum to stay away
-    from the poles i*pi*k (k nonzero); the second asks the upper-left block
-    of the double's adjoint flow to be safely invertible.
+    from the poles i*pi*k (k nonzero) by SPECTRAL_MARGIN; the second asks
+    the upper-left block of the double's adjoint flow to have condition
+    below BLOCK_COND_LIMIT.  Raises ValueError unless p has the field's
+    base_dim coordinates.
     """
-    p = np.asarray(p, dtype=float)
-    rep = {"in_domain": True, "spectral_margin": np.inf,
-           "block_condition": 1.0, "failing": None}
+    p = field._check_point(p)
     if field.kind in ("zero", "constant", "polynomial"):
-        return rep
+        return {"in_domain": True, "spectral_margin": np.inf,
+                "block_condition": 1.0, "failing": None}
     if field.kind in ("shifted", "gauged"):
-        return in_domain(p, field.base, spectral_margin, cond_limit)
-    if field.kind == "cocom":
-        a = field.double.d.ad_matrix(field.double.embed(xi=p))
-        rep["spectral_margin"] = float(np.min(
-            linalg._dist_to_ipi_nonzero(linalg.spectrum(a))))
-        if rep["spectral_margin"] < spectral_margin:
-            rep["in_domain"] = False
-            rep["failing"] = "spectral-margin"
-        return rep
-    if field.kind == "canonical":
-        n = field.G.dim
-        a_small = field.small_double.d.ad_matrix(field.small_double.embed(xi=p))
-        rep["spectral_margin"] = float(np.min(
-            linalg._dist_to_ipi_nonzero(linalg.spectrum(a_small))))
-        if rep["spectral_margin"] < spectral_margin:
-            rep["in_domain"] = False
-            rep["failing"] = "spectral-margin"
-            return rep
-        big = scipy.linalg.expm(-field._big_ad(p))
-        rep["block_condition"] = float(np.linalg.cond(big[:n, :n]))
-        if not rep["block_condition"] < cond_limit:
-            rep["in_domain"] = False
-            rep["failing"] = "block-condition"
-        return rep
+        return in_domain(p, field.base)
+    if field.kind in ("cocom", "canonical"):
+        return dict(field._at(p)["report"])
     raise ValueError("unknown field kind %r" % field.kind)
 
 
@@ -573,11 +599,11 @@ def cdybe_residual(field, p, samples=8, seed=0, tol=RESIDUAL_TOL):
                         float(np.max(np.abs(v - ref))) / scalefac)
 
     fd_err = 0.0
-    for pos in range(field.base_dim):
+    for pos, i in enumerate(field.sub):
         e = np.zeros(field.base_dim)
         e[pos] = 1.0
         fd = linalg.finite_diff(field.value, p, e)
-        exact = field.derivative(p, e)
+        exact = dl[i]
         fd_err = max(fd_err, float(np.max(np.abs(fd - exact))
                                    / (1.0 + np.max(np.abs(fd)))))
 

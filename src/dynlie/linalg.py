@@ -307,16 +307,21 @@ class AnalyticFunction:
         return "AnalyticFunction(%r)" % self.name
 
     def f(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        small = np.abs(z) < SCALAR_SERIES_CUTOFF
-        zsafe = np.where(small, 1.0, z)
-        return np.where(small, np.polyval(self._poly, z), self._fz(zsafe))
+        return self._scalar(z, self._poly, self._fz)
 
     def df(self, z):
+        return self._scalar(z, self._dpoly, self._dfz)
+
+    @staticmethod
+    def _scalar(z, poly, closed):
+        """The Taylor polynomial on entries with |z| < SCALAR_SERIES_CUTOFF,
+        the closed form on the others; each runs on its own entries only."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         small = np.abs(z) < SCALAR_SERIES_CUTOFF
-        zsafe = np.where(small, 1.0, z)
-        return np.where(small, np.polyval(self._dpoly, z), self._dfz(zsafe))
+        out = np.empty_like(z)
+        out[small] = np.polyval(poly, z[small])
+        out[~small] = closed(z[~small])
+        return out
 
     def _decompose(self, a):
         """Eigen data of a: {w, v, vinv, fw = f(w)}, or None when cond(V) is
@@ -370,6 +375,8 @@ class AnalyticFunction:
     def apply(self, a):
         """f(a): eigen route when cond(V) < EIG_COND_LIMIT, else the series."""
         a = _check_square(np.asarray(a, dtype=float))
+        if not a.size:
+            return np.zeros((0, 0))
         eig = self._decompose(a)
         if eig is None:
             return assert_finite(self._series(a))
@@ -387,6 +394,8 @@ class AnalyticFunction:
         e = np.asarray(e, dtype=float)
         if e.shape != a.shape:
             raise NonSquare("direction shape %s != matrix shape %s" % (e.shape, a.shape))
+        if not a.size:
+            return np.zeros((0, 0))
         eig = self._decompose(a)
         if eig is not None:
             if "dd" not in eig:

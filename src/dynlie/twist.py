@@ -13,7 +13,7 @@ split.
 import numpy as np
 
 from .linalg import antisymmetrize3, skew_residual
-from .qbia import QuasiBialgebra, first_condition_tensor
+from .qbia import QuasiBialgebra, _max_abs, first_condition_tensor
 
 SKEW_TOL = 1e-12
 TAU_TOL = 1e-10
@@ -124,18 +124,13 @@ def moduli_membership(G, decomp, t, tol=MODULI_TOL):
     t = _check_twist(t, G.dim)
     sub = np.asarray(decomp.sub, dtype=int)
     comp = np.asarray(decomp.comp, dtype=int)
-
-    def mx(a):
-        a = np.asarray(a)
-        return float(np.max(np.abs(a))) if a.size else 0.0
-
-    r_kills = mx(t[:, sub])
-    r_into = mx(t[np.ix_(sub, comp)])
-    r_equiv = max((mx(G.g.ad[z] @ t + t @ G.g.ad[z].T) for z in sub),
+    r_kills = _max_abs(t[:, sub])
+    r_into = _max_abs(t[np.ix_(sub, comp)])
+    r_equiv = max((_max_abs(G.g.ad[z] @ t + t @ G.g.ad[z].T) for z in sub),
                   default=0.0)
     _, phi2 = twist_tensors(G.g, G.varpi, G.phi, t)
     phi2 = antisymmetrize3(phi2)
-    r_phi = mx(phi2[np.ix_(comp, comp, comp)])
+    r_phi = _max_abs(phi2[np.ix_(comp, comp, comp)])
     report = {
         "kills_sub_annihilator_residual": r_kills,
         "maps_into_complement_residual": r_into,

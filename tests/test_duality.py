@@ -3,9 +3,10 @@ trivialization, the two-sided duality identity, and the involution dual."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dynlie import duality, dynamics, lie, linalg, qbia, twist
+from dynlie import catalog, duality, dynamics, lie, linalg, qbia, twist
 
 TOL = 1e-10
 
@@ -399,3 +400,21 @@ def test_symmetric_dual_rejects_non_semisimple():
     g = lie.LieAlgebraData(np.zeros((2, 2, 2)))
     with pytest.raises(duality.NotSemisimple):
         duality.symmetric_dual(g, np.eye(2))
+
+
+def test_check_reuses_the_flow_of_each_base_point(monkeypatch):
+    # the field keeps the domain check's expm(-ad_big(p)) for value, and
+    # value and derivatives per base point; without that record this check
+    # made 250 scipy.linalg.expm calls, with it 74; the bound is half of 250
+    entry = catalog.get("sl2-cartan")
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    calls = []
+    orig = scipy.linalg.expm
+
+    def expm(a):
+        calls.append(a.shape)
+        return orig(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", expm)
+    assert triv.check(samples=1)["passed"]
+    assert len(calls) <= 125

@@ -205,6 +205,18 @@ def test_domain_trivial_for_jet_fields():
     assert rep["in_domain"]
 
 
+@pytest.mark.parametrize("kind", ["zero", "cocom", "canonical"])
+def test_in_domain_rejects_a_point_of_the_wrong_shape(kind):
+    G = invariant_structure()
+    f = {"zero": lambda: dyn.zero_field(G),
+         "cocom": lambda: dyn.cocom_field(G),
+         "canonical": lambda: dyn.canonical_field(G, cartan_split(G))}[kind]()
+    k = f.base_dim
+    for p in (np.zeros(k + 1), np.zeros((1, k)), np.zeros((k, k))):
+        with pytest.raises(ValueError, match="base point must have"):
+            dyn.in_domain(p, f)
+
+
 def test_sample_domain_points_deterministic():
     G = invariant_structure()
     f = dyn.cocom_field(G)
@@ -453,3 +465,90 @@ def test_in_domain_point_near_series_radius_evaluates(name):
     assert dyn.cdybe_residual(field, p)["passed"]
     for z in np.eye(field.base_dim):
         assert dyn.equivariance_residual(field, p, z) <= 1e-8
+
+
+# -- the record of the last base point -----------------------------------------
+
+
+def cached_kinds():
+    G = invariant_structure()
+    entry = catalog.get("su2-lagrangian")
+    return [dyn.cocom_field(G), dyn.canonical_field(G, cartan_split(G)),
+            dyn.canonical_field(entry.G, entry.decomp)]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_point_record_hands_out_copies(which):
+    f = cached_kinds()[which]
+    rng = np.random.default_rng(40 + which)
+    p = dyn.sample_domain_points(f, 1, seed=which)[0]
+    alpha = rng.standard_normal(f.base_dim)
+    rep, val, der = dyn.in_domain(p, f), f.value(p), f.derivative(p, alpha)
+    kept = dict(rep), val.copy(), der.copy()
+    rep["in_domain"] = False
+    rep["spectral_margin"] = -1.0
+    val[...] = 7.0
+    der[...] = 7.0
+    assert dyn.in_domain(p, f) == kept[0]
+    assert np.array_equal(f.value(p), kept[1])
+    assert np.array_equal(f.derivative(p, alpha), kept[2])
+
+
+def test_point_record_is_replaced_by_a_new_point(monkeypatch):
+    G = invariant_structure()
+    f = dyn.canonical_field(G, cartan_split(G))
+    p1, p2 = np.array([0.3]), np.array([-0.7])
+    calls = []
+    orig = scipy.linalg.expm
+
+    def expm(a):
+        calls.append(a.shape)
+        return orig(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", expm)
+    # the domain check's flow is the one value uses, once per point
+    v1 = f.value(p1)
+    assert dyn.in_domain(p1, f)["in_domain"]
+    assert np.array_equal(f.value(p1), v1)
+    assert len(calls) == 1
+    v2 = f.value(p2)
+    assert len(calls) == 2
+    assert not np.array_equal(v1, v2)
+    assert np.array_equal(f.value(p1), v1)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_point_record_matches_a_fresh_field(which):
+    f = cached_kinds()[which]
+    k = f.base_dim
+    rng = np.random.default_rng(50 + which)
+    pts = dyn.sample_domain_points(f, 3, seed=which, scale=0.8)
+    alphas = list(np.eye(k)) + [rng.standard_normal(k)]
+    # forward then back, so records are rebuilt after other points
+    for p in pts + pts[::-1]:
+        fresh = cached_kinds()[which]
+        assert dyn.in_domain(p, f) == dyn.in_domain(p, fresh)
+        assert np.array_equal(f.value(p), fresh.value(p))
+        for alpha in alphas:
+            assert np.array_equal(f.derivative(p, alpha),
+                                  fresh.derivative(p, alpha))
+        assert np.array_equal(f.value(p), fresh.value(p))
+
+
+def test_point_record_matches_a_fresh_field_at_a_rejected_point():
+    G = invariant_structure()
+    f = dyn.cocom_field(G)
+    bad = 4.0 * np.pi * np.array([0.0, 1.0, -1.0])
+    f.value(np.array([0.1, 0.2, 0.3]))
+    rep = dyn.in_domain(bad, f)
+    assert rep == dyn.in_domain(bad, dyn.cocom_field(G))
+    assert rep["failing"] == "spectral-margin"
+    for _ in range(2):
+        with pytest.raises(dyn.OutOfDomain) as err:
+            f.value(bad)
+        with pytest.raises(dyn.OutOfDomain) as fresh_err:
+            dyn.cocom_field(G).value(bad)
+        assert str(err.value) == str(fresh_err.value)
+        with pytest.raises(dyn.OutOfDomain):
+            f.derivative(bad, np.ones(3))

@@ -44,6 +44,22 @@ def test_scalar_series_branch_near_zero():
     assert linalg.INV_SINHC.f(0.0) == 1.0
 
 
+@pytest.mark.parametrize("fn", [linalg.F_MEROMORPHIC, linalg.TANH,
+                                linalg.SINHC, linalg.SINH_REM, linalg.EXP])
+def test_scalar_branches_each_run_on_their_own_entries(fn):
+    # entries on both sides of SCALAR_SERIES_CUTOFF, plus one far up the
+    # imaginary axis where the 30-term polynomial overflows while the
+    # closed form stays finite
+    z = np.array([0.0, 0.05 - 0.1j, 0.2, 0.3j, 1.7, -2.5 + 0.4j, 1e13j])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for method in (fn.f, fn.df):
+            whole = method(z)
+            one_by_one = np.concatenate([method(z[i:i + 1])
+                                         for i in range(len(z))])
+            assert np.array_equal(whole, one_by_one)
+            assert np.all(np.isfinite(whole))
+
+
 def test_exp_apply_matches_scipy():
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -125,6 +141,13 @@ def test_radius_guard():
 def test_non_square_rejected():
     with pytest.raises(linalg.NonSquare):
         linalg.EXP.apply(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("fn", [linalg.EXP, linalg.F_MEROMORPHIC])
+def test_zero_size_matrix(fn):
+    empty = np.zeros((0, 0))
+    assert fn.apply(empty).shape == (0, 0)
+    assert fn.frechet(empty, empty).shape == (0, 0)
 
 
 def test_singular_set_detection():
