@@ -99,10 +99,11 @@ class CatalogEntry:
                 % (self.name, self.G.dim, len(self.fixtures)))
 
 
-def _basis_change(c, P, chop=1e-14):
-    """Structure constants in the basis whose columns are P."""
+def _basis_change(c, P):
+    """Structure constants in the basis whose columns are P, with entries
+    below 1e-14 in magnitude set to zero."""
     out = np.einsum("ai,bj,abm,km->ijk", P, P, c, np.linalg.inv(P))
-    out[np.abs(out) < chop] = 0.0
+    out[np.abs(out) < 1e-14] = 0.0
     return out
 
 
@@ -136,7 +137,7 @@ def build_abelian(n=2, k=1):
 
 
 def build_cocom_compatible(g, decomp, phi, name="cocom-compatible",
-                           params=None, scale=0.3):
+                           params=None):
     """Cocommutative structure whose canonical field has a closed form.
 
     The cocycle is zero and phi must make the split canonical, so the
@@ -148,7 +149,7 @@ def build_cocom_compatible(g, decomp, phi, name="cocom-compatible",
     G = qbia.QuasiBialgebra(g, np.zeros((n, n, n)), np.asarray(phi, float))
     field = dynamics.canonical_field(G, decomp)
     points = dynamics.sample_domain_points(field, 3, seed=SAMPLE_SEED,
-                                           scale=scale)
+                                           scale=0.3)
     closed = max(
         float(np.max(np.abs(field.value(p)
                             - dynamics.compatible_closed_form(G, decomp, p))))
@@ -164,7 +165,7 @@ def build_cocom_compatible(g, decomp, phi, name="cocom-compatible",
 def _entry_sl2_cartan():
     g = lie.sl2_data()
     B = g.killing_form()
-    phi = 0.25 * duality.invariant_three_form(g, B)
+    phi = 0.25 * lie.invariant_triple_tensor(g, B)
     decomp = lie.ReductiveDecomposition(g, [0], [1, 2])
     return build_cocom_compatible(
         g, decomp, phi, name="sl2-cartan",
@@ -182,7 +183,7 @@ def _entry_sl2_involution():
                   [-1.0, 0.0, 1.0]])
     c = _basis_change(g0.c, P)
     g = lie.LieAlgebraData(c, ["rot", "sym1", "sym2"])
-    phi = duality.invariant_three_form(g, g.killing_form())
+    phi = lie.invariant_triple_tensor(g, g.killing_form())
     decomp = lie.ReductiveDecomposition(g, [0], [1, 2])
     return build_cocom_compatible(
         g, decomp, phi, name="sl2-involution",
@@ -208,7 +209,7 @@ def _entry_su2_lagrangian():
     quad = np.zeros((6, 6))
     quad[:3, 3:] = B2
     quad[3:, :3] = B2
-    phi = duality.invariant_three_form(g, quad)
+    phi = lie.invariant_triple_tensor(g, quad)
     decomp = lie.ReductiveDecomposition(g, [0, 1, 2], [3, 4, 5])
     return build_cocom_compatible(
         g, decomp, phi, name="su2-lagrangian",
@@ -409,7 +410,7 @@ def build_EV(rank=1, Gamma=(), mu=None, C0=None):
     plain_cartan = C0 is None or float(np.max(np.abs(C0))) == 0.0
 
     B = g.killing_form()
-    phi = 0.25 * duality.invariant_three_form(g, B)
+    phi = 0.25 * lie.invariant_triple_tensor(g, B)
     G0 = qbia.QuasiBialgebra(g, np.zeros((n, n, n)), phi)
     Gr = twist.apply_twist(G0, rho)
     crep = qbia.check_compatibility(Gr, decomp)

@@ -39,6 +39,17 @@ SPEC_VERSION = 1
 HEADER = "dynlie-spec"
 FIELD_KINDS = ("canonical", "zero", "cocommutative")
 
+# (report row, dynamics.FLOW_TOLS key) of each flow-equation check, in
+# report order
+FLOW_ROWS = (
+    ("flow-skew", "skew_residual"),
+    ("flow-cyclic", "cyclic_residual"),
+    ("flow-vector", "vector_residual"),
+    ("flow-forms-agreement", "forms_agreement"),
+    ("flow-derivative-consistency", "derivative_fd_residual"),
+    ("flow-equivariance", "equivariance"),
+)
+
 DEFAULT_TOLS = {
     "jacobi": 1e-10,
     "cocycle-identity": 1e-10,
@@ -50,12 +61,7 @@ DEFAULT_TOLS = {
     "twist-antisymmetry": 1e-12,
     "twist-axioms": 1e-10,
     "twist-obstruction-invariance": 1e-8,
-    "flow-skew": 1e-10,
-    "flow-cyclic": 1e-8,
-    "flow-vector": 1e-8,
-    "flow-forms-agreement": 1e-8,
-    "flow-derivative-consistency": 1e-6,
-    "flow-equivariance": 1e-8,
+    **{name: dynamics.FLOW_TOLS[key] for name, key in FLOW_ROWS},
     "double-dual-roundtrip": 1e-10,
 }
 
@@ -429,31 +435,15 @@ def build_report(spec, seed=0, samples=6, overrides=None):
         field = _make_field(spec)
         points = dynamics.sample_domain_points(field, samples, seed=seed,
                                                scale=0.4)
-        worst = {"flow-skew": 0.0, "flow-cyclic": 0.0, "flow-vector": 0.0,
-                 "flow-forms-agreement": 0.0,
-                 "flow-derivative-consistency": 0.0,
-                 "flow-equivariance": 0.0}
+        worst = {name: 0.0 for name, _ in FLOW_ROWS}
         eye = np.eye(field.base_dim)
         for p in points:
             frep = dynamics.cdybe_residual(field, p)
-            worst["flow-skew"] = max(worst["flow-skew"],
-                                     frep["skew_residual"])
-            worst["flow-cyclic"] = max(worst["flow-cyclic"],
-                                       frep["cyclic_residual"])
-            worst["flow-vector"] = max(worst["flow-vector"],
-                                       frep["vector_residual"])
-            worst["flow-forms-agreement"] = max(
-                worst["flow-forms-agreement"], frep["forms_agreement"])
-            worst["flow-derivative-consistency"] = max(
-                worst["flow-derivative-consistency"],
-                frep["derivative_fd_residual"])
-            worst["flow-equivariance"] = max(
-                worst["flow-equivariance"],
-                max(dynamics.equivariance_residual(field, p, z)
-                    for z in eye))
-        for name in ("flow-skew", "flow-cyclic", "flow-vector",
-                     "flow-forms-agreement", "flow-derivative-consistency",
-                     "flow-equivariance"):
+            frep["equivariance"] = max(
+                dynamics.equivariance_residual(field, p, z) for z in eye)
+            for name, key in FLOW_ROWS:
+                worst[name] = max(worst[name], frep[key])
+        for name, _ in FLOW_ROWS:
             rep.add(name, worst[name], _tol(overrides, name),
                     "residual-sweep")
     return rep

@@ -55,24 +55,11 @@ def _resolve_decomp(G, decomp):
     return decomp
 
 
-def invariant_three_form(g, quad):
-    """Alternating 3-tensor pairing metric duals with the bracket.
-
-    Value on covectors (xi, eta, zeta) is the metric pairing of the raised
-    xi with the bracket of the raised eta and zeta.  For an invariant
-    nondegenerate quadratic form the result is ad-invariant and alternating;
-    it is returned in exactly alternating form.
-    """
-    binv = np.linalg.inv(np.asarray(quad, dtype=float))
-    t = np.einsum("aj,bk,abi->ijk", binv, binv, g.c)
-    return linalg.antisymmetrize3(t)
-
-
 # ---------------------------------------------------------------------------
 # the dual structure
 
 
-def dual_qbia(G, decomp=None, tol=DUAL_TOL, check=True):
+def dual_qbia(G, decomp=None):
     """Dual structure over the subalgebra, read off the double.
 
     Preconditions: the cocycle vanishes on the subalgebra and the 3-tensor
@@ -83,12 +70,12 @@ def dual_qbia(G, decomp=None, tol=DUAL_TOL, check=True):
     first) and carries that split as its decomposition.
     """
     decomp = _resolve_decomp(G, decomp)
-    rep = qbia.check_compatibility(G, decomp, tol=tol)
+    rep = qbia.check_compatibility(G, decomp)
     failing = []
-    if rep["sub_cocycle_residual"] > tol:
+    if rep["sub_cocycle_residual"] > DUAL_TOL:
         failing.append("cocycle on subalgebra %.3e"
                        % rep["sub_cocycle_residual"])
-    if rep["comp_phi_residual"] > tol:
+    if rep["comp_phi_residual"] > DUAL_TOL:
         failing.append("3-tensor on complement %.3e"
                        % rep["comp_phi_residual"])
     if failing:
@@ -109,7 +96,7 @@ def dual_qbia(G, decomp=None, tol=DUAL_TOL, check=True):
             star.g, list(range(k)), list(range(k, n)))
     except ValueError:
         star.decomp = None
-    if check and rep["canonical"]:
+    if rep["canonical"]:
         if star.decomp is None:
             raise PreconditionFailed("dual of a canonically compatible "
                                      "structure lost its reductive split")
@@ -131,14 +118,14 @@ def _op_map(decomp, n):
     return w
 
 
-def double_dual_check(G, decomp=None, tol=DUAL_TOL):
+def double_dual_check(G, decomp=None):
     """Componentwise residual between the twice-dualized structure and the
     push-forward of the original along the subalgebra-fixing sign map."""
     decomp = _resolve_decomp(G, decomp)
-    star = dual_qbia(G, decomp, tol=tol)
+    star = dual_qbia(G, decomp)
     if star.decomp is None:
         raise PreconditionFailed("dual carries no reductive split")
-    star2 = dual_qbia(star, star.decomp, tol=tol)
+    star2 = dual_qbia(star, star.decomp)
     model = qbia.transport(G, _op_map(decomp, G.dim))
     return max(qbia._max_abs(star2.g.c - model.g.c),
                qbia._max_abs(star2.varpi - model.varpi),
@@ -154,15 +141,12 @@ class AlgebroidSection:
 
     Wraps a value callable returning a pair of vectors and (optionally) a
     directional-derivative callable; without the latter, derivatives fall
-    back to a central difference of the value.  degree records the
-    polynomial degree when the section is polynomial (None for analytic
-    sections, whose evaluation is exact but not polynomial).
+    back to a central difference of the value.
     """
 
-    def __init__(self, value_fn, derivative_fn=None, degree=None):
+    def __init__(self, value_fn, derivative_fn=None):
         self._value = value_fn
         self._derivative = derivative_fn
-        self.degree = degree
 
     def value(self, p):
         a, b = self._value(np.asarray(p, dtype=float))
@@ -187,13 +171,7 @@ def polynomial_section(first, second):
     def der(p, beta):
         return first.jacobian(p) @ beta, second.jacobian(p) @ beta
 
-    degree = 0
-    for m in (first, second):
-        if qbia._max_abs(m.c2) > 0.0:
-            degree = max(degree, 2)
-        elif qbia._max_abs(m.c1) > 0.0:
-            degree = max(degree, 1)
-    return AlgebroidSection(val, der, degree=degree)
+    return AlgebroidSection(val, der)
 
 
 def constant_section(first, second):
@@ -202,7 +180,7 @@ def constant_section(first, second):
     zf = np.zeros_like(first)
     zs = np.zeros_like(second)
     return AlgebroidSection(lambda p: (first, second),
-                            lambda p, beta: (zf, zs), degree=0)
+                            lambda p, beta: (zf, zs))
 
 
 def nu_anchor(s, p, field):
@@ -218,7 +196,7 @@ def nu_anchor(s, p, field):
     return xi[field.sub] - coad
 
 
-def nu_bracket(s1, s2, field, G=None, check_domain=True):
+def nu_bracket(s1, s2, field):
     """Bracket of two sections of the chart algebroid, as a lazy section.
 
     First component: derivatives of each subalgebra part along the other's
@@ -228,12 +206,10 @@ def nu_bracket(s1, s2, field, G=None, check_domain=True):
     subalgebra parts and of the field images, plus the cocycle pairing.
     Derivatives of the returned section use the central-difference fallback.
     """
-    if G is None:
-        G = field.G
+    G = field.G
 
     def val(p):
-        if check_domain:
-            field._require_domain(p)
+        field._require_domain(p)
         z1, xi1 = s1.value(p)
         z2, xi2 = s2.value(p)
         a1 = nu_anchor((z1, xi1), p, field)
@@ -288,8 +264,8 @@ class TrivializationMap:
     base point to lie in the field's domain.
     """
 
-    def __init__(self, G, decomp=None, tol=dynamics.CERT_TOL):
-        self.field = dynamics.canonical_field(G, decomp, tol=tol)
+    def __init__(self, G, decomp=None):
+        self.field = dynamics.canonical_field(G, decomp)
         self.G = G
         self.decomp = self.field.decomp
         self.double = self.field.double
@@ -543,7 +519,7 @@ class TrivializationMap:
         return max(qbia._max_abs(lhs[0] - rhs[0]),
                    qbia._max_abs(lhs[1] - rhs[1]))
 
-    def check(self, samples=6, seed=0, scale=0.4, linear_sections=3):
+    def check(self, samples=6, seed=0, linear_sections=3):
         """Certification sweep over sampled domain points.
 
         Reports the anchor residuals of lifts and of mapped elements, the
@@ -554,7 +530,7 @@ class TrivializationMap:
         n, k = self.n, self.k
         rng = np.random.default_rng(seed)
         pts = dynamics.sample_domain_points(self.field, samples, seed=seed,
-                                            scale=scale)
+                                            scale=0.4)
         report = {"anchor_residual": 0.0, "roundtrip_residual": 0.0,
                   "flatness_residual": 0.0, "membership_residual": 0.0,
                   "bracket_residual": 0.0, "psi_residual": 0.0,
@@ -659,7 +635,7 @@ def phi_p_iso(p, triv):
 # the duality identity
 
 
-def duality_theorem_check(G, decomp=None, samples=20, seed=0, scale=0.4):
+def duality_theorem_check(G, decomp=None, samples=20, seed=0):
     """Largest deviation between the sign-twisted trivialization of a
     structure and the trivialization of its dual, over sampled points.
 
@@ -688,7 +664,7 @@ def duality_theorem_check(G, decomp=None, samples=20, seed=0, scale=0.4):
     for _ in range(4 * samples):
         if used == samples:
             break
-        p = scale * rng.standard_normal(k)
+        p = 0.4 * rng.standard_normal(k)
         if not dynamics.in_domain(p, field)["in_domain"]:
             continue
         if not dynamics.in_domain(p, triv_star.field)["in_domain"]:
@@ -722,14 +698,14 @@ def duality_theorem_check(G, decomp=None, samples=20, seed=0, scale=0.4):
 # derivative identities of the dual-parameter adjoint
 
 
-def differential_identities(field, p, alpha, beta, power=4):
+def differential_identities(field, p, alpha, beta):
     """Residuals of three closed-form derivative identities in the double.
 
     power_rule: the binomial expansion of the derivative of an iterated
-    bracket power against the plain product-rule expansion.  odd_kernel /
-    even_kernel: the directional derivatives of the odd and even flow
-    kernels of the dual-parameter adjoint, antisymmetrized over the two
-    directions, against their double-bracket expansions.
+    bracket power against the plain product-rule expansion, for powers 1
+    to 4.  odd_kernel / even_kernel: the directional derivatives of the odd
+    and even flow kernels of the dual-parameter adjoint, antisymmetrized
+    over the two directions, against their double-bracket expansions.
     """
     d = field.double.d
     emb = field.double.embed
@@ -741,7 +717,7 @@ def differential_identities(field, p, alpha, beta, power=4):
     ada = d.ad_matrix(sa)
     adb = d.ad_matrix(sb)
     r1 = 0.0
-    for m in range(1, power + 1):
+    for m in range(1, 5):
         lhs = linalg.d_ad_power(sp, sa, sb, m, d)
         rhs = np.zeros_like(lhs)
         for i in range(m):
@@ -772,15 +748,15 @@ def differential_identities(field, p, alpha, beta, power=4):
 # the semisimple / involution construction
 
 
-def _signature(mat, tol=1e-8):
+def _signature(mat):
     w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    pos = int(np.sum(w > tol * scale))
-    neg = int(np.sum(w < -tol * scale))
+    pos = int(np.sum(w > 1e-8 * scale))
+    neg = int(np.sum(w < -1e-8 * scale))
     return (pos, neg, len(w) - pos - neg)
 
 
-def symmetric_dual(g, sigma, tol=1e-10):
+def symmetric_dual(g, sigma):
     """Dual structure of a semisimple algebra with an involution.
 
     Realifies the complexification as a double with the imaginary part of
@@ -796,11 +772,11 @@ def symmetric_dual(g, sigma, tol=1e-10):
     n = g.dim
     if sigma.shape != (n, n):
         raise ValueError("involution candidate must be %d x %d" % (n, n))
-    if qbia._max_abs(sigma @ sigma - np.eye(n)) > tol:
+    if qbia._max_abs(sigma @ sigma - np.eye(n)) > DUAL_TOL:
         raise NotInvolution("square differs from the identity")
     auto = qbia._max_abs(np.einsum("ai,bj,abm->ijm", sigma, sigma, g.c)
                          - np.einsum("ml,ijl->ijm", sigma, g.c))
-    if auto > tol:
+    if auto > DUAL_TOL:
         raise NotInvolution("not a bracket automorphism: residual %.3e"
                             % auto)
     b = g.killing_form()
@@ -843,7 +819,7 @@ def symmetric_dual(g, sigma, tol=1e-10):
                                      basis_names=g2.basis_names)
     gsym.decomp = decomp2
 
-    omega = invariant_three_form(g2, b2)
+    omega = lie.invariant_triple_tensor(g2, b2)
     star = dual_qbia(gsym, decomp2)
 
     # direct model: dual basis inside the realified double

@@ -18,9 +18,20 @@ SPECTRAL_MARGIN = 1e-6
 BLOCK_COND_LIMIT = 1e10
 SKEW_TOL = 1e-10
 CERT_TOL = 1e-10
-RESIDUAL_TOL = 1e-8
 EXACT_COCYCLE_TOL = 1e-9
 EQUIVARIANCE_CHECK_TOL = 1e-8
+
+# Bounds on the flow-equation residuals at one base point, keyed like the
+# cdybe_residual report; "equivariance" bounds equivariance_residual.  The
+# report's `passed` reads the cyclic, vector and skew bounds.
+FLOW_TOLS = {
+    "skew_residual": SKEW_TOL,
+    "cyclic_residual": 1e-8,
+    "vector_residual": 1e-8,
+    "forms_agreement": 1e-8,
+    "derivative_fd_residual": 1e-6,
+    "equivariance": 1e-8,
+}
 
 
 class OutOfDomain(linalg.DomainViolation):
@@ -74,10 +85,10 @@ class LMatrixField:
     """A field of linear maps from covectors to vectors over a base that
     lives in the coordinates dual to the chosen subalgebra.
 
-    Built through the factory functions below; `kind` is one of zero,
-    constant, polynomial, cocom, canonical, shifted, gauged.  Every
-    evaluation is expected to be skew; skewness is part of what the residual
-    reports certify, so `value` returns the raw matrix.
+    Built through the factory functions below; `kind` is one of polynomial
+    (also behind zero_field and constant_field), cocom, canonical, shifted,
+    gauged.  Every evaluation is expected to be skew; skewness is part of
+    what the residual reports certify, so `value` returns the raw matrix.
 
     The cocom and canonical kinds keep a record of the last base point they
     evaluated, keyed on the point's shape and bytes: the domain report with
@@ -120,13 +131,13 @@ class LMatrixField:
 
     def value(self, p):
         p = self._check_point(p)
-        if self.kind == "zero":
-            return np.zeros((self.G.dim, self.G.dim))
-        if self.kind == "constant":
-            return self.t.copy()
         if self.kind == "polynomial":
-            return (self.t0 + np.einsum('a,aij->ij', p, self.t1)
-                    + np.einsum('a,b,abij->ij', p, p, self.t2))
+            out = self.t0.copy()
+            if self.t1 is not None:
+                out += np.einsum('a,aij->ij', p, self.t1)
+            if self.t2 is not None:
+                out += np.einsum('a,b,abij->ij', p, p, self.t2)
+            return out
         if self.kind == "shifted":
             return self.base.value(p) + self.offset
         if self.kind in ("cocom", "canonical"):
@@ -149,11 +160,13 @@ class LMatrixField:
         p = self._check_point(p)
         alpha = np.asarray(alpha, dtype=float)
         n = self.G.dim
-        if self.kind in ("zero", "constant"):
-            return np.zeros((n, n))
         if self.kind == "polynomial":
-            return (np.einsum('a,aij->ij', alpha, self.t1)
-                    + 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2))
+            out = np.zeros((n, n))
+            if self.t1 is not None:
+                out += np.einsum('a,aij->ij', alpha, self.t1)
+            if self.t2 is not None:
+                out += 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2)
+            return out
         if self.kind == "shifted":
             return self.base.derivative(p, alpha)
         if self.kind in ("cocom", "canonical"):
@@ -207,7 +220,12 @@ class LMatrixField:
             n = self.G.dim
             rec["ad_big"] = self._big_ad(p)
             rec["big"] = scipy.linalg.expm(-rec["ad_big"])
-            rep["block_condition"] = float(np.linalg.cond(rec["big"][:n, :n]))
+            try:
+                rep["block_condition"] = float(
+                    np.linalg.cond(rec["big"][:n, :n]))
+            except np.linalg.LinAlgError:
+                # the flow overflowed: no condition number, out of domain
+                rep["block_condition"] = np.inf
             if not rep["block_condition"] < BLOCK_COND_LIMIT:
                 rep["in_domain"] = False
                 rep["failing"] = "block-condition"
@@ -289,33 +307,33 @@ class LMatrixField:
 
 
 def zero_field(G, decomp=None):
-    return LMatrixField("zero", G, decomp)
+    return polynomial_field(G, decomp)
 
 
 def constant_field(G, t, decomp=None):
-    t = np.asarray(t, dtype=float)
-    if linalg.skew_residual(t) > SKEW_TOL:
-        raise ValueError("constant field value must be skew")
-    field = LMatrixField("constant", G, decomp)
-    field.t = t.copy()
-    return field
+    return polynomial_field(G, decomp, coeff0=t)
 
 
 def polynomial_field(G, decomp, coeff0=None, coeff1=None, coeff2=None):
-    """Jet field l_p = T0 + p_a T1[a] + p_a p_b T2[a,b], all slices skew."""
+    """Jet field l_p = T0 + p_a T1[a] + p_a p_b T2[a,b], all slices skew.
+
+    A coefficient that is not given is not evaluated, so a field without
+    T1 and T2 is exactly constant at every base point.
+    """
     field = LMatrixField("polynomial", G, decomp)
-    n, k = G.dim, field.base_dim
-    t0 = np.zeros((n, n)) if coeff0 is None else np.asarray(coeff0, float)
-    t1 = np.zeros((k, n, n)) if coeff1 is None else np.asarray(coeff1, float)
-    t2 = (np.zeros((k, k, n, n)) if coeff2 is None
-          else np.asarray(coeff2, float))
-    for part in (t0, t1.reshape(-1, n, n), t2.reshape(-1, n, n)):
+    n = G.dim
+    t0 = np.zeros((n, n)) if coeff0 is None else np.array(coeff0, float)
+    t1 = None if coeff1 is None else np.asarray(coeff1, float)
+    t2 = None if coeff2 is None else np.asarray(coeff2, float)
+    for part in (t0, t1, t2):
+        if part is None:
+            continue
         for m in np.atleast_3d(part).reshape(-1, n, n):
             if linalg.skew_residual(m) > SKEW_TOL:
                 raise ValueError("polynomial coefficients must be skew")
     field.t0 = t0
     field.t1 = t1
-    field.t2 = 0.5 * (t2 + t2.transpose(1, 0, 2, 3))
+    field.t2 = None if t2 is None else 0.5 * (t2 + t2.transpose(1, 0, 2, 3))
     return field
 
 
@@ -329,13 +347,13 @@ def cocom_field(G):
     return field
 
 
-def canonical_field(G, decomp=None, tol=CERT_TOL):
+def canonical_field(G, decomp=None):
     """The closed-form field attached to a canonically compatible pair."""
     if decomp is None:
         decomp = G.decomp
     if decomp is None:
         decomp = lie.ReductiveDecomposition(G.g, list(range(G.dim)), [])
-    rep = qbia.check_compatibility(G, decomp, tol=max(tol, 1e-10))
+    rep = qbia.check_compatibility(G, decomp)
     if not rep["canonical"]:
         raise NotCanonicalCompatible(str(rep))
     field = LMatrixField("canonical", G, decomp)
@@ -391,7 +409,7 @@ def cocycle_fit(G):
     return t, float(resid)
 
 
-def _cocycle_potential(G, tol=EXACT_COCYCLE_TOL):
+def _cocycle_potential(G):
     """Skew t with varpi = d t (coboundary), or None for varpi = 0.
 
     Raises UnsupportedCocycle when the cocycle is neither zero nor exact.
@@ -399,13 +417,13 @@ def _cocycle_potential(G, tol=EXACT_COCYCLE_TOL):
     if qbia._max_abs(G.varpi) <= SKEW_TOL:
         return None
     t, resid = cocycle_fit(G)
-    if resid > tol * (1.0 + qbia._max_abs(G.varpi)):
+    if resid > EXACT_COCYCLE_TOL * (1.0 + qbia._max_abs(G.varpi)):
         raise UnsupportedCocycle(
             "cocycle is not exact (best potential residual %.3e)" % resid)
     return t
 
 
-def gauge_transform(field, sigma, check=True, samples=6, seed=0, scale=0.4):
+def gauge_transform(field, sigma):
     """Act on the field by the pointwise product of exponentials of the
     given polynomial maps (a single map or a list, leftmost applied last).
 
@@ -430,24 +448,20 @@ def gauge_transform(field, sigma, check=True, samples=6, seed=0, scale=0.4):
     out.base = field
     out.factors = factors
     out.potential = potential
-    if check:
-        err = _sigma_equivariance_residual(out, samples=samples, seed=seed,
-                                           scale=scale)
-        if err > EQUIVARIANCE_CHECK_TOL:
-            raise NonEquivariantSigma(
-                "gauge map equivariance residual %.3e" % err)
+    err = _sigma_equivariance_residual(out)
+    if err > EQUIVARIANCE_CHECK_TOL:
+        raise NonEquivariantSigma("gauge map equivariance residual %.3e" % err)
     return out
 
 
-def _sigma_equivariance_residual(field, samples=6, seed=0, scale=0.4):
-    """max over sampled p and basis z of | dSigma_p(ad*_z p) + [z, Sigma_p] |
-    summed over the gauge factors."""
+def _sigma_equivariance_residual(field):
+    """max over p = 0 and six seeded p of | dSigma_p(ad*_z p) + [z, Sigma_p] |
+    for basis z, over the gauge factors."""
     g = field.G.g
     k = field.base_dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    pts = [np.zeros(k)] + [scale * rng.standard_normal(k)
-                           for _ in range(samples)]
+    pts = [np.zeros(k)] + [0.4 * rng.standard_normal(k) for _ in range(6)]
     for p in pts:
         for a in range(k):
             z = np.zeros(k)
@@ -474,7 +488,7 @@ def in_domain(p, field):
     base_dim coordinates.
     """
     p = field._check_point(p)
-    if field.kind in ("zero", "constant", "polynomial"):
+    if field.kind == "polynomial":
         return {"in_domain": True, "spectral_margin": np.inf,
                 "block_condition": 1.0, "failing": None}
     if field.kind in ("shifted", "gauged"):
@@ -529,13 +543,14 @@ def compatible_closed_form(G, decomp, p):
 # residual reports
 
 
-def cdybe_residual(field, p, samples=8, seed=0, tol=RESIDUAL_TOL):
+def cdybe_residual(field, p, samples=8, seed=0):
     """Both forms of the dynamical Yang-Baxter system at p.
 
     The cyclic form is assembled as a full 3-tensor against the structure's
     associator; the vector form re-derives every term through the double's
     bracket on embedded covectors.  The directional derivatives use the
     exact evaluators and are cross-checked against central differences.
+    `passed` holds the cyclic, vector and skew residuals to FLOW_TOLS.
     """
     G = field.G
     g = G.g
@@ -613,8 +628,9 @@ def cdybe_residual(field, p, samples=8, seed=0, tol=RESIDUAL_TOL):
             "forms_agreement": agreement,
             "derivative_fd_residual": fd_err,
             "skew_residual": skew,
-            "passed": bool(cyclic_residual <= tol and vector_residual <= tol
-                           and skew <= SKEW_TOL)}
+            "passed": bool(cyclic_residual <= FLOW_TOLS["cyclic_residual"]
+                           and vector_residual <= FLOW_TOLS["vector_residual"]
+                           and skew <= FLOW_TOLS["skew_residual"])}
 
 
 def equivariance_residual(field, p, z):
@@ -658,7 +674,7 @@ class VertexDualAlgebra:
             self.dim, self.report["passed"])
 
 
-def vertex_dual(q0, field, tol=CERT_TOL):
+def vertex_dual(q0, field):
     """Build and certify the dual algebra at the base point q0."""
     G = field.G
     g = G.g
@@ -755,7 +771,7 @@ def vertex_dual(q0, field, tol=CERT_TOL):
               "double_closure_residual": dbl_closure,
               "bracket_agreement": agree,
               "passed": bool(max(skew, jac, closure, iso, dbl_closure,
-                                 agree) <= tol)}
+                                 agree) <= CERT_TOL)}
     return VertexDualAlgebra(basis, cstar, report, q0.copy())
 
 
@@ -763,13 +779,13 @@ def vertex_dual(q0, field, tol=CERT_TOL):
 # consistency checks for the canonical field
 
 
-def inversion_symmetry_check(G, decomp, samples=20, seed=0, scale=0.5):
+def inversion_symmetry_check(G, decomp, samples=20, seed=0):
     """The canonical field of the sign-inverted structure at p must be the
     negative of the original canonical field at -p."""
     f_plus = canonical_field(G, decomp)
     f_minus = canonical_field(qbia.invert(G), decomp)
     worst = 0.0
-    for p in sample_domain_points(f_plus, samples, seed=seed, scale=scale):
+    for p in sample_domain_points(f_plus, samples, seed=seed):
         if not in_domain(-p, f_plus)["in_domain"]:
             continue
         worst = max(worst, float(np.max(np.abs(
@@ -778,24 +794,23 @@ def inversion_symmetry_check(G, decomp, samples=20, seed=0, scale=0.5):
 
 
 def morphism_transport_check(upsi, G1, decomp1, G2, decomp2, samples=10,
-                             seed=0, scale=0.4, tol=CERT_TOL, check=True):
+                             seed=0):
     """For a structure morphism fixing the subalgebra pointwise and mapping
     complement into complement, conjugation transports one canonical field
     onto the other.  Returns the max residual over sampled base points."""
     upsi = np.asarray(upsi, dtype=float)
-    if check:
-        if np.max(np.abs(upsi @ decomp1.inj_sub - decomp2.inj_sub)) > tol:
-            raise ValueError("morphism must fix the subalgebra pointwise")
-        leak = decomp2.proj_sub @ upsi @ decomp1.inj_comp
-        if np.max(np.abs(leak)) > tol:
-            raise ValueError("morphism must map complement into complement")
-        rep = qbia.check_morphism(upsi, G1, G2)
-        if not rep["passed"]:
-            raise ValueError("not a structure morphism: %s" % rep)
+    if np.max(np.abs(upsi @ decomp1.inj_sub - decomp2.inj_sub)) > CERT_TOL:
+        raise ValueError("morphism must fix the subalgebra pointwise")
+    leak = decomp2.proj_sub @ upsi @ decomp1.inj_comp
+    if np.max(np.abs(leak)) > CERT_TOL:
+        raise ValueError("morphism must map complement into complement")
+    rep = qbia.check_morphism(upsi, G1, G2)
+    if not rep["passed"]:
+        raise ValueError("not a structure morphism: %s" % rep)
     f1 = canonical_field(G1, decomp1)
     f2 = canonical_field(G2, decomp2)
     worst = 0.0
-    for p in sample_domain_points(f1, samples, seed=seed, scale=scale):
+    for p in sample_domain_points(f1, samples, seed=seed, scale=0.4):
         lhs = upsi @ f1.value(p) @ upsi.T
         worst = max(worst, float(np.max(np.abs(lhs - f2.value(p)))))
     return worst

@@ -109,7 +109,7 @@ class ReductiveDecomposition:
             list(self.sub), list(self.comp))
 
 
-def check_reductive(algebra, sub_indices, comp_indices, tol=REDUCTIVE_TOL):
+def check_reductive(algebra, sub_indices, comp_indices):
     """Residuals of [sub, sub] in sub and [sub, comp] in comp."""
     split = linalg.BlockSplit(algebra.dim, sub_indices, comp_indices)
     c = algebra.c
@@ -118,7 +118,7 @@ def check_reductive(algebra, sub_indices, comp_indices, tol=REDUCTIVE_TOL):
     r1 = float(np.max(np.abs(closure))) if closure.size else 0.0
     r2 = float(np.max(np.abs(action))) if action.size else 0.0
     return {"closure_residual": r1, "action_residual": r2,
-            "passed": r1 <= tol and r2 <= tol}
+            "passed": r1 <= REDUCTIVE_TOL and r2 <= REDUCTIVE_TOL}
 
 
 def killing_invariance_residual(algebra):
@@ -134,11 +134,12 @@ def invariant_triple_tensor(algebra, form):
 
         t[i, j, k] = <e^i, [B^{-1} e^j, B^{-1} e^k]>.
 
-    For invariant B this is totally antisymmetric and ad-invariant; both are
-    verified by the caller's tolerance of choice via linalg helpers.
+    For invariant B this is totally antisymmetric and ad-invariant; it is
+    returned in exactly alternating form.
     """
     binv = np.linalg.inv(np.asarray(form, dtype=float))
-    return np.einsum("ja,kb,abi->ijk", binv, binv, algebra.c)
+    t = np.einsum("aj,bk,abi->ijk", binv, binv, algebra.c)
+    return linalg.antisymmetrize3(t)
 
 
 def tensor3_invariance_residual(algebra, t):

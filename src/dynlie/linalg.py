@@ -529,17 +529,16 @@ def d_ad_power(x, u, v, n, algebra):
     return out
 
 
-def finite_diff(field, p, direction, step=None):
+def finite_diff(field, p, direction):
     """Central difference (field(p + h d) - field(p - h d)) / 2h.
 
-    The default step is cbrt(eps) * (1 + |p|).  Any DomainViolation raised
+    The step is h = cbrt(eps) * (1 + |p|).  Any DomainViolation raised
     by the evaluator (including domain errors of dynamical fields, which
     subclass it) propagates.
     """
     p = np.asarray(p, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    if step is None:
-        step = CBRT_EPS * (1.0 + np.linalg.norm(p))
+    step = CBRT_EPS * (1.0 + np.linalg.norm(p))
     fp = np.asarray(field(p + step * direction), dtype=float)
     fm = np.asarray(field(p - step * direction), dtype=float)
     return (fp - fm) / (2.0 * step)

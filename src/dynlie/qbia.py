@@ -243,8 +243,7 @@ def _column_basis(dim, block):
     return np.asarray(block, dtype=float)
 
 
-def quasi_triple_extract(double, g_block, h_complement, tol=LAGRANGIAN_TOL,
-                         basis_names=None, check=True):
+def quasi_triple_extract(double, g_block, h_complement, basis_names=None):
     """Quasi-bialgebra carried by a lagrangian block and isotropic complement.
 
     g_block and h_complement are index lists into the double's basis or
@@ -263,10 +262,10 @@ def quasi_triple_extract(double, g_block, h_complement, tol=LAGRANGIAN_TOL,
     if 2 * n != dim2 or bh.shape[1] != n:
         raise ValueError("each block must span half of the double")
     iso_g = _max_abs(bg.T @ q @ bg)
-    if iso_g > tol:
+    if iso_g > LAGRANGIAN_TOL:
         raise NotLagrangian("base block isotropy residual %.3g" % iso_g)
     iso_h = _max_abs(bh.T @ q @ bh)
-    if iso_h > tol:
+    if iso_h > LAGRANGIAN_TOL:
         raise NotIsotropicComplement("complement isotropy residual %.3g" % iso_h)
     if np.linalg.cond(np.hstack([bg, bh])) > COND_LIMIT:
         raise NotIsotropicComplement("complement is not transverse")
@@ -276,7 +275,7 @@ def quasi_triple_extract(double, g_block, h_complement, tol=LAGRANGIAN_TOL,
     qf = q @ frame
     br_gg = np.einsum("ia,jb,ijm->mab", bg, bg, d.c)
     clo = _max_abs(np.einsum("ma,mij->aij", q @ bg, br_gg))
-    if clo > tol:
+    if clo > LAGRANGIAN_TOL:
         raise NotLagrangian("base block closure residual %.3g" % clo)
 
     c_new = np.einsum("mk,mij->ijk", qf, br_gg)
@@ -288,7 +287,7 @@ def quasi_triple_extract(double, g_block, h_complement, tol=LAGRANGIAN_TOL,
     phi_new = antisymmetrize3(np.einsum("ma,mbk->abk", qf, br_hh))
 
     g_new = LieAlgebraData(c_new, basis_names=basis_names, check=False)
-    return QuasiBialgebra(g_new, w_new, phi_new, check=check)
+    return QuasiBialgebra(g_new, w_new, phi_new)
 
 
 def invert(G):
@@ -311,7 +310,7 @@ def check_J_iso(G):
     return _max_abs(lhs - rhs)
 
 
-def transport(G, w, is_automorphism=False, tol=MORPHISM_TOL, check=True):
+def transport(G, w, is_automorphism=False):
     """Push the whole structure forward along an invertible map.
 
     Bracket, cocycle, and 3-tensor are all moved by w so that w becomes a
@@ -330,7 +329,7 @@ def transport(G, w, is_automorphism=False, tol=MORPHISM_TOL, check=True):
     if is_automorphism:
         res = _max_abs(np.einsum("km,ijm->ijk", w, c)
                        - np.einsum("ai,bj,abk->ijk", w, w, c))
-        if res > tol:
+        if res > MORPHISM_TOL:
             raise ValueError("map is not an automorphism: residual %.3g" % res)
         g_new = G.g
     else:
@@ -341,19 +340,18 @@ def transport(G, w, is_automorphism=False, tol=MORPHISM_TOL, check=True):
     w_new = np.einsum("ka,iab,mb->ikm", w, mixed, w)
     w_new = 0.5 * (w_new - w_new.transpose(0, 2, 1))
     phi_new = antisymmetrize3(np.einsum("ia,jb,kc,abc->ijk", w, w, w, G.phi))
-    return QuasiBialgebra(g_new, w_new, phi_new, check=check)
+    return QuasiBialgebra(g_new, w_new, phi_new)
 
 
-def check_morphism(upsi, G1, G2, powers=AD_POWER_MAX, samples=4, seed=0,
-                   tol=MORPHISM_TOL):
+def check_morphism(upsi, G1, G2):
     """Residuals certifying a linear map as a quasi-bialgebra morphism.
 
     Reports the bracket, cocycle, and 3-tensor intertwining residuals, plus
     the four projected power identities relating the adjoint of a covector
     in the two doubles: powers of ad taken in either double, compressed to
     the four blocks, must intertwine through the map and its transpose.
-    Power identities are evaluated on every dual basis covector plus a few
-    seeded random ones, for matrix powers 1..powers.
+    Power identities are evaluated on every dual basis covector plus four
+    seeded random ones, for matrix powers 1..AD_POWER_MAX.
     """
     psi = np.asarray(upsi, dtype=float)
     n1, n2 = G1.dim, G2.dim
@@ -368,16 +366,16 @@ def check_morphism(upsi, G1, G2, powers=AD_POWER_MAX, samples=4, seed=0,
 
     d1 = build_double(G1)
     d2 = build_double(G2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     covectors = [np.eye(n2)[:, j] for j in range(n2)]
-    covectors += [rng.standard_normal(n2) for _ in range(samples)]
+    covectors += [rng.standard_normal(n2) for _ in range(4)]
     power_res = np.zeros(4)
     for xi in covectors:
         a1 = d1.d.ad_matrix(d1.embed(xi=psi.T @ xi))
         a2 = d2.d.ad_matrix(d2.embed(xi=xi))
         p1 = np.eye(2 * n1)
         p2 = np.eye(2 * n2)
-        for _ in range(powers):
+        for _ in range(AD_POWER_MAX):
             p1 = p1 @ a1
             p2 = p2 @ a2
             r = [
@@ -394,8 +392,8 @@ def check_morphism(upsi, G1, G2, powers=AD_POWER_MAX, samples=4, seed=0,
         "associator_residual": associator,
         "power_identity_residuals": [float(v) for v in power_res],
     }
-    report["passed"] = (max(bracket, cocycle, associator) <= tol
-                        and float(np.max(power_res)) <= tol)
+    report["passed"] = (max(bracket, cocycle, associator) <= MORPHISM_TOL
+                        and float(np.max(power_res)) <= MORPHISM_TOL)
     return report
 
 
@@ -418,7 +416,7 @@ def group_cocycle_block(u, double):
     return big[:n, n:] @ np.linalg.inv(big[n:, n:])
 
 
-def check_compatibility(G, decomp=None, tol=STRUCT_TOL):
+def check_compatibility(G, decomp=None):
     """Residuals of a structure against a reductive split of the algebra.
 
     Four conditions: the cocycle vanishes on the subalgebra; the pairing of
@@ -441,8 +439,9 @@ def check_compatibility(G, decomp=None, tol=STRUCT_TOL):
         "two_sub_phi_residual": _max_abs(G.phi[count == 2.0]),
         "comp_phi_residual": _max_abs(G.phi[count == 0.0]),
     }
-    report["compatible"] = all(report[k] <= tol for k in
+    report["compatible"] = all(report[k] <= STRUCT_TOL for k in
                                ("sub_cocycle_residual", "perp_pairing_residual",
                                 "two_sub_phi_residual"))
-    report["canonical"] = report["compatible"] and report["comp_phi_residual"] <= tol
+    report["canonical"] = (report["compatible"]
+                           and report["comp_phi_residual"] <= STRUCT_TOL)
     return report

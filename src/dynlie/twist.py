@@ -113,7 +113,7 @@ def first_condition_invariance(G, t, samples=None, seed=0):
     return worst
 
 
-def moduli_membership(G, decomp, t, tol=MODULI_TOL):
+def moduli_membership(G, decomp, t):
     """Does a twist parameter respect a reductive split?
 
     Checks that t kills the annihilator of the complement, maps the
@@ -137,5 +137,5 @@ def moduli_membership(G, decomp, t, tol=MODULI_TOL):
         "equivariance_residual": r_equiv,
         "twisted_phi_mod_sub_residual": r_phi,
     }
-    report["member"] = all(v <= tol for v in report.values())
+    report["member"] = all(v <= MODULI_TOL for v in report.values())
     return report

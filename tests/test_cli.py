@@ -213,6 +213,15 @@ def test_lcan_outside_domain_exits_three_naming_predicate(tmp_path, capsys):
     assert "spectral-margin" in err
 
 
+def test_lcan_overflowing_flow_exits_three(tmp_path, capsys):
+    path = tmp_path / "sl2-cartan.spec"
+    assert cli.main(["catalog", "emit", "sl2-cartan", "--out",
+                     str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["lcan", str(path), "--", "1e5"]) == 3
+    assert "block-condition" in capsys.readouterr().err
+
+
 def test_lcan_wrong_point_length_exits_two(tmp_path, capsys):
     path = tmp_path / "demo.spec"
     path.write_text(GOOD_SPEC)

@@ -41,7 +41,7 @@ def rand_section(rng, k, n, scale=0.5):
 
 def test_invariant_three_form_is_invariant():
     g = lie.sl2_data()
-    omega = duality.invariant_three_form(g, g.killing_form())
+    omega = lie.invariant_triple_tensor(g, g.killing_form())
     err = linalg.alternating_residual(omega)
     assert err == 0.0
     zero = np.zeros((3, 3, 3))
@@ -53,7 +53,7 @@ def test_invariant_three_form_is_invariant():
 @settings(max_examples=20, deadline=None)
 def test_three_form_multiples_all_satisfy_structure_equations(c):
     g = lie.sl2_data()
-    omega = duality.invariant_three_form(g, g.killing_form())
+    omega = lie.invariant_triple_tensor(g, g.killing_form())
     G = qbia.QuasiBialgebra(g, np.zeros((3, 3, 3)), c * omega)
     rep = qbia.check_quasi_bialgebra(G)
     assert rep["passed"]

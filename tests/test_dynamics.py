@@ -205,6 +205,31 @@ def test_domain_trivial_for_jet_fields():
     assert rep["in_domain"]
 
 
+def test_zero_and_constant_fields_stay_exact_far_out():
+    # p_a p_b overflows here; the fields have no quadratic term to evaluate
+    G = invariant_structure()
+    p = np.array([1e200, -1e200, 1e200])
+    t = rskew(3, np.random.default_rng(1))
+    for f, want in ((dyn.zero_field(G), np.zeros((3, 3))),
+                    (dyn.constant_field(G, t), t)):
+        assert np.array_equal(f.value(p), want)
+        assert np.array_equal(f.derivative(p, p), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+@pytest.mark.parametrize("norm", [1e5, 1e300])
+def test_overflowing_flow_is_reported_out_of_domain(name, norm):
+    entry = catalog.get(name)
+    f = dyn.canonical_field(entry.G, entry.decomp)
+    p = np.full(f.base_dim, norm)
+    rep = dyn.in_domain(p, f)
+    assert not rep["in_domain"]
+    assert rep["failing"] == "block-condition"
+    assert rep["block_condition"] == np.inf
+    with pytest.raises(dyn.OutOfDomain):
+        f.value(p)
+
+
 @pytest.mark.parametrize("kind", ["zero", "cocom", "canonical"])
 def test_in_domain_rejects_a_point_of_the_wrong_shape(kind):
     G = invariant_structure()
@@ -227,6 +252,17 @@ def test_sample_domain_points_deterministic():
 
 
 # -- residual reports --------------------------------------------------------
+
+
+def test_cdybe_passed_reads_the_flow_tolerance_table(monkeypatch):
+    G = invariant_structure()
+    f = dyn.canonical_field(G, cartan_split(G))
+    p = np.array([0.3])
+    rep = dyn.cdybe_residual(f, p)
+    assert rep["passed"] and rep["cyclic_residual"] > 0.0
+    monkeypatch.setitem(dyn.FLOW_TOLS, "cyclic_residual",
+                        0.5 * rep["cyclic_residual"])
+    assert not dyn.cdybe_residual(f, p)["passed"]
 
 
 def test_cdybe_detects_perturbation():
