@@ -12,7 +12,7 @@ part, covector part) form a Lie algebroid: nu_anchor and nu_bracket evaluate
 its anchor and bracket on sections.  TrivializationMap straightens that
 algebroid onto a trivial product bundle: theta_connection is the flat
 horizontal lift, phi_p_iso the fiberwise isomorphism onto the zero fiber,
-trivialization_T / t_inverse the bundle map and its inverse.  The
+trivialization_T / T_inverse the bundle map and its inverse.  The
 trivializations of a structure and of its dual agree up to explicit signs;
 duality_theorem_check measures that identity.  symmetric_dual runs the whole
 construction for the complexification double of a semisimple algebra with an
@@ -253,6 +253,66 @@ def trivial_bracket(s1, s2, fiber_c):
 # the trivialization
 
 
+def _read_only(m):
+    m = m.view()
+    m.setflags(write=False)
+    return m
+
+
+class _PointFlows:
+    """Matrix functions of a = ad(p) at one base point of a canonical field
+    (see TrivializationMap), each computed on first use, read-only."""
+
+    def __init__(self, field, rec):
+        self._field = field
+        self._limit = field.G.dim ** 2
+        self.a = _read_only(rec["ad_big"])
+        self.exp_neg = _read_only(rec["big"])
+        self._mats = {}
+        self._dirs = {}
+
+    @staticmethod
+    def _get(store, key, compute):
+        out = store.get(key)
+        if out is None:
+            out = compute()
+            for m in out if isinstance(out, tuple) else (out,):
+                m.setflags(write=False)
+            store[key] = out
+        return out
+
+    def exp(self):
+        """exp(a)."""
+        return self._get(self._mats, "exp",
+                         lambda: scipy.linalg.expm(self.a))
+
+    def apply(self, fn):
+        """fn(a) for an AnalyticFunction fn."""
+        return self._get(self._mats, fn, lambda: fn.apply(self.a))
+
+    def _along(self, beta):
+        beta = np.asarray(beta, dtype=float)
+        key = (beta.shape, beta.tobytes())
+        entry = self._dirs.get(key)
+        if entry is None:
+            entry = {"da": _read_only(self._field._big_ad(beta))}
+            if len(self._dirs) < self._limit:
+                self._dirs[key] = entry
+        return entry
+
+    def frechet(self, fn, beta):
+        """D fn(a)[ad(beta)]."""
+        entry = self._along(beta)
+        return self._get(entry, fn, lambda: fn.frechet(self.a, entry["da"]))
+
+    def exp_frechet(self, beta, sign=1):
+        """(exp(sign a), D exp(sign a)[sign ad(beta)])."""
+        entry = self._along(beta)
+        return self._get(entry, ("exp", sign),
+                         lambda: scipy.linalg.expm_frechet(
+                             sign * self.a, sign * entry["da"]))
+
+
 class TrivializationMap:
     """Chart straightening of the algebroid onto a trivial product bundle.
 
@@ -260,8 +320,17 @@ class TrivializationMap:
     zero fiber is coordinatized by subalgebra coordinates followed by the
     coordinates along covectors annihilating the subalgebra;
     trivialization_T(p, alpha, x0) produces the algebroid element over p and
-    t_inverse(p, z, eta) recovers (alpha, x0).  Every evaluator requires the
+    T_inverse(p, z, eta) recovers (alpha, x0).  Every evaluator requires the
     base point to lie in the field's domain.
+
+    The evaluators read the matrix functions of a = ad(p) from one record
+    per base point (_PointFlows), kept in the field's record of the point
+    and so keyed on the point's shape and bytes and replaced with it when
+    another point comes in.  It holds exp(a) and exp(-a) (the field's
+    flow), f(a) for each analytic function used, and per direction beta
+    (keyed on beta's shape and bytes, at most G.dim**2 directions) ad(beta)
+    with the Frechet derivatives of those functions and of exp(+-a).  Each
+    entry is computed on first use; its arrays are read-only.
     """
 
     def __init__(self, G, decomp=None):
@@ -282,8 +351,16 @@ class TrivializationMap:
     def _sdual(self, alpha):
         return self.double.embed(xi=self.inj @ np.asarray(alpha, dtype=float))
 
-    def _ad_dual(self, alpha):
-        return self.double.d.ad_matrix(self._sdual(alpha))
+    def _flows(self, p):
+        """The _PointFlows record of base point p, which must lie in the
+        field's domain."""
+        field = self.field
+        p = field._check_point(p)
+        field._require_domain(p)
+        rec = field._at(p)
+        if "flows" not in rec:
+            rec["flows"] = _PointFlows(field, rec)
+        return rec["flows"]
 
     def _coads(self, p):
         # row a holds the coadjoint action of the a-th subalgebra vector on p
@@ -294,12 +371,10 @@ class TrivializationMap:
     def theta_connection(self, p, alpha):
         """Horizontal lift of a base covector direction: the fiber pair over
         p whose anchor is the direction and whose lifts bracket to zero."""
-        p = np.asarray(p, dtype=float)
-        self.field._require_domain(p)
-        a = self._ad_dual(p)
+        flows = self._flows(p)
         sa = self._sdual(alpha)
-        v1 = linalg.SINH_REM.apply(a) @ sa
-        v2 = linalg.SINHC.apply(a) @ sa
+        v1 = flows.apply(linalg.SINH_REM) @ sa
+        v2 = flows.apply(linalg.SINHC) @ sa
         return v1[:self.n][self.sub], v2[self.n:]
 
     def theta_section(self, alpha):
@@ -309,11 +384,10 @@ class TrivializationMap:
             return self.theta_connection(p, alpha)
 
         def der(p, beta):
-            a = self._ad_dual(np.asarray(p, dtype=float))
-            da = self._ad_dual(beta)
+            flows = self._flows(p)
             sa = self._sdual(alpha)
-            dv1 = linalg.SINH_REM.frechet(a, da) @ sa
-            dv2 = linalg.SINHC.frechet(a, da) @ sa
+            dv1 = flows.frechet(linalg.SINH_REM, beta) @ sa
+            dv2 = flows.frechet(linalg.SINHC, beta) @ sa
             return dv1[:self.n][self.sub], dv2[self.n:]
 
         return AlgebroidSection(val, der)
@@ -325,13 +399,12 @@ class TrivializationMap:
         outside the target block, and optionally the exact derivative."""
         field = self.field
         n, k = self.n, self.k
+        flows = self._flows(p)
         p = np.asarray(p, dtype=float)
         lm = field.value(p)
-        a = self._ad_dual(p)
         want = beta is not None
         if want:
             beta = np.asarray(beta, dtype=float)
-            da = self._ad_dual(beta)
             dlm = field.derivative(p, beta)
         cols = np.zeros((2 * n, n))
         dcols = np.zeros((2 * n, n))
@@ -349,7 +422,7 @@ class TrivializationMap:
             cols[:, k + j] = self.double.embed(x=lm @ xi, xi=xi)
             if want:
                 dcols[:, k + j] = self.double.embed(x=dlm @ xi)
-        em = scipy.linalg.expm(-a)
+        em = flows.exp_neg
         flow = em @ cols
         sub_rows = list(self.sub)
         comp_rows = [n + int(b) for b in self.comp]
@@ -359,7 +432,7 @@ class TrivializationMap:
         leak = qbia._max_abs(flow[off_rows, :])
         if not want:
             return mat, leak, None
-        dem = scipy.linalg.expm_frechet(-a, -da)[1]
+        dem = flows.exp_frechet(beta, -1)[1]
         dflow = dem @ cols + em @ dcols
         dmat = np.vstack([dflow[sub_rows, :], dflow[comp_rows, :]])
         return mat, leak, dmat
@@ -404,15 +477,15 @@ class TrivializationMap:
     def _forward(self, p, alpha, x0):
         p = np.asarray(p, dtype=float)
         x0 = np.asarray(x0, dtype=float)
-        self.field._require_domain(p)
+        flows = self._flows(p)
         n = self.n
-        a = self._ad_dual(p)
         sa = self._sdual(alpha)
         ze = self.double.embed(x=self.inj @ x0[:self.k])
         xie = self.double.embed(xi=self.compinj @ x0[self.k:])
-        v1 = linalg.SINH_REM.apply(a) @ sa - linalg.SINHC.apply(a) @ ze
-        v2 = linalg.SINHC.apply(a) @ sa - linalg.SINH.apply(a) @ ze
-        flow = scipy.linalg.expm(a) @ xie
+        sinhc = flows.apply(linalg.SINHC)
+        v1 = flows.apply(linalg.SINH_REM) @ sa - sinhc @ ze
+        v2 = sinhc @ sa - flows.apply(linalg.SINH) @ ze
+        flow = flows.exp() @ xie
         z = v1[:n][self.sub]
         eta = v2[n:] - flow[n:]
         stray = v1.copy()
@@ -430,15 +503,14 @@ class TrivializationMap:
         p = np.asarray(p, dtype=float)
         z = np.asarray(z, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        self.field._require_domain(p)
+        flows = self._flows(p)
         n = self.n
-        a = self._ad_dual(p)
         ahat = eta[self.sub]
         xi = eta.copy()
         xi[list(self.sub)] = 0.0
         alpha = ahat - np.einsum("a,abm,m->b", z, self.field.sub_c, p)
-        v = linalg.TRIV_REM.apply(a) @ self._sdual(ahat)
-        blk = scipy.linalg.expm(a)[n:, n:]
+        v = flows.apply(linalg.TRIV_REM) @ self._sdual(ahat)
+        blk = flows.exp()[n:, n:]
         if np.linalg.cond(blk) > dynamics.BLOCK_COND_LIMIT:
             raise linalg.SingularBlock(
                 "covector block of the flow is singular to working precision")
@@ -457,27 +529,28 @@ class TrivializationMap:
             return self.trivialization_T(p, a0, x0)
 
         def der(p, beta):
+            flows = self._flows(p)
             p = np.asarray(p, dtype=float)
             a0, x0 = section.value(p)
             da0, dx0 = section.derivative(p, beta)
             n = self.n
-            a = self._ad_dual(p)
-            da = self._ad_dual(beta)
             sa = self._sdual(a0)
             dsa = self._sdual(da0)
             ze = self.double.embed(x=self.inj @ x0[:self.k])
             dze = self.double.embed(x=self.inj @ dx0[:self.k])
             xie = self.double.embed(xi=self.compinj @ x0[self.k:])
             dxie = self.double.embed(xi=self.compinj @ dx0[self.k:])
-            dv1 = (linalg.SINH_REM.frechet(a, da) @ sa
-                   + linalg.SINH_REM.apply(a) @ dsa
-                   - linalg.SINHC.frechet(a, da) @ ze
-                   - linalg.SINHC.apply(a) @ dze)
-            dv2 = (linalg.SINHC.frechet(a, da) @ sa
-                   + linalg.SINHC.apply(a) @ dsa
-                   - linalg.SINH.frechet(a, da) @ ze
-                   - linalg.SINH.apply(a) @ dze)
-            em, dem = scipy.linalg.expm_frechet(a, da)
+            sinhc = flows.apply(linalg.SINHC)
+            dsinhc = flows.frechet(linalg.SINHC, beta)
+            dv1 = (flows.frechet(linalg.SINH_REM, beta) @ sa
+                   + flows.apply(linalg.SINH_REM) @ dsa
+                   - dsinhc @ ze
+                   - sinhc @ dze)
+            dv2 = (dsinhc @ sa
+                   + sinhc @ dsa
+                   - flows.frechet(linalg.SINH, beta) @ ze
+                   - flows.apply(linalg.SINH) @ dze)
+            em, dem = flows.exp_frechet(beta)
             dflow = dem @ xie + em @ dxie
             return dv1[:n][self.sub], dv2[n:] - dflow[n:]
 
@@ -606,17 +679,16 @@ def phi_p_iso(p, triv):
     map as a Lie algebra isomorphism between the two fiber algebras.
     """
     p = np.asarray(p, dtype=float)
-    triv.field._require_domain(p)
+    flows = triv._flows(p)
     n, k = triv.n, triv.k
     mat, leak, _ = triv._phi_data(p)
-    a = triv._ad_dual(p)
     closed = np.zeros_like(mat)
-    iv = linalg.INV_SINHC.apply(a)
+    iv = flows.apply(linalg.INV_SINHC)
     for idx in range(k):
         w = iv @ triv.double.embed(x=triv.inj[:, idx])
         closed[:k, idx] = w[:n][triv.sub]
         closed[k:, idx] = w[n:][triv.comp]
-    blk = scipy.linalg.expm(a)[n:, n:]
+    blk = flows.exp()[n:, n:]
     for j, b in enumerate(triv.comp):
         w = np.linalg.solve(blk, np.eye(n)[b])
         closed[:k, k + j] = 0.0

@@ -96,7 +96,8 @@ class LMatrixField:
     computed from, the value, and derivatives keyed on the direction's
     bytes (at most G.dim**2 of them).  Callers receive copies.  The record
     is replaced as soon as another point comes in, so alternating between
-    points recomputes.
+    points recomputes.  duality.TrivializationMap keeps its matrix
+    functions of the point in the same record (slot "flows").
     """
 
     def __init__(self, kind, G, decomp=None):
@@ -799,10 +800,10 @@ def morphism_transport_check(upsi, G1, decomp1, G2, decomp2, samples=10,
     complement into complement, conjugation transports one canonical field
     onto the other.  Returns the max residual over sampled base points."""
     upsi = np.asarray(upsi, dtype=float)
-    if np.max(np.abs(upsi @ decomp1.inj_sub - decomp2.inj_sub)) > CERT_TOL:
+    if qbia._max_abs(upsi @ decomp1.inj_sub - decomp2.inj_sub) > CERT_TOL:
         raise ValueError("morphism must fix the subalgebra pointwise")
     leak = decomp2.proj_sub @ upsi @ decomp1.inj_comp
-    if np.max(np.abs(leak)) > CERT_TOL:
+    if qbia._max_abs(leak) > CERT_TOL:
         raise ValueError("morphism must map complement into complement")
     rep = qbia.check_morphism(upsi, G1, G2)
     if not rep["passed"]:
@@ -812,7 +813,7 @@ def morphism_transport_check(upsi, G1, decomp1, G2, decomp2, samples=10,
     worst = 0.0
     for p in sample_domain_points(f1, samples, seed=seed, scale=0.4):
         lhs = upsi @ f1.value(p) @ upsi.T
-        worst = max(worst, float(np.max(np.abs(lhs - f2.value(p)))))
+        worst = max(worst, qbia._max_abs(lhs - f2.value(p)))
     return worst
 
 

@@ -228,12 +228,9 @@ def _inv_factorial(k):
 
 
 EXP_COEFFS = _entire_coeffs(_inv_factorial)
-# (1 - e^{-z})/z
-DEXP_COEFFS = _entire_coeffs(lambda k: (-1.0) ** k * _inv_factorial(k + 1))
 # (e^z - 1)/z
 EXPM1_OVER_COEFFS = _entire_coeffs(lambda k: _inv_factorial(k + 1))
 SINH_COEFFS = _entire_coeffs(lambda k: _inv_factorial(k) if k % 2 == 1 else 0.0)
-COSH_COEFFS = _entire_coeffs(lambda k: _inv_factorial(k) if k % 2 == 0 else 0.0)
 # sinh(z)/z
 SINHC_COEFFS = _entire_coeffs(lambda k: _inv_factorial(k + 1) if k % 2 == 0 else 0.0)
 # (sinh z - z)/z^2
@@ -424,19 +421,12 @@ def _coth(z):
 
 EXP = AnalyticFunction("exp", EXP_COEFFS, np.inf, np.exp, np.exp)
 
-DEXP_FACTOR = AnalyticFunction(
-    "(1-exp(-z))/z", DEXP_COEFFS, np.inf,
-    lambda z: (1.0 - np.exp(-z)) / z,
-    lambda z: (np.exp(-z) * (z + 1.0) - 1.0) / z ** 2)
-
 EXPM1_OVER = AnalyticFunction(
     "(exp(z)-1)/z", EXPM1_OVER_COEFFS, np.inf,
     lambda z: np.expm1(z) / z,
     lambda z: (np.exp(z) * (z - 1.0) + 1.0) / z ** 2)
 
 SINH = AnalyticFunction("sinh", SINH_COEFFS, np.inf, np.sinh, np.cosh)
-
-COSH = AnalyticFunction("cosh", COSH_COEFFS, np.inf, np.cosh, np.sinh)
 
 SINHC = AnalyticFunction(
     "sinh(z)/z", SINHC_COEFFS, np.inf,
@@ -471,22 +461,6 @@ TRIV_REM = AnalyticFunction(
     lambda z: 1.0 / z - 1.0 / np.sinh(z),
     lambda z: np.cosh(z) / np.sinh(z) ** 2 - 1.0 / z ** 2,
     singular_distance=_dist_to_ipi_nonzero)
-
-
-def matfun_F(a):
-    """F(a) for F(z) = coth(z) - 1/z, with F(0) = 0 on kernel directions.
-
-    Eigendecomposition route when the eigenvector matrix is well conditioned,
-    Bernoulli-type series otherwise (one route per call).
-    Raises SpectrumOnSingularSet when an eigenvalue sits within
-    SINGULAR_SET_TOL of i*pi*k, k a nonzero integer.
-    """
-    return F_MEROMORPHIC.apply(a)
-
-
-def dexp_factor(x, algebra):
-    """The entire factor (1 - e^{-ad_x})/ad_x of the differential of exp."""
-    return DEXP_FACTOR.apply(algebra.ad_matrix(x))
 
 
 def offdiag_inverse_identity_residual(f, split):

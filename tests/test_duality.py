@@ -418,3 +418,85 @@ def test_check_reuses_the_flow_of_each_base_point(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", expm)
     assert triv.check(samples=1)["passed"]
     assert len(calls) <= 125
+
+
+# -- the point record of the trivialization -------------------------------------
+
+
+def test_check_computes_each_flow_of_a_base_point_once(monkeypatch):
+    # one record per base point holds exp(+-ad(p)) and its Frechet
+    # derivatives per direction; without it this check made 74 expm and 46
+    # expm_frechet calls, with it 2 and 8
+    entry = catalog.get("sl2-cartan")
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    calls = []
+    for name in ("expm", "expm_frechet"):
+        orig = getattr(scipy.linalg, name)
+
+        def counted(*args, _orig=orig, **kwargs):
+            calls.append(args[0].shape)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    assert triv.check(samples=1)["passed"]
+    assert len(calls) <= 10
+
+
+def _record_outputs(triv, p, seed):
+    """Every evaluator that reads the point record, at p."""
+    rng = np.random.default_rng(seed)
+    k, n = triv.k, triv.n
+    alpha = rng.standard_normal(k)
+    x0 = rng.standard_normal(n)
+    beta = rng.standard_normal(k)
+    section = rand_section(rng, k, n)
+    z, eta = triv.trivialization_T(p, alpha, x0)
+    iso = duality.phi_p_iso(p, triv)
+    return [z, eta, *triv.T_inverse(p, z, eta),
+            *triv.theta_connection(p, alpha),
+            *triv.theta_section(alpha).derivative(p, beta),
+            *triv.compose_section(section).derivative(p, beta),
+            *triv._phi_data(p, beta), *triv._phi_data(p),
+            iso["matrix"], iso["closed_form_residual"],
+            iso["membership_residual"], iso["intertwining_residual"]]
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "su2-lagrangian"])
+def test_point_record_revisited_matches_a_fresh_map(name):
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    p, q = dynamics.sample_domain_points(triv.field, 2, seed=24, scale=0.4)
+    seen = [_record_outputs(triv, p, 1), _record_outputs(triv, q, 2),
+            _record_outputs(triv, p, 1)]
+    for outs, pt, seed in zip(seen, (p, q, p), (1, 2, 1)):
+        fresh = _record_outputs(
+            duality.TrivializationMap(entry.G, entry.decomp), pt, seed)
+        assert len(outs) == len(fresh)
+        for x, y in zip(outs, fresh):
+            assert np.array_equal(x, y)
+
+
+def test_point_record_is_read_only_and_outputs_are_owned():
+    entry = catalog.get("su2-lagrangian")
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    p = dynamics.sample_domain_points(triv.field, 1, seed=25, scale=0.4)[0]
+    before = [np.copy(x) for x in _record_outputs(triv, p, 3)]
+    for x in _record_outputs(triv, p, 3):
+        if isinstance(x, np.ndarray):
+            x[...] = np.nan
+    after = _record_outputs(triv, p, 3)
+    for x, y in zip(before, after):
+        assert np.array_equal(x, y)
+    flows = triv._flows(p)
+    beta = np.ones(triv.k)
+    kept = [flows.a, flows.exp_neg, flows.exp(),
+            flows.apply(linalg.SINHC), flows.frechet(linalg.SINH, beta),
+            *flows.exp_frechet(beta, -1)]
+    for m in kept:
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    # the field's own evaluations never create the record's slot
+    field = dynamics.canonical_field(entry.G, entry.decomp)
+    field.value(p)
+    field.derivative(p, beta)
+    assert "flows" not in field._at(p)

@@ -472,6 +472,15 @@ def test_morphism_transport():
         dyn.morphism_transport_check(np.diag([1.0, 2.0, 3.0]), G, dec, G, dec)
 
 
+def test_morphism_transport_with_empty_complement():
+    # the full split leaves no complement, so the complement leakage is an
+    # empty matrix; it must read as zero, not fail the reduction
+    entry = catalog.get("so3-identity")
+    assert len(entry.decomp.comp) == 0
+    assert dyn.morphism_transport_check(np.eye(3), entry.G, entry.decomp,
+                                        entry.G, entry.decomp) == 0.0
+
+
 def test_adjoint_flow_transport_identity():
     G = invariant_structure()
     dec = cartan_split(G)

@@ -19,6 +19,32 @@ INV_SINHC_AT_09 = 0.8767514230020035
 TRIV_REM_AT_07 = 0.11032533710513137
 
 
+# matrix functions only the tests use, built on linalg's coefficient tables
+COSH = linalg.AnalyticFunction(
+    "cosh",
+    linalg._entire_coeffs(
+        lambda k: linalg._inv_factorial(k) if k % 2 == 0 else 0.0),
+    np.inf, np.cosh, np.sinh)
+
+DEXP_FACTOR = linalg.AnalyticFunction(
+    "(1-exp(-z))/z",
+    linalg._entire_coeffs(
+        lambda k: (-1.0) ** k * linalg._inv_factorial(k + 1)),
+    np.inf,
+    lambda z: (1.0 - np.exp(-z)) / z,
+    lambda z: (np.exp(-z) * (z + 1.0) - 1.0) / z ** 2)
+
+
+def matfun_F(a):
+    """F(a) for F(z) = coth(z) - 1/z, with F(0) = 0 on kernel directions."""
+    return linalg.F_MEROMORPHIC.apply(a)
+
+
+def dexp_factor(x, algebra):
+    """The entire factor (1 - e^{-ad_x})/ad_x of the differential of exp."""
+    return DEXP_FACTOR.apply(algebra.ad_matrix(x))
+
+
 def random_matrix(rng, n, scale=1.0):
     return rng.standard_normal((n, n)) * scale / np.sqrt(n)
 
@@ -81,7 +107,7 @@ def test_sinh_doubling():
     for _ in range(10):
         a = random_matrix(rng, 6, 1.0)
         lhs = linalg.SINH.apply(2.0 * a)
-        rhs = 2.0 * linalg.SINH.apply(a) @ linalg.COSH.apply(a)
+        rhs = 2.0 * linalg.SINH.apply(a) @ COSH.apply(a)
         assert np.max(np.abs(lhs - rhs)) < tol
 
 
@@ -90,7 +116,7 @@ def test_f_is_odd():
     tol = 1e-11
     for _ in range(10):
         a = random_matrix(rng, 5, 1.2)
-        err = np.max(np.abs(linalg.matfun_F(-a) + linalg.matfun_F(a)))
+        err = np.max(np.abs(matfun_F(-a) + matfun_F(a)))
         assert err < tol
 
 
@@ -100,7 +126,7 @@ def test_f_on_diagonalizable_vs_series():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((5, 5))
     a = 0.3 * (a + a.T)
-    via_apply = linalg.matfun_F(a)
+    via_apply = matfun_F(a)
     via_series = linalg.entire_series_apply(linalg.F_COEFFS, a, radius=np.pi)
     assert np.max(np.abs(via_apply - via_series)) < 1e-11
 
@@ -110,7 +136,7 @@ def test_frechet_vs_finite_difference():
     a = random_matrix(rng, 5, 1.0)
     e = random_matrix(rng, 5, 1.0)
     h = 1e-6
-    fd = (linalg.matfun_F(a + h * e) - linalg.matfun_F(a - h * e)) / (2 * h)
+    fd = (matfun_F(a + h * e) - matfun_F(a - h * e)) / (2 * h)
     an = linalg.F_MEROMORPHIC.frechet(a, e)
     assert np.max(np.abs(fd - an)) < 1e-6
 
@@ -154,7 +180,7 @@ def test_singular_set_detection():
     # eigenvalues at +-i*pi sit exactly on the poles of coth
     a = np.array([[0.0, -np.pi], [np.pi, 0.0]])
     with pytest.raises(linalg.SpectrumOnSingularSet):
-        linalg.matfun_F(a)
+        matfun_F(a)
 
 
 def test_offdiag_inverse_identity_random():
@@ -223,7 +249,7 @@ def test_dexp_factor_finite_difference():
     adu = g.ad_matrix(u)
     h = 1e-6
     fd = (scipy.linalg.expm(adx + h * adu) - scipy.linalg.expm(adx - h * adu)) / (2 * h)
-    factor = linalg.dexp_factor(x, g)
+    factor = dexp_factor(x, g)
     lhs = scipy.linalg.expm(-adx) @ fd
     rhs = g.ad_matrix(factor @ u)
     assert np.max(np.abs(lhs - rhs)) < 1e-5
