@@ -108,12 +108,9 @@ def _basis_change(c, P):
 
 
 def _cdybe_sweep(field, points):
-    worst = 0.0
-    for p in points:
-        rep = dynamics.cdybe_residual(field, p)
-        worst = max(worst, rep["cyclic_residual"], rep["vector_residual"],
-                    rep["forms_agreement"], rep["skew_residual"])
-    return worst
+    worst = dynamics.flow_sweep(field, points)
+    return max(worst[key] for key in ("cyclic_residual", "vector_residual",
+                                      "forms_agreement", "skew_residual"))
 
 
 def build_abelian(n=2, k=1):

@@ -78,9 +78,13 @@ class SpecParseError(ValueError):
 
 def _parse_float(token, lineno, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise SpecParseError("%s: not a number %r" % (what, token), lineno)
+    if not np.isfinite(value):
+        raise SpecParseError("%s: not a finite number %r" % (what, token),
+                             lineno)
+    return value
 
 
 def _parse_int(token, lineno, what, upper=None):
@@ -435,16 +439,9 @@ def build_report(spec, seed=0, samples=6, overrides=None):
         field = _make_field(spec)
         points = dynamics.sample_domain_points(field, samples, seed=seed,
                                                scale=0.4)
-        worst = {name: 0.0 for name, _ in FLOW_ROWS}
-        eye = np.eye(field.base_dim)
-        for p in points:
-            frep = dynamics.cdybe_residual(field, p)
-            frep["equivariance"] = max(
-                dynamics.equivariance_residual(field, p, z) for z in eye)
-            for name, key in FLOW_ROWS:
-                worst[name] = max(worst[name], frep[key])
-        for name, _ in FLOW_ROWS:
-            rep.add(name, worst[name], _tol(overrides, name),
+        worst = dynamics.flow_sweep(field, points)
+        for name, key in FLOW_ROWS:
+            rep.add(name, worst[key], _tol(overrides, name),
                     "residual-sweep")
     return rep
 
@@ -483,6 +480,8 @@ def cmd_lcan(args):
         p = np.array([float(x) for x in args.point.replace(",", " ").split()])
     except ValueError:
         raise SpecParseError("point must be a comma separated float list")
+    if not np.all(np.isfinite(p)):
+        raise SpecParseError("point coordinates must be finite numbers")
     if p.shape != (field.base_dim,):
         raise SpecParseError("point has %d coordinates, field expects %d"
                              % (p.size, field.base_dim))
@@ -594,6 +593,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args([" " + a if re.match(r"-\.?\d", a) else a
                               for a in argv])
+    if getattr(args, "samples", 1) < 1:
+        parser.error("argument --samples: need at least one sample point")
     try:
         return args.func(args)
     except SpecParseError as exc:

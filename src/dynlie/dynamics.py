@@ -548,26 +548,25 @@ def cdybe_residual(field, p, samples=8, seed=0):
     """Both forms of the dynamical Yang-Baxter system at p.
 
     The cyclic form is assembled as a full 3-tensor against the structure's
-    associator; the vector form re-derives every term through the double's
-    bracket on embedded covectors.  The directional derivatives use the
-    exact evaluators and are cross-checked against central differences.
-    `passed` holds the cyclic, vector and skew residuals to FLOW_TOLS.
+    associator; the vector form, bilinear in its two covectors, is built
+    apart from it on every basis pair from the double's structure tensor.
+    The directional derivatives use the exact evaluators and are
+    cross-checked against central differences, taken first so that the
+    point record is left at p.  `passed` holds the cyclic, vector and skew
+    residuals to FLOW_TOLS.
     """
     G = field.G
-    g = G.g
     n = G.dim
-    c = g.c
-    w = G.varpi
+    eye = np.eye(field.base_dim)
+    fd = [linalg.finite_diff(field.value, p, e) for e in eye]
     lmat = field.value(p)
     dl = np.zeros((n, n, n))
-    for pos, i in enumerate(field.sub):
-        e = np.zeros(field.base_dim)
-        e[pos] = 1.0
+    for i, e in zip(field.sub, eye):
         dl[i] = field.derivative(p, e)
 
     term1 = dl.transpose(0, 2, 1)
-    term2 = np.einsum('ai,bj,abk->ijk', lmat, lmat, c)
-    term3 = np.einsum('ai,akj->ijk', lmat, w)
+    term2 = np.einsum('ai,bj,abk->ijk', lmat, lmat, G.g.c)
+    term3 = np.einsum('ai,akj->ijk', lmat, G.varpi)
     e3 = term1 - term2 - term3
     cyclic = e3 + e3.transpose(1, 2, 0) + e3.transpose(2, 0, 1) - G.phi
     cyclic_residual = qbia._max_abs(cyclic)
@@ -575,38 +574,23 @@ def cdybe_residual(field, p, samples=8, seed=0):
     dbl = getattr(field, "double", None)
     if dbl is None or dbl.source is not G:
         dbl = qbia.build_double(G)
-    istar = field.inj.T
-    dl_stack = dl[field.sub]
-
-    def vec_form(xi, eta):
-        lxi, leta = lmat @ xi, lmat @ eta
-        # the derivative is linear in the direction, so contract the
-        # precomputed basis derivatives instead of recomputing
-        dl_xi = np.einsum('a,aij->ij', istar @ xi, dl_stack)
-        dl_eta = np.einsum('a,aij->ij', istar @ eta, dl_stack)
-        grad = np.einsum('aij,i,j->a', dl_stack, xi, eta)
-        b1 = dbl.d.bracket(dbl.embed(x=lxi), dbl.embed(xi=eta))
-        b2 = dbl.d.bracket(dbl.embed(xi=xi), dbl.embed(x=leta))
-        b3 = dbl.d.bracket(dbl.embed(xi=xi), dbl.embed(xi=eta))
-        return (dl_xi @ eta - dl_eta @ xi - field.inj @ grad
-                - g.bracket(lxi, leta)
-                + lmat @ b1[n:] + lmat @ b2[n:] - b1[:n] - b2[:n]
-                + lmat @ b3[n:] - b3[:n])
-
-    eye = np.eye(n)
-    vector_residual = 0.0
-    agreement = 0.0
-    for i in range(n):
-        for j in range(n):
-            v = vec_form(eye[i], eye[j])
-            vector_residual = max(vector_residual, float(np.max(np.abs(v))))
-            agreement = max(agreement,
-                            float(np.max(np.abs(v - cyclic[i, j, :]))))
+    cd = dbl.d.c
+    # brk[i, j] = [l e_i, e_j*] + [e_i*, l e_j] + [e_i*, e_j*] in the double
+    brk = (np.einsum('ai,ajm->ijm', lmat, cd[:n, n:])
+           + np.einsum('bj,ibm->ijm', lmat, cd[n:, :n]) + cd[n:, n:])
+    # vec[i, j, k] = dl[i, k, j] - dl[j, k, i] - dl[k, i, j]
+    #                - [l e_i, l e_j]_k + (l brk[i, j]*)_k - brk[i, j]_k
+    vec = (dl.transpose(0, 2, 1) - dl.transpose(2, 0, 1)
+           - dl.transpose(1, 2, 0)
+           - np.einsum('ai,bj,abk->ijk', lmat, lmat, cd[:n, :n, :n])
+           + np.einsum('km,ijm->ijk', lmat, brk[:, :, n:]) - brk[:, :, :n])
+    vector_residual = qbia._max_abs(vec)
+    agreement = qbia._max_abs(vec - cyclic)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         xi = rng.standard_normal(n)
         eta = rng.standard_normal(n)
-        v = vec_form(xi, eta)
+        v = np.einsum('ijk,i,j->k', vec, xi, eta)
         ref = np.einsum('ijk,i,j->k', cyclic, xi, eta)
         scalefac = 1.0 + float(np.linalg.norm(xi) * np.linalg.norm(eta))
         vector_residual = max(vector_residual,
@@ -615,13 +599,9 @@ def cdybe_residual(field, p, samples=8, seed=0):
                         float(np.max(np.abs(v - ref))) / scalefac)
 
     fd_err = 0.0
-    for pos, i in enumerate(field.sub):
-        e = np.zeros(field.base_dim)
-        e[pos] = 1.0
-        fd = linalg.finite_diff(field.value, p, e)
-        exact = dl[i]
-        fd_err = max(fd_err, float(np.max(np.abs(fd - exact))
-                                   / (1.0 + np.max(np.abs(fd)))))
+    for i, fd_i in zip(field.sub, fd):
+        fd_err = max(fd_err, float(np.max(np.abs(fd_i - dl[i]))
+                                   / (1.0 + np.max(np.abs(fd_i)))))
 
     skew = linalg.skew_residual(lmat)
     return {"cyclic_residual": cyclic_residual,
@@ -648,6 +628,23 @@ def equivariance_residual(field, p, z):
     resid = (field.derivative(p, coad) + G.cocycle_map(iz)
              + ad_iz @ lmat + lmat @ ad_iz.T)
     return float(np.max(np.abs(resid)))
+
+
+def flow_sweep(field, points):
+    """Largest value of each FLOW_TOLS residual over the base points: the
+    cdybe_residual keys, and "equivariance" along each base direction.
+    An empty point list raises ValueError: it would certify nothing."""
+    if len(points) == 0:
+        raise ValueError("a flow sweep needs at least one base point")
+    eye = np.eye(field.base_dim)
+    worst = dict.fromkeys(FLOW_TOLS, 0.0)
+    for p in points:
+        rep = cdybe_residual(field, p)
+        rep["equivariance"] = max(equivariance_residual(field, p, z)
+                                  for z in eye)
+        for key in worst:
+            worst[key] = max(worst[key], rep[key])
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -308,3 +308,44 @@ def test_lcan_negative_first_coordinate_parses(tmp_path, capsys, spec, point):
     # the "--" form reads the same point and prints the same bytes
     assert cli.main(["lcan", str(path), "--check", "--", point]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("command", ["verify", "dual"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_sample_count_below_one_is_a_usage_error(tmp_path, capsys, command,
+                                                 samples):
+    # a sweep over no point would print every flow row as passed
+    path = tmp_path / "demo.spec"
+    path.write_text(GOOD_SPEC)
+    argv = [command, str(path)]
+    if command == "dual":
+        argv.append(str(tmp_path / "demo-dual.spec"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line,value", [
+    ("phi 0 1 2 nan", "nan"),
+    ("c 0 1 1 inf", "inf"),
+    ("twist 0 1 -inf", "-inf"),
+])
+def test_parse_rejects_non_finite_numbers(line, value):
+    text = "dynlie-spec 1\ndim 3\n%s\n" % line
+    with pytest.raises(cli.SpecParseError) as exc:
+        cli.AlgebraSpecFile.parse(text)
+    assert exc.value.line == 3
+    assert "not a finite number %r" % value in str(exc.value)
+
+
+@pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+def test_lcan_rejects_non_finite_point(tmp_path, capsys, point):
+    path = tmp_path / "demo.spec"
+    path.write_text(GOOD_SPEC)
+    assert cli.main(["lcan", str(path), "--", point]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""

@@ -597,3 +597,127 @@ def test_point_record_matches_a_fresh_field_at_a_rejected_point():
         assert str(err.value) == str(fresh_err.value)
         with pytest.raises(dyn.OutOfDomain):
             f.derivative(bad, np.ones(3))
+
+
+# -- the vector form as a tensor, and the flow sweep ---------------------------
+
+
+def reference_vector_form(field, p, samples=8, seed=0):
+    """vector_residual and forms_agreement computed pair by pair: each term
+    of the vector form re-derived through the double's bracket on embedded
+    covectors, against the cyclic 3-tensor contracted with the same pair."""
+    G = field.G
+    g = G.g
+    n = G.dim
+    lmat = field.value(p)
+    dl = np.zeros((n, n, n))
+    for pos, i in enumerate(field.sub):
+        e = np.zeros(field.base_dim)
+        e[pos] = 1.0
+        dl[i] = field.derivative(p, e)
+    e3 = (dl.transpose(0, 2, 1)
+          - np.einsum('ai,bj,abk->ijk', lmat, lmat, g.c)
+          - np.einsum('ai,akj->ijk', lmat, G.varpi))
+    cyclic = e3 + e3.transpose(1, 2, 0) + e3.transpose(2, 0, 1) - G.phi
+    dbl = qbia.build_double(G)
+    istar = field.inj.T
+    dl_stack = dl[field.sub]
+
+    def vec_form(xi, eta):
+        lxi, leta = lmat @ xi, lmat @ eta
+        dl_xi = np.einsum('a,aij->ij', istar @ xi, dl_stack)
+        dl_eta = np.einsum('a,aij->ij', istar @ eta, dl_stack)
+        grad = np.einsum('aij,i,j->a', dl_stack, xi, eta)
+        b1 = dbl.d.bracket(dbl.embed(x=lxi), dbl.embed(xi=eta))
+        b2 = dbl.d.bracket(dbl.embed(xi=xi), dbl.embed(x=leta))
+        b3 = dbl.d.bracket(dbl.embed(xi=xi), dbl.embed(xi=eta))
+        return (dl_xi @ eta - dl_eta @ xi - field.inj @ grad
+                - g.bracket(lxi, leta)
+                + lmat @ b1[n:] + lmat @ b2[n:] - b1[:n] - b2[:n]
+                + lmat @ b3[n:] - b3[:n])
+
+    eye = np.eye(n)
+    vector_residual = 0.0
+    agreement = 0.0
+    for i in range(n):
+        for j in range(n):
+            v = vec_form(eye[i], eye[j])
+            vector_residual = max(vector_residual, float(np.max(np.abs(v))))
+            agreement = max(agreement,
+                            float(np.max(np.abs(v - cyclic[i, j, :]))))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        xi = rng.standard_normal(n)
+        eta = rng.standard_normal(n)
+        v = vec_form(xi, eta)
+        ref = np.einsum('ijk,i,j->k', cyclic, xi, eta)
+        scalefac = 1.0 + float(np.linalg.norm(xi) * np.linalg.norm(eta))
+        vector_residual = max(vector_residual,
+                              float(np.max(np.abs(v))) / scalefac)
+        agreement = max(agreement,
+                        float(np.max(np.abs(v - ref))) / scalefac)
+    return vector_residual, agreement
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_vector_form_tensor_matches_pairwise_reference(name):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    for p in dyn.sample_domain_points(field, 2, seed=3, scale=0.4):
+        rep = dyn.cdybe_residual(field, p)
+        vec_ref, agree_ref = reference_vector_form(field, p)
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(field.value(p))))) ** 2
+        assert abs(rep["vector_residual"] - vec_ref) <= tol
+        assert abs(rep["forms_agreement"] - agree_ref) <= tol
+
+
+def test_vector_form_detects_perturbation():
+    G = invariant_structure()
+    f = dyn.canonical_field(G, cartan_split(G))
+    bump = np.zeros((3, 3))
+    bump[1, 2] = 0.05
+    bump[2, 1] = -0.05
+    broken = dyn.shifted_field(f, bump)
+    rep = dyn.cdybe_residual(broken, np.array([0.3]))
+    assert rep["vector_residual"] > 1e-4
+    vec_ref, agree_ref = reference_vector_form(broken, np.array([0.3]))
+    assert abs(rep["vector_residual"] - vec_ref) <= 1e-12
+    assert abs(rep["forms_agreement"] - agree_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3"])
+def test_flow_sweep_is_the_per_point_maximum(name):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    points = dyn.sample_domain_points(field, 3, seed=7, scale=0.4)
+    want = dict.fromkeys(dyn.FLOW_TOLS, 0.0)
+    for p in points:
+        rep = dyn.cdybe_residual(field, p)
+        rep["equivariance"] = max(dyn.equivariance_residual(field, p, z)
+                                  for z in np.eye(field.base_dim))
+        for key in want:
+            want[key] = max(want[key], rep[key])
+    assert dyn.flow_sweep(field, points) == want
+    with pytest.raises(ValueError):
+        dyn.flow_sweep(field, [])
+
+
+def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
+    # the central differences move the record to p +- h e; taking them
+    # first leaves it at p for the equivariance checks that follow
+    entry = catalog.get("ev-sl3")
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    p = np.array([0.3, -0.2])
+    calls = []
+    orig = dyn.LMatrixField._domain_record
+
+    def domain_record(self, q):
+        calls.append(q.copy())
+        return orig(self, q)
+
+    monkeypatch.setattr(dyn.LMatrixField, "_domain_record", domain_record)
+    dyn.cdybe_residual(field, p)
+    for z in np.eye(field.base_dim):
+        dyn.equivariance_residual(field, p, z)
+    assert len(calls) == 1 + 2 * field.base_dim
+    assert np.array_equal(calls[-1], p)
