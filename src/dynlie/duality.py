@@ -12,11 +12,17 @@ part, covector part) form a Lie algebroid: nu_anchor and nu_bracket evaluate
 its anchor and bracket on sections.  TrivializationMap straightens that
 algebroid onto a trivial product bundle: theta_connection is the flat
 horizontal lift, phi_p_iso the fiberwise isomorphism onto the zero fiber,
-trivialization_T / T_inverse the bundle map and its inverse.  The
-trivializations of a structure and of its dual agree up to explicit signs;
-duality_theorem_check measures that identity.  symmetric_dual runs the whole
-construction for the complexification double of a semisimple algebra with an
-involution.
+trivialization_T / T_inverse the bundle map and its inverse.  The bracket
+formula exists once, as a kernel over every pair of S sections at a base
+point (_pair_brackets); nu_bracket is its two-section case.  The map's
+flatness and bracket-morphism residuals bracket all pairs in one pass:
+each section is evaluated once and differentiated once along each base
+basis direction, and the derivative along another section's anchor is the
+contraction of those (exact, since every exact section derivative is
+linear in the direction).  The trivializations of a structure and of its
+dual agree up to explicit signs; duality_theorem_check measures that
+identity.  symmetric_dual runs the whole construction for the
+complexification double of a semisimple algebra with an involution.
 """
 
 import numpy as np
@@ -186,67 +192,95 @@ def constant_section(first, second):
 def nu_anchor(s, p, field):
     """Base direction moved by an algebroid element over p: the covector
     restricted to the subalgebra, minus the coadjoint action of the
-    subalgebra part on the base point.  s is a section or a (z, xi) pair."""
+    subalgebra part on the base point.  s is a section or a (z, xi) pair;
+    a pair may hold stacked rows, giving one anchor per row."""
     p = np.asarray(p, dtype=float)
     if isinstance(s, AlgebroidSection):
         z, xi = s.value(p)
     else:
         z, xi = (np.asarray(v, dtype=float) for v in s)
-    coad = np.einsum("a,abm,m->b", z, field.sub_c, p)
-    return xi[field.sub] - coad
+    coad = np.einsum("...a,abm,m->...b", z, field.sub_c, p)
+    return xi[..., field.sub] - coad
+
+
+def _pair_brackets(field, p, z, xi, dz, dxi):
+    """Algebroid bracket of every pair of S sections at p, in one pass.
+
+    z (S, k) and xi (S, n) hold the section values; dz (S, S, k) and
+    dxi (S, S, n) hold at [i, j] the derivative of section j along the
+    anchor of section i.  Returns the brackets [s_i, s_j] as arrays of
+    shapes (S, S, k) and (S, S, n).  First component: derivatives of each
+    subalgebra part along the other's anchor image, minus the subalgebra
+    bracket, plus the pairing of the covector parts through the field's
+    base derivative.  Second component: derivatives of the covector parts
+    plus coadjoint terms of the subalgebra parts and of the field images,
+    plus the cocycle pairing.
+    """
+    G = field.G
+    k = field.base_dim
+    dl = np.stack([field.derivative(p, e) for e in np.eye(k)])
+    lmat = field.value(p)
+    grad = np.einsum("aij,xi,yj->xya", dl, xi, xi)
+    zout = (dz - dz.transpose(1, 0, 2)
+            - np.einsum("xa,yb,abm->xym", z, z, field.sub_c) + grad)
+
+    # matrix-vector products are stacked as such (not as one matrix
+    # product) so that every pair rounds exactly as a lone pair does
+    def coad(v):
+        # coad(v)[x, y] = ad(v[x]).T @ xi[y]
+        adt = np.einsum("xi,ikj->xkj", v, G.g.ad).transpose(0, 2, 1)
+        return np.matmul(adt[:, None], xi[None, :, :, None])[..., 0]
+
+    iz = z @ field.inj.T
+    lxi = np.matmul(lmat, xi[..., None])[..., 0]
+    t_sub = coad(iz)
+    t_field = coad(lxi)
+    wvec = np.einsum("xa,iab,yb->xyi", xi, G.varpi, xi)
+    xiout = (dxi - dxi.transpose(1, 0, 2)
+             + t_sub - t_sub.transpose(1, 0, 2)
+             + wvec
+             + t_field - t_field.transpose(1, 0, 2))
+    return zout, xiout
 
 
 def nu_bracket(s1, s2, field):
-    """Bracket of two sections of the chart algebroid, as a lazy section.
-
-    First component: derivatives of each subalgebra part along the other's
-    anchor image, minus the subalgebra bracket, plus the pairing of the
-    covector parts through the field's base derivative.  Second component:
-    derivatives of the covector parts plus coadjoint terms of the
-    subalgebra parts and of the field images, plus the cocycle pairing.
-    Derivatives of the returned section use the central-difference fallback.
+    """Bracket of two sections of the chart algebroid, as a lazy section:
+    the pair kernel above on the two sections, each differentiated along
+    the other's anchor.  Derivatives of the returned section use the
+    central-difference fallback.
     """
-    G = field.G
-
     def val(p):
         field._require_domain(p)
         z1, xi1 = s1.value(p)
         z2, xi2 = s2.value(p)
         a1 = nu_anchor((z1, xi1), p, field)
         a2 = nu_anchor((z2, xi2), p, field)
-        dz2, dxi2 = s2.derivative(p, a1)
-        dz1, dxi1 = s1.derivative(p, a2)
-        k = field.base_dim
-        dl = np.stack([field.derivative(p, e) for e in np.eye(k)])
-        grad = np.einsum("aij,i,j->a", dl, xi1, xi2)
-        zout = (dz2 - dz1
-                - np.einsum("a,b,abm->m", z1, z2, field.sub_c) + grad)
-        lmat = field.value(p)
-        adm = G.g.ad_matrix
-        iz1 = field.inj @ z1
-        iz2 = field.inj @ z2
-        wvec = np.einsum("a,iab,b->i", xi1, G.varpi, xi2)
-        xiout = (dxi2 - dxi1
-                 + adm(iz1).T @ xi2 - adm(iz2).T @ xi1
-                 + wvec
-                 + adm(lmat @ xi1).T @ xi2 - adm(lmat @ xi2).T @ xi1)
-        return zout, xiout
+        dz = np.zeros((2, 2, field.base_dim))
+        dxi = np.zeros((2, 2, field.G.dim))
+        dz[0, 1], dxi[0, 1] = s2.derivative(p, a1)
+        dz[1, 0], dxi[1, 0] = s1.derivative(p, a2)
+        zout, xiout = _pair_brackets(field, p, np.stack([z1, z2]),
+                                     np.stack([xi1, xi2]), dz, dxi)
+        return zout[0, 1], xiout[0, 1]
 
     return AlgebroidSection(val)
 
 
-def trivial_bracket(s1, s2, fiber_c):
-    """Bracket of the trivial product bundle: vector-field bracket of the
-    base parts, base derivatives of the fiber parts plus the fiber algebra
-    bracket given by fiber_c."""
-    def val(p):
-        a1, x1 = s1.value(p)
-        a2, x2 = s2.value(p)
-        da2, dx2 = s2.derivative(p, a1)
-        da1, dx1 = s1.derivative(p, a2)
-        return da2 - da1, dx2 - dx1 + np.einsum("i,j,ijm->m", x1, x2, fiber_c)
+def _jets(p, sections, k):
+    """Values (S, a), (S, b) of the sections at p and their derivatives
+    (k, S, a), (k, S, b) along the k base basis directions: each section is
+    evaluated once and differentiated once per direction."""
+    vals = [s.value(p) for s in sections]
+    ders = [[s.derivative(p, e) for s in sections] for e in np.eye(k)]
+    return (np.stack([v[0] for v in vals]), np.stack([v[1] for v in vals]),
+            np.array([[d[0] for d in row] for row in ders]),
+            np.array([[d[1] for d in row] for row in ders]))
 
-    return AlgebroidSection(val)
+
+def _along(directions, jet):
+    """Derivative [i, j] of section j along directions[i], by linearity
+    from its derivatives jet[b, j] along the base basis directions."""
+    return np.einsum("ib,bj...->ij...", directions, jet)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +365,12 @@ class TrivializationMap:
     (keyed on beta's shape and bytes, at most G.dim**2 directions) ad(beta)
     with the Frechet derivatives of those functions and of exp(+-a).  Each
     entry is computed on first use; its arrays are read-only.
+
+    flatness_residual and bracket_morphism_residual take every pair of
+    their sections at once: the sections are differentiated along the k
+    base basis directions only, so the Frechet entries of those k
+    directions serve every pair, and the trivial-bundle side of all pairs
+    goes through the map as one stack of rows (_forward).
     """
 
     def __init__(self, G, decomp=None):
@@ -348,8 +388,16 @@ class TrivializationMap:
 
     # -- shared pieces ------------------------------------------------------
 
+    @staticmethod
+    def _embed(v, dual=False):
+        """Rows of the double holding v in the base part (in the dual part
+        if dual) and zero in the other; a 1-d v gives one row."""
+        zero = np.zeros_like(v)
+        return np.concatenate([zero, v] if dual else [v, zero], axis=-1)
+
     def _sdual(self, alpha):
-        return self.double.embed(xi=self.inj @ np.asarray(alpha, dtype=float))
+        return self._embed(np.asarray(alpha, dtype=float) @ self.inj.T,
+                           dual=True)
 
     def _flows(self, p):
         """The _PointFlows record of base point p, which must lie in the
@@ -475,22 +523,27 @@ class TrivializationMap:
         return z, eta
 
     def _forward(self, p, alpha, x0):
+        """trivialization_T on one argument pair, or on stacked rows alpha
+        (R, k), x0 (R, n) giving z (R, k), eta (R, n); also returns the
+        largest leakage outside the target blocks."""
         p = np.asarray(p, dtype=float)
         x0 = np.asarray(x0, dtype=float)
         flows = self._flows(p)
-        n = self.n
-        sa = self._sdual(alpha)
-        ze = self.double.embed(x=self.inj @ x0[:self.k])
-        xie = self.double.embed(xi=self.compinj @ x0[self.k:])
+        n, k = self.n, self.k
+        # transposes turn stacked rows into columns and are no-ops on 1-d
+        # arguments
+        sa = self._sdual(alpha).T
+        ze = self._embed(x0[..., :k] @ self.inj.T).T
+        xie = self._embed(x0[..., k:] @ self.compinj.T, dual=True).T
         sinhc = flows.apply(linalg.SINHC)
-        v1 = flows.apply(linalg.SINH_REM) @ sa - sinhc @ ze
-        v2 = sinhc @ sa - flows.apply(linalg.SINH) @ ze
-        flow = flows.exp() @ xie
-        z = v1[:n][self.sub]
-        eta = v2[n:] - flow[n:]
+        v1 = (flows.apply(linalg.SINH_REM) @ sa - sinhc @ ze).T
+        v2 = (sinhc @ sa - flows.apply(linalg.SINH) @ ze).T
+        flow = (flows.exp() @ xie).T
+        z = v1[..., :n][..., self.sub]
+        eta = v2[..., n:] - flow[..., n:]
         stray = v1.copy()
-        stray[list(self.sub)] = 0.0
-        leak = max(qbia._max_abs(stray), qbia._max_abs(v2[:n]))
+        stray[..., list(self.sub)] = 0.0
+        leak = max(qbia._max_abs(stray), qbia._max_abs(v2[..., :n]))
         return z, eta, leak
 
     def T_inverse(self, p, z, eta):
@@ -558,16 +611,23 @@ class TrivializationMap:
 
     # -- residual services ---------------------------------------------------
 
+    def _section_brackets(self, p, sections):
+        """Algebroid brackets [s_i, s_j] of every pair of the sections at p,
+        shapes (S, S, k) and (S, S, n).  Each section is evaluated once and
+        differentiated once along each base basis direction; the derivative
+        along another section's anchor is the contraction of those."""
+        z, xi, dz, dxi = _jets(p, sections, self.k)
+        anchors = nu_anchor((z, xi), p, self.field)
+        return _pair_brackets(self.field, p, z, xi, _along(anchors, dz),
+                              _along(anchors, dxi))
+
     def flatness_residual(self, p):
         """Largest bracket component over all pairs of basis horizontal
-        lifts at p (zero for a flat lift)."""
-        worst = 0.0
+        lifts at p (zero for a flat lift), every pair in one pass."""
         lifts = [self.theta_section(e) for e in np.eye(self.k)]
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                zb, xb = nu_bracket(lifts[i], lifts[j], self.field).value(p)
-                worst = max(worst, qbia._max_abs(zb), qbia._max_abs(xb))
-        return worst
+        zb, xb = self._section_brackets(p, lifts)
+        pairs = np.triu_indices(self.k, 1)
+        return max(qbia._max_abs(zb[pairs]), qbia._max_abs(xb[pairs]))
 
     def psi_compatibility_residual(self, p, xmap, alpha):
         """Residual of the bracket of a horizontal lift with a vertical
@@ -582,15 +642,31 @@ class TrivializationMap:
             p, -np.linalg.solve(mat, xmap.jacobian(p) @ alpha))
         return max(qbia._max_abs(zb - want[0]), qbia._max_abs(xb - want[1]))
 
-    def bracket_morphism_residual(self, p, s1, s2):
-        """Residual of the map as a bracket morphism on a pair of
-        trivial-bundle sections."""
-        lhs = nu_bracket(self.compose_section(s1), self.compose_section(s2),
-                         self.field).value(p)
-        base, fiber = trivial_bracket(s1, s2, self.fiber_c).value(p)
-        rhs = self.trivialization_T(p, base, fiber)
-        return max(qbia._max_abs(lhs[0] - rhs[0]),
-                   qbia._max_abs(lhs[1] - rhs[1]))
+    def bracket_morphism_residual(self, p, sections):
+        """Largest residual of the map as a bracket morphism over every pair
+        of the given trivial-bundle sections at p.
+
+        The left side brackets the mapped sections in the algebroid (one
+        pass over all pairs, see _section_brackets).  The right side is the
+        trivial bundle's bracket of each pair, built from the sections'
+        values and basis-direction derivatives: the vector-field bracket of
+        the base parts, and the base derivatives of the fiber parts plus the
+        fiber algebra bracket fiber_c.  All pairs then go through the map as
+        stacked rows.  The sections must provide exact derivatives.
+        """
+        p = np.asarray(p, dtype=float)
+        zl, xl = self._section_brackets(
+            p, [self.compose_section(s) for s in sections])
+        a0, x0, da0, dx0 = _jets(p, sections, self.k)
+        base = _along(a0, da0)
+        fiber = _along(a0, dx0)
+        base = base - base.transpose(1, 0, 2)
+        fiber = (fiber - fiber.transpose(1, 0, 2)
+                 + np.einsum("ia,jb,abm->ijm", x0, x0, self.fiber_c))
+        pairs = np.triu_indices(len(sections), 1)
+        zr, xr, _ = self._forward(p, base[pairs], fiber[pairs])
+        return max(qbia._max_abs(zl[pairs] - zr),
+                   qbia._max_abs(xl[pairs] - xr))
 
     def check(self, samples=6, seed=0, linear_sections=3):
         """Certification sweep over sampled domain points.
@@ -598,8 +674,12 @@ class TrivializationMap:
         Reports the anchor residuals of lifts and of mapped elements, the
         two round-trip residuals, flatness, the block-membership leakage,
         the bracket-morphism residual over constant plus seeded linear
-        sections, and the vertical-compatibility residual.
+        sections, and the vertical-compatibility residual.  Fewer than one
+        sample point raises ValueError: the sweep would certify nothing.
         """
+        if samples < 1:
+            raise ValueError("a trivialization check needs at least one "
+                             "sample point")
         n, k = self.n, self.k
         rng = np.random.default_rng(seed)
         pts = dynamics.sample_domain_points(self.field, samples, seed=seed,
@@ -645,12 +725,9 @@ class TrivializationMap:
                 qbia._max_abs(z2 - ze), qbia._max_abs(eta2 - ee))
             report["flatness_residual"] = max(
                 report["flatness_residual"], self.flatness_residual(p))
-            for i in range(len(sections)):
-                for j in range(i + 1, len(sections)):
-                    report["bracket_residual"] = max(
-                        report["bracket_residual"],
-                        self.bracket_morphism_residual(p, sections[i],
-                                                       sections[j]))
+            report["bracket_residual"] = max(
+                report["bracket_residual"],
+                self.bracket_morphism_residual(p, sections))
             const_x = dynamics.PolynomialMap(k, n,
                                              coeff0=rng.standard_normal(n))
             lin_x = dynamics.PolynomialMap(
@@ -717,14 +794,19 @@ def duality_theorem_check(G, decomp=None, samples=20, seed=0):
     carried back through the plain extraction frame identifying the dual's
     double with the original double (the cocycle flip of the dual structure
     already absorbs the sign of the involution relating the two sides).
+    The structure's side reads its functions of ad(p) from the point record
+    of its own TrivializationMap.  Fewer than one sample point raises
+    ValueError.
     """
+    if samples < 1:
+        raise ValueError("a duality check needs at least one sample point")
     decomp = _resolve_decomp(G, decomp)
-    field = dynamics.canonical_field(G, decomp)
+    triv = TrivializationMap(G, decomp)
     star = dual_qbia(G, decomp)
     if star.decomp is None:
         raise PreconditionFailed("dual carries no reductive split")
     triv_star = TrivializationMap(star, star.decomp)
-    dbl = field.double
+    dbl = triv.double
     n = G.dim
     k = decomp.dim_sub
     inj = decomp.inj_sub
@@ -737,20 +819,21 @@ def duality_theorem_check(G, decomp=None, samples=20, seed=0):
         if used == samples:
             break
         p = 0.4 * rng.standard_normal(k)
-        if not dynamics.in_domain(p, field)["in_domain"]:
+        if not dynamics.in_domain(p, triv.field)["in_domain"]:
             continue
         if not dynamics.in_domain(p, triv_star.field)["in_domain"]:
             continue
         alpha = rng.standard_normal(k)
         z = rng.standard_normal(k)
         u = rng.standard_normal(n - k)
-        a = dbl.d.ad_matrix(dbl.embed(xi=inj @ p))
+        flows = triv._flows(p)
         sa = dbl.embed(xi=inj @ alpha)
         ze = dbl.embed(x=inj @ z)
         ue = dbl.embed(x=cinj @ u)
-        first = linalg.SINH_REM.apply(a) @ sa - linalg.SINHC.apply(a) @ ze
-        second = linalg.SINHC.apply(a) @ sa - linalg.SINH.apply(a) @ ze
-        flow = scipy.linalg.expm(-a) @ ue
+        sinhc = flows.apply(linalg.SINHC)
+        first = flows.apply(linalg.SINH_REM) @ sa - sinhc @ ze
+        second = sinhc @ sa - flows.apply(linalg.SINH) @ ze
+        flow = flows.exp_neg @ ue
         lhs_first = first[:n][sub]
         lhs_second = second - dbl.embed(x=flow[:n])
         zs, etas = triv_star.trivialization_T(p, alpha,

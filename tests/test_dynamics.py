@@ -721,3 +721,92 @@ def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
         dyn.equivariance_residual(field, p, z)
     assert len(calls) == 1 + 2 * field.base_dim
     assert np.array_equal(calls[-1], p)
+
+
+def _ref_vertex_dual(q0, field):
+    """The dual algebra at q0 pair by pair: the bracket formula on each
+    ordered basis pair and one least-squares expansion per pair.  Returns
+    the structure constants and the six report residuals."""
+    G = field.G
+    g = G.g
+    n = G.dim
+    l0 = field.value(q0)
+    l0 = 0.5 * (l0 - l0.T)
+    sub, comp = field.sub, field.comp
+    k = len(sub)
+    w = G.varpi
+    inj = field.inj
+    zs, xis = [], []
+    for a in range(k):
+        zs.append(np.eye(k)[a])
+        xis.append(inj @ np.einsum('bm,m->b', field.sub_c[a], q0))
+    for b in comp:
+        zs.append(np.zeros(k))
+        xis.append(np.eye(n)[b])
+
+    def wmap(x):
+        return np.einsum('i,iab->ab', x, w)
+
+    def bracket_star(z1, xi1, z2, xi2):
+        iz1, iz2 = inj @ z1, inj @ z2
+        l1, l2 = l0 @ xi1, l0 @ xi2
+        wvec = np.array([xi1 @ w[i] @ xi2 for i in range(n)])
+        ad = g.ad_matrix
+        gpart = (inj @ np.einsum('a,b,abm->m', z1, z2, field.sub_c)
+                 + wmap(iz1) @ xi2 + ad(iz1) @ l2 + l0 @ (ad(iz1).T @ xi2)
+                 - wmap(iz2) @ xi1 - ad(iz2) @ l1 - l0 @ (ad(iz2).T @ xi1)
+                 + g.bracket(l1, l2)
+                 + l0 @ (ad(l1).T @ xi2) - l0 @ (ad(l2).T @ xi1)
+                 + wmap(l1) @ xi2 - wmap(l2) @ xi1
+                 - np.einsum('im,i->m', l0, wvec)
+                 + np.einsum('abm,a,b->m', G.phi, xi1, xi2))
+        xipart = (-ad(iz1).T @ xi2 + ad(iz2).T @ xi1 - wvec
+                  - ad(l1).T @ xi2 + ad(l2).T @ xi1)
+        return gpart, xipart
+
+    dim = k + len(comp)
+    cstar = np.zeros((dim, dim, dim))
+    closure = 0.0
+    for a in range(dim):
+        for b in range(dim):
+            gpart, xipart = bracket_star(zs[a], xis[a], zs[b], xis[b])
+            closure = max(closure, qbia._max_abs(np.delete(gpart, sub)))
+            znew = gpart[sub]
+            rem = xipart - sum(znew[pos] * xis[pos] for pos in range(k))
+            closure = max(closure, qbia._max_abs(rem[sub]))
+            cstar[a, b, :k] = znew
+            cstar[a, b, k:] = rem[comp]
+    skew = qbia._max_abs(cstar + cstar.transpose(1, 0, 2))
+    cstar = 0.5 * (cstar - cstar.transpose(1, 0, 2))
+    jac = lie.LieAlgebraData(cstar, check=False).jacobi_residual()
+    dtw = qbia.build_double(twist.apply_twist(G, l0))
+    basis = np.array([dtw.embed(x=inj @ zs[a], xi=xis[a])
+                      for a in range(dim)])
+    iso = qbia._max_abs(basis @ dtw.pairing @ basis.T)
+    agree = 0.0
+    dbl_closure = 0.0
+    for a in range(dim):
+        for b in range(dim):
+            v = dtw.d.bracket(basis[a], basis[b])
+            coef, _, _, _ = np.linalg.lstsq(basis.T, v, rcond=None)
+            dbl_closure = max(dbl_closure, qbia._max_abs(basis.T @ coef - v))
+            agree = max(agree, qbia._max_abs(coef - cstar[a, b]))
+    return cstar, {"antisymmetry_residual": skew, "jacobi_residual": jac,
+                   "formula_closure_residual": closure,
+                   "isotropy_residual": iso,
+                   "double_closure_residual": dbl_closure,
+                   "bracket_agreement": agree}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_vertex_dual_matches_the_per_pair_construction(name):
+    entry = catalog.get(name)
+    f = dyn.canonical_field(entry.G, entry.decomp)
+    for q0 in dyn.sample_domain_points(f, 2, seed=27, scale=0.4):
+        out = dyn.vertex_dual(q0, f)
+        cstar, ref = _ref_vertex_dual(q0, f)
+        scale = 1.0 + qbia._max_abs(cstar)
+        assert qbia._max_abs(out.c - cstar) <= 1e-12 * scale
+        for key, value in ref.items():
+            assert abs(out.report[key] - value) <= 1e-12 * scale, key
+        assert out.report["passed"] == (max(ref.values()) <= dyn.CERT_TOL)
