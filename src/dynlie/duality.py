@@ -15,14 +15,16 @@ horizontal lift, phi_p_iso the fiberwise isomorphism onto the zero fiber,
 trivialization_T / T_inverse the bundle map and its inverse.  The bracket
 formula exists once, as a kernel over every pair of S sections at a base
 point (_pair_brackets); nu_bracket is its two-section case.  The map's
-flatness and bracket-morphism residuals bracket all pairs in one pass:
-each section is evaluated once and differentiated once along each base
-basis direction, and the derivative along another section's anchor is the
-contraction of those (exact, since every exact section derivative is
-linear in the direction).  The trivializations of a structure and of its
-dual agree up to explicit signs; duality_theorem_check measures that
-identity.  symmetric_dual runs the whole construction for the
-complexification double of a semisimple algebra with an involution.
+flatness, bracket-morphism and vertical-compatibility residuals bracket all
+pairs in one pass: each section is evaluated once and differentiated once
+along each base basis direction, and the derivative along another
+section's anchor is the contraction of those (exact, since every exact
+section derivative is linear in the direction).  Sections pushed through
+the map get their jets from the trivial sections' jets as stacked rows.
+The trivializations of a structure and of its dual agree up to explicit
+signs; duality_theorem_check measures that identity.  symmetric_dual runs
+the whole construction for the complexification double of a semisimple
+algebra with an involution.
 """
 
 import numpy as np
@@ -147,7 +149,8 @@ class AlgebroidSection:
 
     Wraps a value callable returning a pair of vectors and (optionally) a
     directional-derivative callable; without the latter, derivatives fall
-    back to a central difference of the value.
+    back to a central difference of the value, both vectors from the same
+    two evaluations.
     """
 
     def __init__(self, value_fn, derivative_fn=None):
@@ -164,9 +167,15 @@ class AlgebroidSection:
         if self._derivative is not None:
             a, b = self._derivative(p, beta)
             return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        da = linalg.finite_diff(lambda q: self.value(q)[0], p, beta)
-        db = linalg.finite_diff(lambda q: self.value(q)[1], p, beta)
-        return da, db
+        split = []
+
+        def joined(q):
+            a, b = self.value(q)
+            split.append(len(a))
+            return np.concatenate([a, b])
+
+        d = linalg.finite_diff(joined, p, beta)
+        return d[:split[0]], d[split[0]:]
 
 
 def polynomial_section(first, second):
@@ -283,6 +292,15 @@ def _along(directions, jet):
     return np.einsum("ib,bj...->ij...", directions, jet)
 
 
+def _jet_brackets(field, p, z, xi, dz, dxi):
+    """Brackets of every pair of sections from their jets at p (shapes as
+    _jets returns them): each section differentiated along the others'
+    anchors by contraction of its basis-direction derivatives."""
+    anchors = nu_anchor((z, xi), p, field)
+    return _pair_brackets(field, p, z, xi, _along(anchors, dz),
+                          _along(anchors, dxi))
+
+
 # ---------------------------------------------------------------------------
 # the trivialization
 
@@ -294,8 +312,10 @@ def _read_only(m):
 
 
 class _PointFlows:
-    """Matrix functions of a = ad(p) at one base point of a canonical field
-    (see TrivializationMap), each computed on first use, read-only."""
+    """What the trivialization computes from one base point p of a canonical
+    field (see TrivializationMap): matrix functions of a = ad(p) and the
+    fiber isomorphism at p, and per direction their Frechet derivatives.
+    Each entry is computed on first use; its arrays are read-only."""
 
     def __init__(self, field, rec):
         self._field = field
@@ -311,18 +331,24 @@ class _PointFlows:
         if out is None:
             out = compute()
             for m in out if isinstance(out, tuple) else (out,):
-                m.setflags(write=False)
+                if isinstance(m, np.ndarray):
+                    m.setflags(write=False)
             store[key] = out
         return out
 
+    def memo(self, key, compute, beta=None):
+        """compute() kept under key for the point, or for the direction
+        beta when one is given."""
+        store = self._mats if beta is None else self._along(beta)
+        return self._get(store, key, compute)
+
     def exp(self):
         """exp(a)."""
-        return self._get(self._mats, "exp",
-                         lambda: scipy.linalg.expm(self.a))
+        return self.memo("exp", lambda: scipy.linalg.expm(self.a))
 
     def apply(self, fn):
         """fn(a) for an AnalyticFunction fn."""
-        return self._get(self._mats, fn, lambda: fn.apply(self.a))
+        return self.memo(fn, lambda: fn.apply(self.a))
 
     def _along(self, beta):
         beta = np.asarray(beta, dtype=float)
@@ -346,6 +372,15 @@ class _PointFlows:
                          lambda: scipy.linalg.expm_frechet(
                              sign * self.a, sign * entry["da"]))
 
+    def bundle(self, beta=None):
+        """The matrices (SINH_REM, SINHC, SINH, exp) of a that the bundle
+        map applies, or with beta their Frechet derivatives along it."""
+        fns = (linalg.SINH_REM, linalg.SINHC, linalg.SINH)
+        if beta is None:
+            return tuple(self.apply(fn) for fn in fns) + (self.exp(),)
+        return (tuple(self.frechet(fn, beta) for fn in fns)
+                + (self.exp_frechet(beta)[1],))
+
 
 class TrivializationMap:
     """Chart straightening of the algebroid onto a trivial product bundle.
@@ -357,20 +392,33 @@ class TrivializationMap:
     T_inverse(p, z, eta) recovers (alpha, x0).  Every evaluator requires the
     base point to lie in the field's domain.
 
-    The evaluators read the matrix functions of a = ad(p) from one record
-    per base point (_PointFlows), kept in the field's record of the point
-    and so keyed on the point's shape and bytes and replaced with it when
+    The evaluators read what they need of the point p from one record per
+    base point (_PointFlows), kept in the field's record of the point and
+    so keyed on the point's shape and bytes and replaced with it when
     another point comes in.  It holds exp(a) and exp(-a) (the field's
-    flow), f(a) for each analytic function used, and per direction beta
-    (keyed on beta's shape and bytes, at most G.dim**2 directions) ad(beta)
-    with the Frechet derivatives of those functions and of exp(+-a).  Each
-    entry is computed on first use; its arrays are read-only.
+    flow), f(a) for each analytic function used, the matrix of the fiber
+    isomorphism phi_p with its leakage (built once per point), and per
+    direction beta (keyed on beta's shape and bytes, at most G.dim**2
+    directions) ad(beta) with the Frechet derivatives of those functions,
+    of exp(+-a) and of the phi_p matrix.  Each entry is computed on first
+    use; its arrays are read-only, and _phi_data hands out copies.
 
-    flatness_residual and bracket_morphism_residual take every pair of
-    their sections at once: the sections are differentiated along the k
-    base basis directions only, so the Frechet entries of those k
-    directions serve every pair, and the trivial-bundle side of all pairs
-    goes through the map as one stack of rows (_forward).
+    flatness_residual, bracket_morphism_residual and
+    psi_compatibility_residual take every pair of their sections at once:
+    the sections are evaluated once and differentiated along the k base
+    basis directions only, so the Frechet entries of those k directions
+    serve every pair.  The mapped sections of the first two are never
+    evaluated one by one: the jets of the trivial-bundle sections (the
+    lifts are the images of the constant sections (e_a, 0)) go through the
+    map as stacked rows, the values in one pass and the derivatives in one
+    pass per basis direction (Frechet matrices of the bundle map on the
+    values plus the bundle map on the derivatives).  The right side of the
+    bracket morphism goes through the map as one stack of rows too.
+
+    The fiber algebra (fiber_c) is the dual algebra at the origin, where
+    the field vanishes; it comes from the bracket formula alone
+    (dynamics.vertex_bracket), whose certificate there is against the
+    field's own double.
     """
 
     def __init__(self, G, decomp=None):
@@ -384,7 +432,11 @@ class TrivializationMap:
         self.comp = self.field.comp
         self.inj = self.field.inj
         self.compinj = linalg.injection(self.n, self.comp)
-        self.fiber_c = dynamics.vertex_dual(np.zeros(self.k), self.field).c
+        # rows of the zero fiber's block inside the double, and the others
+        self._target = np.concatenate([self.sub, self.n + self.comp])
+        self._off_target = np.concatenate([self.comp, self.n + self.sub])
+        self.fiber_c = dynamics.vertex_bracket(
+            np.zeros(self.k), self.field, np.zeros((self.n, self.n)))[1]
 
     # -- shared pieces ------------------------------------------------------
 
@@ -418,72 +470,54 @@ class TrivializationMap:
 
     def theta_connection(self, p, alpha):
         """Horizontal lift of a base covector direction: the fiber pair over
-        p whose anchor is the direction and whose lifts bracket to zero."""
-        flows = self._flows(p)
-        sa = self._sdual(alpha)
-        v1 = flows.apply(linalg.SINH_REM) @ sa
-        v2 = flows.apply(linalg.SINHC) @ sa
-        return v1[:self.n][self.sub], v2[self.n:]
+        p whose anchor is the direction and whose lifts bracket to zero.  It
+        is the image of (alpha, 0) under the bundle map."""
+        return self.trivialization_T(p, alpha, np.zeros(self.n))
 
     def theta_section(self, alpha):
-        alpha = np.asarray(alpha, dtype=float).copy()
-
-        def val(p):
-            return self.theta_connection(p, alpha)
-
-        def der(p, beta):
-            flows = self._flows(p)
-            sa = self._sdual(alpha)
-            dv1 = flows.frechet(linalg.SINH_REM, beta) @ sa
-            dv2 = flows.frechet(linalg.SINHC, beta) @ sa
-            return dv1[:self.n][self.sub], dv2[self.n:]
-
-        return AlgebroidSection(val, der)
+        """The horizontal lift of alpha at every base point, with exact
+        derivatives: the image of the constant section (alpha, 0)."""
+        return self.compose_section(constant_section(alpha, np.zeros(self.n)))
 
     # -- fiber isomorphism onto the zero fiber ------------------------------
 
+    def _phi_matrix(self, p, flows):
+        """Columns (2n, n) of the fiber basis over p inside the double (the
+        constrained subalgebra-type elements, then the annihilator
+        covectors), the matrix of the fiber isomorphism onto the zero fiber,
+        and the leakage outside its target block."""
+        n, k = self.n, self.k
+        xi = np.hstack([self.inj @ self._coads(p).T, self.compinj])
+        cols = np.vstack([self.field.value(p) @ xi, xi])
+        cols[:n, :k] += self.inj
+        flow = flows.exp_neg @ cols
+        return cols, flow[self._target], qbia._max_abs(flow[self._off_target])
+
+    def _phi_derivative(self, p, beta, flows, cols):
+        """Derivative along beta of the matrix of _phi_matrix."""
+        n, k = self.n, self.k
+        field = self.field
+        dxi = np.zeros((n, n))
+        dxi[:, :k] = self.inj @ self._coads(beta).T
+        dcols = np.vstack([field.derivative(p, beta) @ cols[n:]
+                           + field.value(p) @ dxi, dxi])
+        dflow = flows.exp_frechet(beta, -1)[1] @ cols + flows.exp_neg @ dcols
+        return dflow[self._target]
+
     def _phi_data(self, p, beta=None):
         """Matrix of the fiber isomorphism onto the zero fiber, the leakage
-        outside the target block, and optionally the exact derivative."""
-        field = self.field
-        n, k = self.n, self.k
+        outside the target block, and optionally the exact derivative along
+        beta; all kept in the point's record and returned as copies."""
         flows = self._flows(p)
         p = np.asarray(p, dtype=float)
-        lm = field.value(p)
-        want = beta is not None
-        if want:
-            beta = np.asarray(beta, dtype=float)
-            dlm = field.derivative(p, beta)
-        cols = np.zeros((2 * n, n))
-        dcols = np.zeros((2 * n, n))
-        coads = self._coads(p)
-        for idx in range(k):
-            xi = self.inj @ coads[idx]
-            cols[:, idx] = self.double.embed(x=self.inj[:, idx] + lm @ xi,
-                                             xi=xi)
-            if want:
-                dxi = self.inj @ np.einsum("bm,m->b", field.sub_c[idx], beta)
-                dcols[:, idx] = self.double.embed(x=dlm @ xi + lm @ dxi,
-                                                  xi=dxi)
-        for j, b in enumerate(self.comp):
-            xi = np.eye(n)[b]
-            cols[:, k + j] = self.double.embed(x=lm @ xi, xi=xi)
-            if want:
-                dcols[:, k + j] = self.double.embed(x=dlm @ xi)
-        em = flows.exp_neg
-        flow = em @ cols
-        sub_rows = list(self.sub)
-        comp_rows = [n + int(b) for b in self.comp]
-        mat = np.vstack([flow[sub_rows, :], flow[comp_rows, :]])
-        off_rows = ([int(b) for b in self.comp]
-                    + [n + int(i) for i in self.sub])
-        leak = qbia._max_abs(flow[off_rows, :])
-        if not want:
-            return mat, leak, None
-        dem = flows.exp_frechet(beta, -1)[1]
-        dflow = dem @ cols + em @ dcols
-        dmat = np.vstack([dflow[sub_rows, :], dflow[comp_rows, :]])
-        return mat, leak, dmat
+        cols, mat, leak = flows.memo("phi",
+                                     lambda: self._phi_matrix(p, flows))
+        if beta is None:
+            return mat.copy(), leak, None
+        beta = np.asarray(beta, dtype=float)
+        dmat = flows.memo(
+            "phi", lambda: self._phi_derivative(p, beta, flows, cols), beta)
+        return mat.copy(), leak, dmat.copy()
 
     def fiber_element(self, p, v):
         """Algebroid element over p with the given fiber-basis coordinates:
@@ -526,25 +560,37 @@ class TrivializationMap:
         """trivialization_T on one argument pair, or on stacked rows alpha
         (R, k), x0 (R, n) giving z (R, k), eta (R, n); also returns the
         largest leakage outside the target blocks."""
-        p = np.asarray(p, dtype=float)
-        x0 = np.asarray(x0, dtype=float)
-        flows = self._flows(p)
+        z, eta, v1, v2 = self._push(self._flows(p).bundle(), alpha, x0)
+        stray = v1.copy()
+        stray[..., list(self.sub)] = 0.0
+        leak = max(qbia._max_abs(stray), qbia._max_abs(v2[..., :self.n]))
+        return z, eta, leak
+
+    def _push(self, mats, alpha, x0):
+        """The linear map behind trivialization_T with the matrices mats
+        (see _PointFlows.bundle) in place of the functions of ad(p), on one
+        argument pair or on stacked rows; returns z, eta and the parts v1,
+        v2 whose entries outside the target blocks vanish."""
+        rem, sinhc, sinh, ex = mats
         n, k = self.n, self.k
+        x0 = np.asarray(x0, dtype=float)
         # transposes turn stacked rows into columns and are no-ops on 1-d
         # arguments
         sa = self._sdual(alpha).T
         ze = self._embed(x0[..., :k] @ self.inj.T).T
         xie = self._embed(x0[..., k:] @ self.compinj.T, dual=True).T
-        sinhc = flows.apply(linalg.SINHC)
-        v1 = (flows.apply(linalg.SINH_REM) @ sa - sinhc @ ze).T
-        v2 = (sinhc @ sa - flows.apply(linalg.SINH) @ ze).T
-        flow = (flows.exp() @ xie).T
-        z = v1[..., :n][..., self.sub]
-        eta = v2[..., n:] - flow[..., n:]
-        stray = v1.copy()
-        stray[..., list(self.sub)] = 0.0
-        leak = max(qbia._max_abs(stray), qbia._max_abs(v2[..., :n]))
-        return z, eta, leak
+        v1 = (rem @ sa - sinhc @ ze).T
+        v2 = (sinhc @ sa - sinh @ ze).T
+        flow = (ex @ xie).T
+        return v1[..., :n][..., self.sub], v2[..., n:] - flow[..., n:], v1, v2
+
+    def _push_derivative(self, flows, beta, a0, x0, da0, dx0):
+        """Derivative along beta of the image of a trivial-bundle section
+        with values (a0, x0) and derivatives (da0, dx0) along beta, on one
+        argument pair or on stacked rows."""
+        z1, eta1, _, _ = self._push(flows.bundle(beta), a0, x0)
+        z2, eta2, _, _ = self._push(flows.bundle(), da0, dx0)
+        return z1 + z2, eta1 + eta2
 
     def T_inverse(self, p, z, eta):
         """Base covector direction and zero-fiber value reproducing the
@@ -583,29 +629,8 @@ class TrivializationMap:
 
         def der(p, beta):
             flows = self._flows(p)
-            p = np.asarray(p, dtype=float)
-            a0, x0 = section.value(p)
-            da0, dx0 = section.derivative(p, beta)
-            n = self.n
-            sa = self._sdual(a0)
-            dsa = self._sdual(da0)
-            ze = self.double.embed(x=self.inj @ x0[:self.k])
-            dze = self.double.embed(x=self.inj @ dx0[:self.k])
-            xie = self.double.embed(xi=self.compinj @ x0[self.k:])
-            dxie = self.double.embed(xi=self.compinj @ dx0[self.k:])
-            sinhc = flows.apply(linalg.SINHC)
-            dsinhc = flows.frechet(linalg.SINHC, beta)
-            dv1 = (flows.frechet(linalg.SINH_REM, beta) @ sa
-                   + flows.apply(linalg.SINH_REM) @ dsa
-                   - dsinhc @ ze
-                   - sinhc @ dze)
-            dv2 = (dsinhc @ sa
-                   + sinhc @ dsa
-                   - flows.frechet(linalg.SINH, beta) @ ze
-                   - flows.apply(linalg.SINH) @ dze)
-            em, dem = flows.exp_frechet(beta)
-            dflow = dem @ xie + em @ dxie
-            return dv1[:n][self.sub], dv2[n:] - dflow[n:]
+            return self._push_derivative(flows, beta, *section.value(p),
+                                         *section.derivative(p, beta))
 
         return AlgebroidSection(val, der)
 
@@ -616,17 +641,31 @@ class TrivializationMap:
         shapes (S, S, k) and (S, S, n).  Each section is evaluated once and
         differentiated once along each base basis direction; the derivative
         along another section's anchor is the contraction of those."""
-        z, xi, dz, dxi = _jets(p, sections, self.k)
-        anchors = nu_anchor((z, xi), p, self.field)
-        return _pair_brackets(self.field, p, z, xi, _along(anchors, dz),
-                              _along(anchors, dxi))
+        return _jet_brackets(self.field, p, *_jets(p, sections, self.k))
+
+    def _mapped_brackets(self, p, a0, x0, da0, dx0):
+        """Brackets [T s_i, T s_j] of every pair of trivial-bundle sections
+        pushed through the map, from the sections' values a0 (S, k), x0
+        (S, n) and basis-direction derivatives da0 (k, S, k), dx0 (k, S, n):
+        the values go through the map as one stack of rows, the derivatives
+        as one stack per basis direction."""
+        flows = self._flows(p)
+        z, eta, _, _ = self._push(flows.bundle(), a0, x0)
+        jets = [self._push_derivative(flows, e, a0, x0, da, dx)
+                for e, da, dx in zip(np.eye(self.k), da0, dx0)]
+        return _jet_brackets(self.field, p, z, eta,
+                             np.array([dz for dz, _ in jets]),
+                             np.array([deta for _, deta in jets]))
 
     def flatness_residual(self, p):
         """Largest bracket component over all pairs of basis horizontal
-        lifts at p (zero for a flat lift), every pair in one pass."""
-        lifts = [self.theta_section(e) for e in np.eye(self.k)]
-        zb, xb = self._section_brackets(p, lifts)
-        pairs = np.triu_indices(self.k, 1)
+        lifts at p (zero for a flat lift), every pair in one pass.  The lift
+        of e_a is the image of the constant section (e_a, 0)."""
+        k, n = self.k, self.n
+        zb, xb = self._mapped_brackets(p, np.eye(k), np.zeros((k, n)),
+                                       np.zeros((k, k, k)),
+                                       np.zeros((k, k, n)))
+        pairs = np.triu_indices(k, 1)
         return max(qbia._max_abs(zb[pairs]), qbia._max_abs(xb[pairs]))
 
     def psi_compatibility_residual(self, p, xmap, alpha):
@@ -634,30 +673,31 @@ class TrivializationMap:
         section against the vertical section of the derivative."""
         p = np.asarray(p, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
-        lift = self.theta_section(alpha)
-        vert = self.vertical_section(xmap)
-        zb, xb = nu_bracket(lift, vert, self.field).value(p)
+        zb, xb = self._section_brackets(
+            p, [self.theta_section(alpha), self.vertical_section(xmap)])
         mat, _, _ = self._phi_data(p)
         want = self.fiber_element(
             p, -np.linalg.solve(mat, xmap.jacobian(p) @ alpha))
-        return max(qbia._max_abs(zb - want[0]), qbia._max_abs(xb - want[1]))
+        return max(qbia._max_abs(zb[0, 1] - want[0]),
+                   qbia._max_abs(xb[0, 1] - want[1]))
 
     def bracket_morphism_residual(self, p, sections):
         """Largest residual of the map as a bracket morphism over every pair
         of the given trivial-bundle sections at p.
 
-        The left side brackets the mapped sections in the algebroid (one
-        pass over all pairs, see _section_brackets).  The right side is the
-        trivial bundle's bracket of each pair, built from the sections'
-        values and basis-direction derivatives: the vector-field bracket of
-        the base parts, and the base derivatives of the fiber parts plus the
-        fiber algebra bracket fiber_c.  All pairs then go through the map as
-        stacked rows.  The sections must provide exact derivatives.
+        The sections are evaluated once and differentiated once along each
+        base basis direction.  The left side brackets their images in the
+        algebroid, every pair in one pass, with the images' jets pushed
+        through the map from those (_mapped_brackets).  The right side is
+        the trivial bundle's bracket of each pair, built from the same jets:
+        the vector-field bracket of the base parts, and the base derivatives
+        of the fiber parts plus the fiber algebra bracket fiber_c.  All pairs
+        then go through the map as stacked rows.  The sections must provide
+        exact derivatives.
         """
         p = np.asarray(p, dtype=float)
-        zl, xl = self._section_brackets(
-            p, [self.compose_section(s) for s in sections])
         a0, x0, da0, dx0 = _jets(p, sections, self.k)
+        zl, xl = self._mapped_brackets(p, a0, x0, da0, dx0)
         base = _along(a0, da0)
         fiber = _along(a0, dx0)
         base = base - base.transpose(1, 0, 2)

@@ -672,23 +672,26 @@ class VertexDualAlgebra:
             self.dim, self.report["passed"])
 
 
-def vertex_dual(q0, field):
-    """Build and certify the dual algebra at the base point q0.
+def _bilinear(t, u, v):
+    """sum_ab u_a v_b t[a, b, :], broadcast over the stacked slots."""
+    return np.einsum('...a,...am->...m', u,
+                     np.einsum('abm,...b->...am', t, v))
 
-    The bracket formula is evaluated once, on every ordered pair of basis
-    elements at the same time (stacked contractions over the two slots), so
-    the antisymmetry residual compares the formula in both slot orders.  The
-    double's bracket of every basis pair is expanded in the basis by one
-    least-squares solve with dim**2 right-hand sides.
+
+def vertex_bracket(q0, field, l0):
+    """Basis and bracket of the dual algebra at the base point q0, from the
+    bracket formula alone, given the skew field value l0 at q0.
+
+    Returns the basis as rows inside the double, the structure constants,
+    and the formula's antisymmetry and closure residuals.  The formula is
+    evaluated once, on every ordered pair of basis elements at the same
+    time (stacked contractions over the two slots), so the antisymmetry
+    residual compares the formula in both slot orders.  vertex_dual
+    certifies the result.
     """
     G = field.G
     g = G.g
     n = G.dim
-    q0 = np.asarray(q0, dtype=float)
-    l0 = field.value(q0)
-    if linalg.skew_residual(l0) > SKEW_TOL:
-        raise ValueError("field value at the base point is not skew")
-    l0 = 0.5 * (l0 - l0.T)
     sub, comp = field.sub, field.comp
     k = len(sub)
     dim = k + len(comp)
@@ -705,11 +708,7 @@ def vertex_dual(q0, field):
     xis[:k] = np.einsum('abm,m->ab', field.sub_c, q0) @ inj.T
     xis[np.arange(k, dim), comp] = 1.0
 
-    def bil(t, u, v):
-        # sum_ab u_a v_b t[a, b, :], broadcast over the stacked slots
-        return np.einsum('...a,...am->...m', u,
-                         np.einsum('abm,...b->...am', t, v))
-
+    bil = _bilinear
     c_t = g.c.transpose(0, 2, 1)    # bil(c_t, x, xi) = ad(x).T @ xi
     w_t = w.transpose(0, 2, 1)      # bil(w_t, x, xi) = (x_i w[i]) @ xi
     w_v = w.transpose(1, 2, 0)      # bil(w_v, xi1, xi2)_i = xi1 @ w[i] @ xi2
@@ -743,13 +742,34 @@ def vertex_dual(q0, field):
 
     skew = qbia._max_abs(cstar + cstar.transpose(1, 0, 2))
     cstar = 0.5 * (cstar - cstar.transpose(1, 0, 2))
+    basis = np.hstack([zs @ inj.T, xis])
+    return basis, cstar, skew, closure
+
+
+def vertex_dual(q0, field):
+    """Build and certify the dual algebra at the base point q0.
+
+    The bracket comes from the formula (vertex_bracket).  The certificate
+    adds its Jacobi residual and compares it with the double of the
+    structure twisted by the field value at q0: the basis must be isotropic
+    there, and the double's bracket of every basis pair, expanded in the
+    basis by one least-squares solve with dim**2 right-hand sides, must
+    close and agree with the formula.
+    """
+    G = field.G
+    q0 = np.asarray(q0, dtype=float)
+    l0 = field.value(q0)
+    if linalg.skew_residual(l0) > SKEW_TOL:
+        raise ValueError("field value at the base point is not skew")
+    l0 = 0.5 * (l0 - l0.T)
+    basis, cstar, skew, closure = vertex_bracket(q0, field, l0)
+    dim = basis.shape[0]
     jac = lie.LieAlgebraData(cstar, check=False).jacobi_residual()
 
-    # certification against the double of the structure twisted by l0
     dtw = qbia.build_double(twist.apply_twist(G, l0))
-    basis = np.hstack([zs @ inj.T, xis])
     iso = qbia._max_abs(basis @ dtw.pairing @ basis.T)
-    v = bil(dtw.d.c, basis[:, None], basis[None]).reshape(dim * dim, -1).T
+    v = _bilinear(dtw.d.c, basis[:, None], basis[None])
+    v = v.reshape(dim * dim, -1).T
     coef, _, _, _ = np.linalg.lstsq(basis.T, v, rcond=None)
     dbl_closure = qbia._max_abs(basis.T @ coef - v)
     agree = qbia._max_abs(coef.T.reshape(dim, dim, dim) - cstar)

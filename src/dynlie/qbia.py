@@ -183,15 +183,18 @@ class DoubleAlgebra:
                              % (iso, clo))
 
     def pairing_invariance_residual(self):
-        t = np.einsum("ijm,mk->ijk", self.d.c, self.pairing)
+        t = self.d.c @ self.pairing
         return _max_abs(t + np.transpose(t, (0, 2, 1)))
 
     def lagrangian_residuals(self):
         """(isotropy, closure) residuals of the base block."""
         n = self.n
         b = self.split.inj1
+        first = self.split.first
         iso = _max_abs(b.T @ self.pairing @ b)
-        clo = _max_abs(np.einsum("ia,jb,ijm->abm", b, b, self.d.c)[:, :, n:])
+        # the injection selects coordinates, so the bracket of the base
+        # block is a slice of the structure constants
+        clo = _max_abs(self.d.c[np.ix_(first, first)][:, :, n:])
         return iso, clo
 
     def jacobi_residual(self):

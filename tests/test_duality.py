@@ -641,3 +641,117 @@ def test_check_differentiates_each_section_along_basis_directions(
     monkeypatch.setattr(duality.AlgebroidSection, "derivative", derivative)
     assert triv.check(samples=1)["passed"]
     assert len(calls) <= 158
+
+
+# -- stacked section jets and the per-point fiber isomorphism -------------------
+
+
+def _count_section_derivatives(monkeypatch, name):
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    calls = []
+    orig = duality.AlgebroidSection.derivative
+
+    def derivative(self, p, beta):
+        calls.append(1)
+        return orig(self, p, beta)
+
+    monkeypatch.setattr(duality.AlgebroidSection, "derivative", derivative)
+    assert triv.check(samples=1)["passed"]
+    return len(calls)
+
+
+def test_check_pushes_the_section_jets_through_the_map_stacked(monkeypatch):
+    # composing every trivial section with the map differentiated it once
+    # through the composite and once inside it: 86 derivative calls on
+    # ev-sl3 for one point; the bound is half of 86
+    assert _count_section_derivatives(monkeypatch, "ev-sl3") <= 43
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_check_builds_the_fiber_isomorphism_once_per_point(monkeypatch,
+                                                           samples):
+    # the vertical sections and the expected value of the compatibility
+    # residual built the phi matrix 6 times at one point
+    entry = catalog.get("ev-sl3")
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    points = []
+    orig = duality.TrivializationMap._phi_matrix
+
+    def phi_matrix(self, p, flows):
+        points.append(np.copy(p))
+        return orig(self, p, flows)
+
+    monkeypatch.setattr(duality.TrivializationMap, "_phi_matrix", phi_matrix)
+    rep = triv.check(samples=samples)
+    assert rep["passed"]
+    assert len(points) == rep["points"] == samples
+    if samples == 2:
+        assert not np.array_equal(points[0], points[1])
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_fiber_algebra_is_the_certified_dual_at_the_origin(name):
+    # the map reads the fiber bracket off the formula alone; the certified
+    # construction at the origin gives the same constants
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    origin = np.zeros(triv.k)
+    assert np.array_equal(triv.field.value(origin), np.zeros((triv.n,) * 2))
+    dual = dynamics.vertex_dual(origin, triv.field)
+    assert dual.report["passed"], dual.report
+    assert np.array_equal(triv.fiber_c, dual.c)
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3"])
+def test_phi_data_matches_the_column_by_column_construction(name):
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    field = triv.field
+    n, k = triv.n, triv.k
+    rng = np.random.default_rng(28)
+    p = dynamics.sample_domain_points(field, 1, seed=28, scale=0.4)[0]
+    beta = rng.standard_normal(k)
+    lm, dlm = field.value(p), field.derivative(p, beta)
+    cols = np.zeros((2 * n, n))
+    dcols = np.zeros((2 * n, n))
+    for idx in range(k):
+        xi = triv.inj @ np.einsum("bm,m->b", field.sub_c[idx], p)
+        dxi = triv.inj @ np.einsum("bm,m->b", field.sub_c[idx], beta)
+        cols[:, idx] = np.concatenate([triv.inj[:, idx] + lm @ xi, xi])
+        dcols[:, idx] = np.concatenate([dlm @ xi + lm @ dxi, dxi])
+    for j, b in enumerate(triv.comp):
+        xi = np.eye(n)[b]
+        cols[:, k + j] = np.concatenate([lm @ xi, xi])
+        dcols[:, k + j] = np.concatenate([dlm @ xi, np.zeros(n)])
+    rows = list(triv.sub) + [n + int(b) for b in triv.comp]
+    em = scipy.linalg.expm(-field._big_ad(p))
+    dem = scipy.linalg.expm_frechet(-field._big_ad(p),
+                                    -field._big_ad(beta))[1]
+    mat, leak, dmat = triv._phi_data(p, beta)
+    assert _close(mat, (em @ cols)[rows])
+    assert _close(dmat, (dem @ cols + em @ dcols)[rows])
+    assert leak <= duality.MEMBERSHIP_TOL
+    # the record answers again with the same arrays, as owned copies
+    again = triv._phi_data(p, beta)
+    assert np.array_equal(again[0], mat) and np.array_equal(again[2], dmat)
+    assert again[0] is not mat and again[0].flags.writeable
+
+
+def test_central_difference_fallback_evaluates_the_section_twice():
+    calls = []
+
+    def value(p):
+        calls.append(np.copy(p))
+        return np.array([np.sin(p[0]) * p[1]]), np.array([p[0] ** 3, p[1]])
+
+    section = duality.AlgebroidSection(value)
+    p = np.array([0.3, -1.2])
+    beta = np.array([0.7, 0.4])
+    da, db = section.derivative(p, beta)
+    assert len(calls) == 2
+    del calls[:]
+    ref_a = linalg.finite_diff(lambda q: section.value(q)[0], p, beta)
+    ref_b = linalg.finite_diff(lambda q: section.value(q)[1], p, beta)
+    assert np.array_equal(da, ref_a) and np.array_equal(db, ref_b)
+    assert da.shape == (1,) and db.shape == (2,)

@@ -364,3 +364,21 @@ def test_compatibility_canonical_vs_plain():
     rep = qbia.check_compatibility(G, dec)
     assert rep["compatible"]
     assert not rep["canonical"]
+
+
+def test_double_residuals_match_the_three_operand_contractions():
+    # the lagrangian and invariance residuals are read by contraction with
+    # the pairing and by slicing; on every catalog double they equal the
+    # residuals of the multi-operand einsum forms bit for bit
+    from dynlie import catalog
+
+    for name in catalog.names():
+        dbl = qbia.build_double(catalog.get(name).G)
+        t = np.einsum("ijm,mk->ijk", dbl.d.c, dbl.pairing)
+        inv = qbia._max_abs(t + np.transpose(t, (0, 2, 1)))
+        b = dbl.split.inj1
+        iso = qbia._max_abs(b.T @ dbl.pairing @ b)
+        clo = qbia._max_abs(
+            np.einsum("ia,jb,ijm->abm", b, b, dbl.d.c)[:, :, dbl.n:])
+        assert dbl.pairing_invariance_residual() == inv, name
+        assert dbl.lagrangian_residuals() == (iso, clo), name
