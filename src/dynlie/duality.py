@@ -315,10 +315,14 @@ class _PointFlows:
     """What the trivialization computes from one base point p of a canonical
     field (see TrivializationMap): matrix functions of a = ad(p) and the
     fiber isomorphism at p, and per direction their Frechet derivatives.
-    Each entry is computed on first use; its arrays are read-only."""
+    Each entry is computed on first use; its arrays are read-only.  The
+    field's flow exp(-a) and its derivatives come from the field's record
+    of p, whose derivative jet keeps one Frechet pair per base basis
+    direction."""
 
     def __init__(self, field, rec):
         self._field = field
+        self._rec = rec
         self._limit = field.G.dim ** 2
         self.a = _read_only(rec["ad_big"])
         self.exp_neg = _read_only(rec["big"])
@@ -366,11 +370,15 @@ class _PointFlows:
         return self._get(entry, fn, lambda: fn.frechet(self.a, entry["da"]))
 
     def exp_frechet(self, beta, sign=1):
-        """(exp(sign a), D exp(sign a)[sign ad(beta)])."""
+        """(exp(sign a), D exp(sign a)[sign ad(beta)]).  For sign -1 these
+        are the field's flow and its derivative from the field's jet."""
+        beta = np.asarray(beta, dtype=float)
         entry = self._along(beta)
-        return self._get(entry, ("exp", sign),
-                         lambda: scipy.linalg.expm_frechet(
-                             sign * self.a, sign * entry["da"]))
+        if sign < 0:
+            return self._get(entry, ("exp", -1), lambda: (
+                self.exp_neg, self._field._flow_derivative(self._rec, beta)))
+        return self._get(entry, ("exp", 1),
+                         lambda: scipy.linalg.expm_frechet(self.a, entry["da"]))
 
     def bundle(self, beta=None):
         """The matrices (SINH_REM, SINHC, SINH, exp) of a that the bundle
@@ -400,8 +408,11 @@ class TrivializationMap:
     isomorphism phi_p with its leakage (built once per point), and per
     direction beta (keyed on beta's shape and bytes, at most G.dim**2
     directions) ad(beta) with the Frechet derivatives of those functions,
-    of exp(+-a) and of the phi_p matrix.  Each entry is computed on first
-    use; its arrays are read-only, and _phi_data hands out copies.
+    of exp(+-a) and of the phi_p matrix.  The derivative of exp(-a) is the
+    field's: it comes from the Frechet pairs that the field's derivative
+    jet keeps per base basis direction, so it is never computed twice.
+    Each entry is computed on first use; its arrays are read-only, and
+    _phi_data hands out copies.
 
     flatness_residual, bracket_morphism_residual and
     psi_compatibility_residual take every pair of their sections at once:

@@ -81,6 +81,25 @@ class PolynomialMap:
         return 2.0 * np.einsum('mab,b->ma', self.c2, alpha)
 
 
+def _raise_outside(rep):
+    """Raise OutOfDomain for a domain report that refuses its point."""
+    if not rep["in_domain"]:
+        raise OutOfDomain("point outside domain: %s (spectral margin %.3e,"
+                          " block condition %.3e)"
+                          % (rep["failing"], rep["spectral_margin"],
+                             rep["block_condition"]))
+
+
+def _combine(alpha, basis_value, shape):
+    """Sum of alpha_b * basis_value(b) over the nonzero alpha_b, in order
+    of b; zeros of the given shape for alpha = 0."""
+    out = None
+    for b in np.flatnonzero(alpha):
+        term = alpha[b] * basis_value(b)
+        out = term if out is None else out + term
+    return np.zeros(shape) if out is None else out
+
+
 class LMatrixField:
     """A field of linear maps from covectors to vectors over a base that
     lives in the coordinates dual to the chosen subalgebra.
@@ -93,11 +112,16 @@ class LMatrixField:
     The cocom and canonical kinds keep a record of the last base point they
     evaluated, keyed on the point's shape and bytes: the domain report with
     the adjoint matrices and (canonical) the flow expm(-ad_big(p)) it was
-    computed from, the value, and derivatives keyed on the direction's
-    bytes (at most G.dim**2 of them).  Callers receive copies.  The record
-    is replaced as soon as another point comes in, so alternating between
-    points recomputes.  duality.TrivializationMap keeps its matrix
-    functions of the point in the same record (slot "flows").
+    computed from, the value, and the derivative jet.  The jet holds, per
+    base basis direction e_b and computed on first use, D_b = dl/dp_b and
+    (canonical) the Frechet derivative of the flow along e_b that D_b came
+    from.  The derivative is linear in its direction, so derivative(p,
+    alpha) is the sum of alpha_b D_b over the nonzero alpha_b, and zero
+    for alpha = 0.  Callers receive copies.  The record is replaced as
+    soon as another point comes in, so alternating between points
+    recomputes; cdybe_residual's finite-difference probes go around it
+    (_probe).  duality.TrivializationMap keeps its matrix functions of the
+    point in the same record (slot "flows").
     """
 
     def __init__(self, kind, G, decomp=None):
@@ -148,18 +172,32 @@ class LMatrixField:
                 rec["value"] = self._closed_form_value(rec)
             return rec["value"].copy()
         if self.kind == "gauged":
-            ad_big, theta, _, _ = self._gauge_data(p)
-            lb = self.base.value(p)
-            out = ad_big @ lb @ ad_big.T + theta
-            if self.potential is not None:
-                out = out + ad_big @ self.potential @ ad_big.T - self.potential
-            return out
+            return self._gauged_value(p, self.base.value(p))
         raise ValueError("unknown field kind %r" % self.kind)
+
+    def _probe(self, p):
+        """The value at p, evaluated without reading or replacing the point
+        record: cdybe_residual's finite-difference probes, so that the
+        record of the point they straddle survives them.  The domain check
+        and its OutOfDomain are those of value."""
+        p = self._check_point(p)
+        if self.kind in ("cocom", "canonical"):
+            rec = self._domain_record(p)
+            _raise_outside(rec["report"])
+            return self._closed_form_value(rec)
+        if self.kind == "shifted":
+            return self.base._probe(p) + self.offset
+        if self.kind == "gauged":
+            return self._gauged_value(p, self.base._probe(p))
+        return self.value(p)
 
     def derivative(self, p, alpha):
         """Exact directional derivative of the field at p along alpha."""
         p = self._check_point(p)
         alpha = np.asarray(alpha, dtype=float)
+        if alpha.shape != (self.base_dim,):
+            raise ValueError("direction must have %d coordinates"
+                             % self.base_dim)
         n = self.G.dim
         if self.kind == "polynomial":
             out = np.zeros((n, n))
@@ -173,13 +211,7 @@ class LMatrixField:
         if self.kind in ("cocom", "canonical"):
             self._require_domain(p)
             rec = self._at(p)
-            key = (alpha.shape, alpha.tobytes())
-            out = rec["derivative"].get(key)
-            if out is None:
-                out = self._closed_form_derivative(rec, alpha)
-                if len(rec["derivative"]) < n * n:
-                    rec["derivative"][key] = out
-            return out.copy()
+            return _combine(alpha, lambda b: self._jet(rec, b)[0], (n, n))
         if self.kind == "gauged":
             ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
             lb = self.base.value(p)
@@ -209,7 +241,7 @@ class LMatrixField:
         keeping the matrices they are computed from for the evaluators."""
         rep = {"in_domain": True, "spectral_margin": np.inf,
                "block_condition": 1.0, "failing": None}
-        rec = {"report": rep, "value": None, "derivative": {}}
+        rec = {"report": rep, "value": None, "jet": [None] * len(p)}
         small = self.double if self.kind == "cocom" else self.small_double
         rec["ad"] = small.d.ad_matrix(small.embed(xi=p))
         rep["spectral_margin"] = float(np.min(
@@ -243,29 +275,57 @@ class LMatrixField:
         return self.inj @ r_small @ self.inj.T - perp
 
     def _closed_form_derivative(self, rec, alpha):
+        """Derivative of the value along alpha and (canonical, else None)
+        the Frechet derivative of the flow expm(-ad_big(p)) along alpha
+        that it is computed from."""
         n, k = self.G.dim, self.base_dim
         if self.kind == "cocom":
             da = self.double.d.ad_matrix(self.double.embed(xi=alpha))
-            return linalg.F_MEROMORPHIC.frechet(rec["ad"], da)[:n, n:]
-        da = self.double.d.ad_matrix(self.double.embed(xi=self.inj @ alpha))
-        big, dbig = scipy.linalg.expm_frechet(-rec["ad_big"], -da)
-        m_blk, n_blk = big[:n, :n], big[:n, n:]
+            return linalg.F_MEROMORPHIC.frechet(rec["ad"], da)[:n, n:], None
+        big, dbig = scipy.linalg.expm_frechet(-rec["ad_big"],
+                                              -self._big_ad(alpha))
+        m_blk = big[:n, :n]
+        if "jet_perp" not in rec:
+            # M^-1 N diag_comp of the pair's exponential, solved once per
+            # point: that exponential does not depend on the direction
+            # (it differs from the value's expm in the last bits)
+            rec["jet_perp"] = np.linalg.solve(m_blk,
+                                              big[:n, n:] @ self.diag_comp)
         dm, dn = dbig[:n, :n], dbig[:n, n:]
-        nd = n_blk @ self.diag_comp
         dperp = (np.linalg.solve(m_blk, dn @ self.diag_comp)
-                 - np.linalg.solve(m_blk, dm @ np.linalg.solve(m_blk, nd)))
+                 - np.linalg.solve(m_blk, dm @ rec["jet_perp"]))
         da_small = self.small_double.d.ad_matrix(
             self.small_double.embed(xi=alpha))
         dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)[:k, k:]
-        return self.inj @ dr @ self.inj.T - dperp
+        return self.inj @ dr @ self.inj.T - dperp, dbig
+
+    def _jet(self, rec, b):
+        """Entry b of the record's derivative jet: the derivative along the
+        base basis direction e_b and the flow's Frechet derivative along it
+        (see _closed_form_derivative), computed on first use."""
+        jet = rec["jet"]
+        if jet[b] is None:
+            e = np.zeros(self.base_dim)
+            e[b] = 1.0
+            jet[b] = self._closed_form_derivative(rec, e)
+        return jet[b]
+
+    def _flow_derivative(self, rec, beta):
+        """Derivative of the canonical field's flow expm(-ad_big(p)) along
+        beta, from the Frechet pairs of the record's jet."""
+        return _combine(beta, lambda b: self._jet(rec, b)[1],
+                        rec["big"].shape)
 
     def _require_domain(self, p):
-        rep = in_domain(p, self)
-        if not rep["in_domain"]:
-            raise OutOfDomain("point outside domain: %s (spectral margin %.3e,"
-                              " block condition %.3e)"
-                              % (rep["failing"], rep["spectral_margin"],
-                                 rep["block_condition"]))
+        _raise_outside(in_domain(p, self))
+
+    def _gauged_value(self, p, lb):
+        """The gauged field at p from the base field's value lb there."""
+        ad_big, theta, _, _ = self._gauge_data(p)
+        out = ad_big @ lb @ ad_big.T + theta
+        if self.potential is not None:
+            out = out + ad_big @ self.potential @ ad_big.T - self.potential
+        return out
 
     def _gauge_data(self, p, alpha=None):
         """Adjoint flow of the gauge product e^{S_1}..e^{S_m} at p, the
@@ -550,15 +610,18 @@ def cdybe_residual(field, p, samples=8, seed=0):
     The cyclic form is assembled as a full 3-tensor against the structure's
     associator; the vector form, bilinear in its two covectors, is built
     apart from it on every basis pair from the double's structure tensor.
-    The directional derivatives use the exact evaluators and are
-    cross-checked against central differences, taken first so that the
-    point record is left at p.  `passed` holds the cyclic, vector and skew
-    residuals to FLOW_TOLS.
+    The directional derivatives use the exact evaluators (for the cocom
+    and canonical kinds, the basis entries of the point record's jet) and
+    are cross-checked against central differences.  The probes of those
+    go around the point record (_probe), so the record of p serves every
+    evaluation here and after; a probe outside the domain raises
+    OutOfDomain.  `passed` holds the cyclic, vector and skew residuals to
+    FLOW_TOLS.
     """
     G = field.G
     n = G.dim
     eye = np.eye(field.base_dim)
-    fd = [linalg.finite_diff(field.value, p, e) for e in eye]
+    fd = [linalg.finite_diff(field._probe, p, e) for e in eye]
     lmat = field.value(p)
     dl = np.zeros((n, n, n))
     for i, e in zip(field.sub, eye):

@@ -442,6 +442,24 @@ def test_check_computes_each_flow_of_a_base_point_once(monkeypatch):
     assert len(calls) <= 10
 
 
+def test_check_shares_the_fields_frechet_pairs(monkeypatch):
+    # the derivative of phi_p reads the field's flow derivative from the
+    # Frechet pairs of the field's jet, so no expm_frechet input repeats;
+    # computed apart, this check made 6 calls on 4 distinct inputs
+    entry = catalog.get("ev-sl3")
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    inputs = []
+    orig = scipy.linalg.expm_frechet
+
+    def expm_frechet(a, e, *args, **kwargs):
+        inputs.append(a.tobytes() + e.tobytes())
+        return orig(a, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm_frechet", expm_frechet)
+    assert triv.check(samples=1)["passed"]
+    assert len(inputs) == len(set(inputs)) == 4
+
+
 def _record_outputs(triv, p, seed):
     """Every evaluator that reads the point record, at p."""
     rng = np.random.default_rng(seed)

@@ -703,8 +703,8 @@ def test_flow_sweep_is_the_per_point_maximum(name):
 
 
 def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
-    # the central differences move the record to p +- h e; taking them
-    # first leaves it at p for the equivariance checks that follow
+    # the central differences at p +- h e build records of their own but
+    # keep none, so the one record of p serves every check that follows
     entry = catalog.get("ev-sl3")
     field = dyn.canonical_field(entry.G, entry.decomp)
     p = np.array([0.3, -0.2])
@@ -721,6 +721,113 @@ def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
         dyn.equivariance_residual(field, p, z)
     assert len(calls) == 1 + 2 * field.base_dim
     assert np.array_equal(calls[-1], p)
+
+
+# -- the derivative jet of the point record -----------------------------------
+
+
+def count_calls(monkeypatch, owner, attr):
+    """Count the calls of owner.attr; returns the list of call arguments."""
+    calls = []
+    orig = getattr(owner, attr)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_derivative_is_linear_in_the_basis_jet(name, monkeypatch):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    k, n = field.base_dim, field.G.dim
+    frechet = count_calls(monkeypatch, scipy.linalg, "expm_frechet")
+    rng = np.random.default_rng(60)
+    for p in dyn.sample_domain_points(field, 3, seed=7, scale=1.0):
+        # along 0 the derivative is exact zeros and nothing is computed
+        del frechet[:]
+        dl0 = field.derivative(p, np.zeros(k))
+        assert np.array_equal(dl0, np.zeros((n, n)))
+        assert not frechet
+        rec = field._at(p)
+        assert rec["jet"] == [None] * k
+        for e in np.eye(k):
+            assert np.array_equal(field.derivative(p, e),
+                                  field._closed_form_derivative(rec, e)[0])
+        for _ in range(3):
+            alpha = rng.standard_normal(k)
+            direct = field._closed_form_derivative(rec, alpha)[0]
+            err = np.max(np.abs(field.derivative(p, alpha) - direct))
+            assert err <= 1e-13 * (1.0 + np.max(np.abs(direct)))
+        with pytest.raises(ValueError):
+            field.derivative(p, np.ones(k + 1))
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+def test_sweep_op_builds_one_record_and_one_frechet_pair_per_direction(
+        name, monkeypatch):
+    # one op of the sweep: the domain check, both forms of the flow
+    # equations, then equivariance along every base basis direction
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    k = field.base_dim
+    records = count_calls(monkeypatch, dyn.LMatrixField, "_domain_record")
+    frechet = count_calls(monkeypatch, scipy.linalg, "expm_frechet")
+    for p in dyn.sample_domain_points(field, 2, seed=8, scale=1.0):
+        del records[:], frechet[:]
+        assert dyn.in_domain(p, field)["in_domain"]
+        assert dyn.cdybe_residual(field, p)["passed"]
+        for z in np.eye(k):
+            assert dyn.equivariance_residual(field, p, z) <= 1e-8
+        # the record of p, plus one per finite-difference probe
+        assert len(records) == 2 * k + 1
+        assert len(frechet) == k
+
+
+def test_probe_equals_value_and_leaves_the_record():
+    G = invariant_structure()
+    dec = cartan_split(G)
+    base = dyn.canonical_field(G, dec)
+    fields = cached_kinds() + [
+        dyn.shifted_field(base, rskew(3, np.random.default_rng(61))),
+        dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15)),
+        dyn.polynomial_field(G, dec, coeff0=rskew(3, np.random.default_rng(62)))]
+    for field in fields:
+        p, q = dyn.sample_domain_points(field, 2, seed=9)
+        field.value(p)
+        owner = getattr(field, "base", field)
+        kept = owner._last
+        probe = field._probe(q)
+        assert owner._last is kept
+        assert np.array_equal(probe, field.value(q))
+
+
+def test_finite_difference_probe_outside_the_domain_raises():
+    # a point just inside the block-condition edge whose forward probe
+    # p + h e_0 lies outside it
+    entry = catalog.get("su2-lagrangian")
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    e0 = np.eye(field.base_dim)[0]
+    inside, outside = 1.0, 1.0
+    while dyn.in_domain(outside * e0, field)["in_domain"]:
+        inside, outside = outside, 1.25 * outside
+    while outside - inside > 0.25 * linalg.CBRT_EPS * (1.0 + inside):
+        mid = 0.5 * (inside + outside)
+        if dyn.in_domain(mid * e0, field)["in_domain"]:
+            inside = mid
+        else:
+            outside = mid
+    p = inside * e0
+    step = linalg.CBRT_EPS * (1.0 + inside)
+    assert dyn.in_domain(p, field)["in_domain"]
+    assert not dyn.in_domain(p + step * e0, field)["in_domain"]
+    with pytest.raises(dyn.OutOfDomain):
+        dyn.cdybe_residual(field, p)
+    with pytest.raises(dyn.OutOfDomain):
+        field._probe(p + step * e0)
 
 
 def _ref_vertex_dual(q0, field):
