@@ -27,6 +27,7 @@ precondition of the dual construction).
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -548,7 +549,9 @@ def cmd_catalog(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dynlie",
         description="verify, evaluate, and dualize quasi-bialgebra specs")
@@ -585,7 +588,11 @@ def main(argv=None):
     pc.add_argument("name", nargs="?")
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_catalog)
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     # argparse reads a token with a leading "-" as an option unless it is a
     # plain number, so a point like "-0.3,0.2" would be rejected.  No option
     # starts with "-" and a digit, and a token that starts with a space is

@@ -119,9 +119,15 @@ class LMatrixField:
     alpha) is the sum of alpha_b D_b over the nonzero alpha_b, and zero
     for alpha = 0.  Callers receive copies.  The record is replaced as
     soon as another point comes in, so alternating between points
-    recomputes; cdybe_residual's finite-difference probes go around it
-    (_probe).  duality.TrivializationMap keeps its matrix functions of the
-    point in the same record (slot "flows").
+    recomputes.  duality.TrivializationMap keeps its matrix functions of
+    the point in the same record (slot "flows").
+
+    Records are built by one stacked pass over any number of points
+    (_domain_records, _closed_form_values): the record of a point is the
+    pass over that point alone, and cdybe_residual's finite-difference
+    probes are one pass over all of them (_probe), which reads and
+    replaces no record.  Each slice of a pass is bitwise the pass over its
+    point alone.
     """
 
     def __init__(self, kind, G, decomp=None):
@@ -169,27 +175,38 @@ class LMatrixField:
             self._require_domain(p)
             rec = self._at(p)
             if rec["value"] is None:
-                rec["value"] = self._closed_form_value(rec)
+                rec["value"] = self._closed_form_values([rec])[0]
             return rec["value"].copy()
         if self.kind == "gauged":
             return self._gauged_value(p, self.base.value(p))
         raise ValueError("unknown field kind %r" % self.kind)
 
-    def _probe(self, p):
-        """The value at p, evaluated without reading or replacing the point
-        record: cdybe_residual's finite-difference probes, so that the
-        record of the point they straddle survives them.  The domain check
-        and its OutOfDomain are those of value."""
-        p = self._check_point(p)
+    def _probe(self, q):
+        """The values at a stack of base points q (m x k), or the value at
+        one point, evaluated without reading or replacing the point record:
+        cdybe_residual's finite-difference probes, so that the record of
+        the point they straddle survives them.  The cocom and canonical
+        kinds run one stacked pass (shifted and gauged fields through their
+        base), in which every point gets the domain check of value before
+        any value is computed; the first point outside the domain raises
+        value's OutOfDomain."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            return self._probe(self._check_point(q)[None])[0]
+        if q.ndim != 2 or q.shape[1] != self.base_dim:
+            raise ValueError("base points must have %d coordinates"
+                             % self.base_dim)
         if self.kind in ("cocom", "canonical"):
-            rec = self._domain_record(p)
-            _raise_outside(rec["report"])
-            return self._closed_form_value(rec)
+            recs = self._domain_records(q)
+            for rec in recs:
+                _raise_outside(rec["report"])
+            return self._closed_form_values(recs)
         if self.kind == "shifted":
-            return self.base._probe(p) + self.offset
+            return self.base._probe(q) + self.offset
         if self.kind == "gauged":
-            return self._gauged_value(p, self.base._probe(p))
-        return self.value(p)
+            return np.array([self._gauged_value(point, lb)
+                             for point, lb in zip(q, self.base._probe(q))])
+        return np.array([self.value(point) for point in q])
 
     def derivative(self, p, alpha):
         """Exact directional derivative of the field at p along alpha."""
@@ -227,52 +244,68 @@ class LMatrixField:
     # -- internals ----------------------------------------------------------
 
     def _big_ad(self, p):
-        return self.double.d.ad_matrix(self.double.embed(xi=self.inj @ p))
+        """ad_big(p), or the stack of them for a stack of points."""
+        return self.double.d.ad_matrix(self.double.embed(xi=p @ self.inj.T))
 
     def _at(self, p):
         """The record of the validated base point p (cocom, canonical)."""
         key = (p.shape, p.tobytes())
         if self._last[0] != key:
-            self._last = (key, self._domain_record(p))
+            self._last = (key, self._domain_records(p[None])[0])
         return self._last[1]
 
-    def _domain_record(self, p):
-        """Evaluate the two domain conditions at p (see `in_domain`),
-        keeping the matrices they are computed from for the evaluators."""
-        rep = {"in_domain": True, "spectral_margin": np.inf,
-               "block_condition": 1.0, "failing": None}
-        rec = {"report": rep, "value": None, "jet": [None] * len(p)}
-        small = self.double if self.kind == "cocom" else self.small_double
-        rec["ad"] = small.d.ad_matrix(small.embed(xi=p))
-        rep["spectral_margin"] = float(np.min(
-            linalg._dist_to_ipi_nonzero(linalg.spectrum(rec["ad"]))))
-        if rep["spectral_margin"] < SPECTRAL_MARGIN:
-            rep["in_domain"] = False
-            rep["failing"] = "spectral-margin"
-        elif self.kind == "canonical":
-            n = self.G.dim
-            rec["ad_big"] = self._big_ad(p)
-            rec["big"] = scipy.linalg.expm(-rec["ad_big"])
-            try:
-                rep["block_condition"] = float(
-                    np.linalg.cond(rec["big"][:n, :n]))
-            except np.linalg.LinAlgError:
-                # the flow overflowed: no condition number, out of domain
-                rep["block_condition"] = np.inf
-            if not rep["block_condition"] < BLOCK_COND_LIMIT:
-                rep["in_domain"] = False
-                rep["failing"] = "block-condition"
-        return rec
+    def _domain_records(self, ps):
+        """Evaluate the two domain conditions (see `in_domain`) at each
+        point of the stack ps, keeping per point the matrices they are
+        computed from for the evaluators: one record per point.
 
-    def _closed_form_value(self, rec):
+        The stack takes one eig call, whose eigenvalues give the spectral
+        margin and which F_MEROMORPHIC keeps for the value, and (canonical)
+        one expm and one cond call over the points that pass the margin.
+        """
+        recs = []
+        small = self.double if self.kind == "cocom" else self.small_double
+        ads = small.d.ad_matrix(small.embed(xi=ps))
+        margins = np.min(linalg._dist_to_ipi_nonzero(
+            linalg.F_MEROMORPHIC.eigvals(ads)), axis=-1).tolist()
+        for ad, margin in zip(ads, margins):
+            rep = {"in_domain": True, "spectral_margin": margin,
+                   "block_condition": 1.0, "failing": None}
+            if margin < SPECTRAL_MARGIN:
+                rep["in_domain"] = False
+                rep["failing"] = "spectral-margin"
+            recs.append({"report": rep, "value": None,
+                         "jet": [None] * self.base_dim, "ad": ad})
+        live = [i for i, rec in enumerate(recs) if rec["report"]["in_domain"]]
+        if self.kind == "canonical" and live:
+            n = self.G.dim
+            ad_big = self._big_ad(ps[live])
+            big = scipy.linalg.expm(-ad_big)
+            m_blk = big[:, :n, :n]
+            # an overflowed flow has no condition number: out of domain
+            conds = np.full(len(live), np.inf)
+            finite = np.all(np.isfinite(m_blk), axis=(1, 2))
+            if finite.any():
+                conds[finite] = np.linalg.cond(m_blk[finite])
+            for i, a, b, cond in zip(live, ad_big, big, conds.tolist()):
+                rep = recs[i]["report"]
+                rep["block_condition"] = cond
+                if not cond < BLOCK_COND_LIMIT:
+                    rep["in_domain"] = False
+                    rep["failing"] = "block-condition"
+                recs[i]["ad_big"], recs[i]["big"] = a, b
+        return recs
+
+    def _closed_form_values(self, recs):
+        """The values at the points of the records (cocom, canonical), as a
+        stack: one F apply and (canonical) one solve for all of them."""
         n, k = self.G.dim, self.base_dim
+        r = linalg.F_MEROMORPHIC.apply(np.stack([rec["ad"] for rec in recs]))
         if self.kind == "cocom":
-            return linalg.F_MEROMORPHIC.apply(rec["ad"])[:n, n:]
-        big = rec["big"]
-        m_blk, n_blk = big[:n, :n], big[:n, n:]
-        r_small = linalg.F_MEROMORPHIC.apply(rec["ad"])[:k, k:]
-        perp = np.linalg.solve(m_blk, n_blk @ self.diag_comp)
-        return self.inj @ r_small @ self.inj.T - perp
+            return r[:, :n, n:]
+        big = np.stack([rec["big"] for rec in recs])
+        perp = np.linalg.solve(big[:, :n, :n], big[:, :n, n:] @ self.diag_comp)
+        return self.inj @ r[:, :k, k:] @ self.inj.T - perp
 
     def _closed_form_derivative(self, rec, alpha):
         """Derivative of the value along alpha and (canonical, else None)
@@ -612,20 +645,21 @@ def cdybe_residual(field, p, samples=8, seed=0):
     apart from it on every basis pair from the double's structure tensor.
     The directional derivatives use the exact evaluators (for the cocom
     and canonical kinds, the basis entries of the point record's jet) and
-    are cross-checked against central differences.  The probes of those
-    go around the point record (_probe), so the record of p serves every
-    evaluation here and after; a probe outside the domain raises
-    OutOfDomain.  `passed` holds the cyclic, vector and skew residuals to
-    FLOW_TOLS.
+    are cross-checked against Richardson-extrapolated central differences
+    (linalg.finite_diff along every base direction).  All 4k probes of
+    those run as one stacked pass that goes around the point record
+    (_probe), so the record of p serves every evaluation here and after;
+    a probe outside the domain raises OutOfDomain.  `passed` holds the
+    cyclic, vector and skew residuals to FLOW_TOLS.
     """
     G = field.G
     n = G.dim
     eye = np.eye(field.base_dim)
-    fd = [linalg.finite_diff(field._probe, p, e) for e in eye]
     lmat = field.value(p)
     dl = np.zeros((n, n, n))
     for i, e in zip(field.sub, eye):
         dl[i] = field.derivative(p, e)
+    fd = linalg.finite_diff(field._probe, p)
 
     term1 = dl.transpose(0, 2, 1)
     term2 = np.einsum('ai,bj,abk->ijk', lmat, lmat, G.g.c)
@@ -649,17 +683,20 @@ def cdybe_residual(field, p, samples=8, seed=0):
            + np.einsum('km,ijm->ijk', lmat, brk[:, :, n:]) - brk[:, :, :n])
     vector_residual = qbia._max_abs(vec)
     agreement = qbia._max_abs(vec - cyclic)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        xi = rng.standard_normal(n)
-        eta = rng.standard_normal(n)
-        v = np.einsum('ijk,i,j->k', vec, xi, eta)
-        ref = np.einsum('ijk,i,j->k', cyclic, xi, eta)
-        scalefac = 1.0 + float(np.linalg.norm(xi) * np.linalg.norm(eta))
-        vector_residual = max(vector_residual,
-                              float(np.max(np.abs(v))) / scalefac)
-        agreement = max(agreement,
-                        float(np.max(np.abs(v - ref))) / scalefac)
+    if samples > 0:
+        # sampled covector pairs (xi_s, eta_s), drawn in pair order
+        pairs = np.random.default_rng(seed).standard_normal((samples, 2, n))
+        xi, eta = pairs[:, 0], pairs[:, 1]
+        v = np.einsum('ijk,si,sj->sk', vec, xi, eta)
+        ref = np.einsum('ijk,si,sj->sk', cyclic, xi, eta)
+        # |x|^2 per row as a 1 x n by n x 1 product: the dot product that
+        # np.linalg.norm takes, so the scale is bitwise that of one pair
+        sq = (pairs[:, :, None, :] @ pairs[:, :, :, None])[:, :, 0, 0]
+        scalefac = 1.0 + np.sqrt(sq[:, 0]) * np.sqrt(sq[:, 1])
+        vector_residual = max(vector_residual, float(np.max(
+            np.max(np.abs(v), axis=1) / scalefac)))
+        agreement = max(agreement, float(np.max(
+            np.max(np.abs(v - ref), axis=1) / scalefac)))
 
     fd_err = 0.0
     for i, fd_i in zip(field.sub, fd):

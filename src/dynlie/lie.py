@@ -45,8 +45,10 @@ class LieAlgebraData:
         return np.einsum("i,j,ijk->k", x, y, self.c)
 
     def ad_matrix(self, x):
-        """Matrix of ad_x = [x, .] acting on coordinate columns."""
-        return np.einsum("i,ikj->kj", np.asarray(x, dtype=float), self.ad)
+        """Matrix of ad_x = [x, .] acting on coordinate columns; for a stack
+        of vectors x, the stack of their matrices."""
+        return np.einsum("...i,ikj->...kj", np.asarray(x, dtype=float),
+                         self.ad)
 
     def coad_matrix(self, x):
         """Coadjoint action on the dual: <coad_x xi, y> = -<xi, [x, y]>."""

@@ -282,10 +282,14 @@ class AnalyticFunction:
 
     Carries the Taylor table at 0 with its convergence radius, a closed-form
     complex evaluator used away from 0, and the scalar derivative (for the
-    divided-difference matrices of the Frechet derivative).  `apply` and
-    `frechet` eigendecompose their matrix at most once (not at all when it
-    is the matrix of this function's previous call); they take the eigen
-    route when cond(V) < EIG_COND_LIMIT and the series otherwise.
+    divided-difference matrices of the Frechet derivative).  `apply` takes a
+    matrix or a stack of them, `frechet` one matrix.  A call eigendecomposes
+    each of its matrices at most once, with one eig call for all of them,
+    and not at all for a matrix the memo holds: the memo keeps the matrices
+    of the last call that brought a new one, and every zero matrix it has
+    seen (the adjoint of a point in an abelian algebra is 0 everywhere).
+    Each matrix takes the eigen route when cond(V) < EIG_COND_LIMIT and the
+    series otherwise.
     """
 
     def __init__(self, name, coeffs, radius, fz, dfz, singular_distance=None):
@@ -298,7 +302,8 @@ class AnalyticFunction:
         self._poly = self.coeffs[:SCALAR_SERIES_TERMS][::-1]
         dc = self.coeffs[1:] * np.arange(1, len(self.coeffs))
         self._dpoly = dc[:SCALAR_SERIES_TERMS][::-1]
-        self._last = (None, None, {})
+        self._memo = {}
+        self._series_memo = {}
 
     def __repr__(self):
         return "AnalyticFunction(%r)" % self.name
@@ -312,42 +317,85 @@ class AnalyticFunction:
     @staticmethod
     def _scalar(z, poly, closed):
         """The Taylor polynomial on entries with |z| < SCALAR_SERIES_CUTOFF,
-        the closed form on the others; each runs on its own entries only."""
+        the closed form on the others; each runs on its own entries only,
+        and not at all when it has none."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         small = np.abs(z) < SCALAR_SERIES_CUTOFF
         out = np.empty_like(z)
-        out[small] = np.polyval(poly, z[small])
-        out[~small] = closed(z[~small])
+        if small.any():
+            out[small] = np.polyval(poly, z[small])
+        if not small.all():
+            out[~small] = closed(z[~small])
         return out
 
-    def _decompose(self, a):
-        """Eigen data of a: {w, v, vinv, fw = f(w)}, or None when cond(V) is
-        not below EIG_COND_LIMIT (the caller then takes the series).
+    def _eig(self, a):
+        """The memo entries {w, v} of the slices of the stack a, in order.
 
-        One eig call; the singular-set check runs on its eigenvalues.  The
-        result for the last matrix is kept, since callers evaluate f and its
-        Frechet derivative at one ad(p) many times in a row.
+        The slices the memo does not hold are decomposed by one eig call
+        and replace the memo, which keeps the held slices of a and the zero
+        matrices; an entry is what np.linalg.eig returns for its slice
+        alone, real when its spectrum is.  A new slice drops the kept
+        series results.
         """
-        key = (a.shape, a.tobytes())
-        last_key, last, _ = self._last
-        if last_key == key:
-            return last
-        w, v = np.linalg.eig(a)
-        if self._singular_distance is not None:
-            d = float(np.min(self._singular_distance(w)))
-            if d < SINGULAR_SET_TOL:
-                raise SpectrumOnSingularSet(
-                    "%s: eigenvalue within %.3g of a singularity" % (self.name, d))
-        eig = None
-        if np.linalg.cond(v) < EIG_COND_LIMIT:
-            eig = {"w": w, "v": v, "vinv": np.linalg.inv(v), "fw": self.f(w)}
-        self._last = (key, eig, {})
-        return eig
+        memo = self._memo
+        keys = [x.tobytes() for x in a]
+        todo = {key: x for key, x in zip(keys, a) if key not in memo}
+        if todo:
+            w, v = np.linalg.eig(np.array(list(todo.values())))
+            real = (~np.any(w.imag, axis=-1)).tolist()
+            kept = {key: memo[key] for key in keys if key in memo}
+            # a zero matrix (all bytes zero) stays for good
+            kept.update((key, e) for key, e in memo.items()
+                        if not key.strip(b"\0"))
+            for key, wi, vi, r in zip(todo, w, v, real):
+                kept[key] = {"w": wi.real, "v": vi.real} if r else {
+                    "w": wi, "v": vi}
+            memo = self._memo = kept
+            self._series_memo = {}
+        return [memo[key] for key in keys]
+
+    def eigvals(self, a):
+        """Eigenvalues of a square matrix, or of each slice of a stack, as
+        complex rows: those of the eig call that apply and frechet take, so
+        an apply of the same matrices that follows decomposes nothing."""
+        a = np.asarray(a, dtype=float)
+        rows = [e["w"] for e in self._eig(_check_stack(a))]
+        return np.array(rows, dtype=complex).reshape(a.shape[:-1])
+
+    def _decompose(self, a):
+        """Eigen data of each slice of the stack a: its memo entry with vinv
+        and fw = f(w) added, or None when cond(V) is not below
+        EIG_COND_LIMIT (the caller then takes the series).
+
+        The singular-set check runs on the eigenvalues of every new slice
+        before any route is chosen.  cond(V) takes one call per eigenvector
+        dtype and f(w) one call for the whole stack; inv(V) runs per slice.
+        """
+        entries = self._eig(a)
+        new = list({id(e): e for e in entries if "fw" not in e}.values())
+        if new:
+            w = np.array([e["w"] for e in new], dtype=complex)
+            if self._singular_distance is not None:
+                d = self._singular_distance(w.ravel()).reshape(w.shape)
+                for dist in np.min(d, axis=1):
+                    if dist < SINGULAR_SET_TOL:
+                        raise SpectrumOnSingularSet(
+                            "%s: eigenvalue within %.3g of a singularity"
+                            % (self.name, dist))
+            conds = _per_dtype(np.linalg.cond, [e["v"] for e in new])
+            good = [i for i, c in enumerate(conds) if c < EIG_COND_LIMIT]
+            fw = self.f(w[good].ravel()).reshape(len(good), w.shape[1])
+            for e in new:
+                e["fw"] = None
+            for i, fw_i in zip(good, fw):
+                new[i]["vinv"] = np.linalg.inv(new[i]["v"])
+                new[i]["fw"] = fw_i
+        return [None if e["fw"] is None else e for e in entries]
 
     def _series(self, a):
         """A copy of entire_series_apply(coeffs, a).  Up to a.size results
-        are kept until `_decompose` sees another matrix."""
-        memo = self._last[2]
+        are kept until `_eig` sees a new matrix."""
+        memo = self._series_memo
         out = memo.get(a.tobytes())
         if out is None:
             try:
@@ -361,24 +409,43 @@ class AnalyticFunction:
         return out.copy()
 
     @staticmethod
-    def _realify(a, fa):
-        if np.isrealobj(a):
-            scale = 1.0 + np.linalg.norm(fa)
-            if np.max(np.abs(fa.imag)) > 1e-8 * scale:
-                raise EvaluationFailed("unexpected imaginary part in real matrix function")
-            return fa.real
-        return fa
+    def _realify(fa):
+        """The real part of f of real matrices (a stack or one), after
+        checking that each imaginary part is roundoff."""
+        scale = 1.0 + np.linalg.norm(fa, axis=(-2, -1))
+        if np.any(np.max(np.abs(fa.imag), axis=(-2, -1)) > 1e-8 * scale):
+            raise EvaluationFailed("unexpected imaginary part in real matrix function")
+        return fa.real
 
     def apply(self, a):
-        """f(a): eigen route when cond(V) < EIG_COND_LIMIT, else the series."""
-        a = _check_square(np.asarray(a, dtype=float))
+        """f(a) for a square matrix, or f of each slice of a stack of them
+        (m x N x N): eigen route per slice when cond(V) < EIG_COND_LIMIT,
+        else the series.  Each slice is bitwise f of that slice alone, and
+        the memo keeps it with the slice's eigen data."""
+        a = np.asarray(a, dtype=float)
+        stack = _check_stack(a)
         if not a.size:
-            return np.zeros((0, 0))
-        eig = self._decompose(a)
-        if eig is None:
-            return assert_finite(self._series(a))
-        fa = (eig["v"] * eig["fw"]) @ eig["vinv"]
-        return assert_finite(self._realify(a, fa))
+            return np.zeros(a.shape)
+        eigs = self._decompose(stack)
+        new = list({id(e): e for e in eigs
+                    if e is not None and "fa" not in e}.values())
+        if new:
+            v = np.array([e["v"] for e in new])
+            fw = np.array([e["fw"] for e in new])
+            vinv = np.array([e["vinv"] for e in new])
+            fa = (v * fw[:, None, :]) @ vinv
+            self._realify(fa)
+            for e, fa_e in zip(new, fa):
+                e["fa"] = fa_e
+        if None in eigs:
+            out = np.array([self._series(x) if e is None else e["fa"].real
+                            for x, e in zip(stack, eigs)])
+        else:
+            # the real part stays a strided view of the complex product:
+            # numpy multiplies that layout without BLAS, and callers'
+            # products with the result keep their rounding
+            out = np.array([e["fa"] for e in eigs]).real
+        return assert_finite(out.reshape(a.shape))
 
     def frechet(self, a, e):
         """Directional derivative D f(a)[e], exact up to roundoff.
@@ -393,26 +460,46 @@ class AnalyticFunction:
             raise NonSquare("direction shape %s != matrix shape %s" % (e.shape, a.shape))
         if not a.size:
             return np.zeros((0, 0))
-        eig = self._decompose(a)
+        eig = self._decompose(a[None])[0]
         if eig is not None:
             if "dd" not in eig:
-                eig["dd"] = self._divided_differences(eig["w"])
+                eig["dd"] = self._divided_differences(eig["w"], eig["fw"])
             v, vinv = eig["v"], eig["vinv"]
             out = v @ ((vinv @ e @ v) * eig["dd"]) @ vinv
-            return assert_finite(self._realify(a, out))
+            return assert_finite(self._realify(out))
         n = a.shape[0]
         big = np.block([[a, e], [np.zeros_like(a), a]])
         return assert_finite(self._series(big)[:n, n:])
 
-    def _divided_differences(self, w):
+    def _divided_differences(self, w, fw):
         scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
         dw = w[:, None] - w[None, :]
         close = np.abs(dw) < DD_CLOSE_TOL * scale
-        fw = self.f(w)
         num = fw[:, None] - fw[None, :]
         mid = 0.5 * (w[:, None] + w[None, :])
         quot = np.where(close, 1.0, num / np.where(close, 1.0, dw))
         return np.where(close, self.df(mid.ravel()).reshape(mid.shape), quot)
+
+
+def _check_stack(a):
+    """a as a stack of square matrices (a matrix is a stack of one)."""
+    if a.ndim == 2:
+        return _check_square(a)[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NonSquare("expected a square matrix or a stack of them, got "
+                        "shape %s" % (a.shape,))
+    return a
+
+
+def _per_dtype(fn, arrays):
+    """[fn(x) for x in arrays] by one stacked call of fn per dtype, so each
+    result is that of the array alone (a stack takes one dtype)."""
+    out = [None] * len(arrays)
+    for dtype in {x.dtype for x in arrays}:
+        idx = [i for i, x in enumerate(arrays) if x.dtype == dtype]
+        for i, r in zip(idx, fn(np.stack([arrays[i] for i in idx]))):
+            out[i] = r
+    return out
 
 
 def _coth(z):
@@ -503,16 +590,31 @@ def d_ad_power(x, u, v, n, algebra):
     return out
 
 
-def finite_diff(field, p, direction):
+def finite_diff(field, p, direction=None):
     """Central difference (field(p + h d) - field(p - h d)) / 2h.
 
-    The step is h = cbrt(eps) * (1 + |p|).  Any DomainViolation raised
-    by the evaluator (including domain errors of dynamical fields, which
-    subclass it) propagates.
+    The step is h = cbrt(eps) * (1 + |p|).  Without a direction, field is
+    a stacked evaluator (a stack of points in, the stack of their values
+    out), and the result is the stack of derivatives along every basis
+    direction e_b, each one Richardson step (4 D(h/2) - D(h)) / 3 on the
+    central differences D of step h and h/2.  Its 4k probes go to field as
+    one stack: first p + h e_b, p - h e_b for each b in order, then the
+    same at h/2.  Any DomainViolation raised by the evaluator (including
+    domain errors of dynamical fields, which subclass it) propagates.
     """
     p = np.asarray(p, dtype=float)
-    direction = np.asarray(direction, dtype=float)
     step = CBRT_EPS * (1.0 + np.linalg.norm(p))
+    if direction is None:
+        k = len(p)
+        # probes[j, b, s] = p + steps[j, s] e_b
+        steps = step * np.array([[1.0, -1.0], [0.5, -0.5]])
+        probes = p + steps[:, None, :, None] * np.eye(k)[:, None, :]
+        vals = np.asarray(field(probes.reshape(4 * k, k)), dtype=float)
+        vals = vals.reshape((2, k, 2) + vals.shape[1:])
+        d_h = (vals[0, :, 0] - vals[0, :, 1]) / (2.0 * step)
+        d_half = (vals[1, :, 0] - vals[1, :, 1]) / step
+        return (4.0 * d_half - d_h) / 3.0
+    direction = np.asarray(direction, dtype=float)
     fp = np.asarray(field(p + step * direction), dtype=float)
     fm = np.asarray(field(p - step * direction), dtype=float)
     return (fp - fm) / (2.0 * step)

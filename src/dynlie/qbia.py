@@ -201,12 +201,13 @@ class DoubleAlgebra:
         return self.d.jacobi_residual()
 
     def embed(self, x=None, xi=None):
-        """Ambient vector with base part x and dual part xi."""
-        v = np.zeros(2 * self.n)
+        """Ambient vector with base part x and dual part xi; for stacks of
+        parts, the stack of vectors."""
+        v = np.zeros(np.shape(xi if x is None else x)[:-1] + (2 * self.n,))
         if x is not None:
-            v[:self.n] = x
+            v[..., :self.n] = x
         if xi is not None:
-            v[self.n:] = xi
+            v[..., self.n:] = xi
         return v
 
     def __repr__(self):

@@ -1,5 +1,7 @@
 """Tests for spec files, verification reports, and the command line."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -349,3 +351,20 @@ def test_lcan_rejects_non_finite_point(tmp_path, capsys, point):
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert captured.out == ""
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys,
+                                                 monkeypatch):
+    path = tmp_path / "p.spec"
+    path.write_text(ROT_SPEC)
+    argv = ["lcan", str(path), "-0.3,0.2,0.1"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    built = []
+    monkeypatch.setattr(argparse, "ArgumentParser",
+                        lambda *args, **kwargs: built.append(args))
+    # later calls reuse the parser, leading-minus point and all
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli.main(["catalog", "list"]) == 0
+    assert built == []

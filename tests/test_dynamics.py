@@ -228,6 +228,13 @@ def test_overflowing_flow_is_reported_out_of_domain(name, norm):
     assert rep["block_condition"] == np.inf
     with pytest.raises(dyn.OutOfDomain):
         f.value(p)
+    # in a stacked pass the overflowed slice is refused alone
+    inside = dyn.sample_domain_points(f, 1, seed=0)[0]
+    recs = f._domain_records(np.array([inside, p, inside]))
+    assert [rec["report"] for rec in recs] == [dyn.in_domain(inside, f), rep,
+                                               dyn.in_domain(inside, f)]
+    with pytest.raises(dyn.OutOfDomain):
+        f._probe(np.array([inside, p]))
 
 
 @pytest.mark.parametrize("kind", ["zero", "cocom", "canonical"])
@@ -703,24 +710,20 @@ def test_flow_sweep_is_the_per_point_maximum(name):
 
 
 def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
-    # the central differences at p +- h e build records of their own but
-    # keep none, so the one record of p serves every check that follows
+    # the finite-difference probes are one stacked pass that keeps no
+    # record, so the one record of p serves every check that follows
     entry = catalog.get("ev-sl3")
     field = dyn.canonical_field(entry.G, entry.decomp)
     p = np.array([0.3, -0.2])
-    calls = []
-    orig = dyn.LMatrixField._domain_record
-
-    def domain_record(self, q):
-        calls.append(q.copy())
-        return orig(self, q)
-
-    monkeypatch.setattr(dyn.LMatrixField, "_domain_record", domain_record)
+    passes = count_calls(monkeypatch, dyn.LMatrixField, "_domain_records")
     dyn.cdybe_residual(field, p)
     for z in np.eye(field.base_dim):
         dyn.equivariance_residual(field, p, z)
-    assert len(calls) == 1 + 2 * field.base_dim
-    assert np.array_equal(calls[-1], p)
+    assert [len(points) for _, points in passes] == [1, 4 * field.base_dim]
+    assert np.array_equal(passes[0][1], [p])
+    rec = field._last[1]
+    assert dyn.in_domain(p, field)["in_domain"]
+    assert len(passes) == 2 and field._last[1] is rec
 
 
 # -- the derivative jet of the point record -----------------------------------
@@ -774,16 +777,17 @@ def test_sweep_op_builds_one_record_and_one_frechet_pair_per_direction(
     entry = catalog.get(name)
     field = dyn.canonical_field(entry.G, entry.decomp)
     k = field.base_dim
-    records = count_calls(monkeypatch, dyn.LMatrixField, "_domain_record")
+    passes = count_calls(monkeypatch, dyn.LMatrixField, "_domain_records")
     frechet = count_calls(monkeypatch, scipy.linalg, "expm_frechet")
     for p in dyn.sample_domain_points(field, 2, seed=8, scale=1.0):
-        del records[:], frechet[:]
+        del passes[:], frechet[:]
         assert dyn.in_domain(p, field)["in_domain"]
         assert dyn.cdybe_residual(field, p)["passed"]
         for z in np.eye(k):
             assert dyn.equivariance_residual(field, p, z) <= 1e-8
-        # the record of p, plus one per finite-difference probe
-        assert len(records) == 2 * k + 1
+        # the record of p, then one pass over the 4k finite-difference
+        # probes
+        assert [len(points) for _, points in passes] == [1, 4 * k]
         assert len(frechet) == k
 
 
@@ -828,6 +832,171 @@ def test_finite_difference_probe_outside_the_domain_raises():
         dyn.cdybe_residual(field, p)
     with pytest.raises(dyn.OutOfDomain):
         field._probe(p + step * e0)
+
+
+def ray_points(field, seed, cap=64.0, rays=2):
+    """In-domain points along seeded rays: norms from 0.01 up by 1.5x while
+    the ray stays in the domain (and below cap), then a point just inside
+    the edge when the ray leaves it."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(rays):
+        u = rng.standard_normal(field.base_dim)
+        u /= np.linalg.norm(u)
+        inside, t = None, 0.01
+        while t <= cap and dyn.in_domain(t * u, field)["in_domain"]:
+            pts.append(t * u)
+            inside, t = t, 1.5 * t
+        if t <= cap and inside is not None:
+            for _ in range(10):
+                mid = 0.5 * (inside + t)
+                if dyn.in_domain(mid * u, field)["in_domain"]:
+                    inside = mid
+                else:
+                    t = mid
+            pts.append(inside * u)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_stacked_pass_is_bitwise_the_value_at_each_point(name):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    pts = ray_points(field, seed=70)
+    assert len(pts) > 10
+    reports = [rec["report"] for rec in field._domain_records(pts)]
+    stacked = field._probe(pts)
+    for q, rep, val in zip(pts, reports, stacked):
+        assert rep == dyn.in_domain(q, field)
+        assert np.array_equal(val, field.value(q))
+
+
+def test_stacked_pass_is_bitwise_the_value_for_every_kind():
+    G = invariant_structure()
+    base = dyn.canonical_field(G, cartan_split(G))
+    for field, cap in (
+            (dyn.cocom_field(G), 64.0),
+            (dyn.shifted_field(base, rskew(3, np.random.default_rng(72))), 64.0),
+            # the gauge factor grows like p^2 and its flow overflows far out
+            (dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15)), 8.0)):
+        pts = ray_points(field, seed=71, cap=cap)
+        assert len(pts) > 10
+        for q, val in zip(pts, field._probe(pts)):
+            assert np.array_equal(val, field.value(q))
+
+
+def test_stacked_pass_raises_for_the_first_point_outside_the_domain():
+    entry = catalog.get("su2-lagrangian")
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    e0 = np.eye(field.base_dim)[0]
+    inside = list(dyn.sample_domain_points(field, 2, seed=73))
+    # a finite block condition past the edge, and an overflowed flow
+    far, overflowed = 60.0 * e0, 1e5 * e0
+    messages = []
+    for q in (far, overflowed):
+        with pytest.raises(dyn.OutOfDomain) as err:
+            field.value(q)
+        messages.append(str(err.value))
+    assert messages[0] != messages[1]
+    for order, want in (((far, overflowed), messages[0]),
+                        ((overflowed, far), messages[1])):
+        with pytest.raises(dyn.OutOfDomain) as err:
+            field._probe(np.array(inside + list(order)))
+        assert str(err.value) == want
+
+
+def test_zero_small_double_slices_make_no_eig_call(monkeypatch):
+    # 7 of the 9 entries have an abelian subalgebra: the small double's
+    # ad(p) is 0 at every point, and F(0) stays in the function's memo
+    abelian = 0
+    for name in catalog.names():
+        entry = catalog.get(name)
+        field = dyn.canonical_field(entry.G, entry.decomp)
+        k = field.base_dim
+        p = dyn.sample_domain_points(field, 1, seed=74)[0]
+        field.value(p)
+        probes = p + 1e-3 * np.concatenate([np.eye(k), -np.eye(k)])
+        zero = not np.any(field.small_double.d.ad[k:])
+        calls = count_calls(monkeypatch, np.linalg, "eig")
+        field._probe(probes)
+        monkeypatch.undo()
+        assert len(calls) == (0 if zero else 1), name
+        abelian += zero
+    assert abelian == 7
+
+
+def flow_tensors(field, p):
+    """The cyclic and vector forms of the flow equations at p as 3-tensors,
+    formed exactly as cdybe_residual forms them."""
+    G = field.G
+    n = G.dim
+    lmat = field.value(p)
+    dl = np.zeros((n, n, n))
+    for i, e in zip(field.sub, np.eye(field.base_dim)):
+        dl[i] = field.derivative(p, e)
+    e3 = (dl.transpose(0, 2, 1)
+          - np.einsum('ai,bj,abk->ijk', lmat, lmat, G.g.c)
+          - np.einsum('ai,akj->ijk', lmat, G.varpi))
+    cyclic = e3 + e3.transpose(1, 2, 0) + e3.transpose(2, 0, 1) - G.phi
+    cd = field.double.d.c
+    brk = (np.einsum('ai,ajm->ijm', lmat, cd[:n, n:])
+           + np.einsum('bj,ibm->ijm', lmat, cd[n:, :n]) + cd[n:, n:])
+    vec = (dl.transpose(0, 2, 1) - dl.transpose(2, 0, 1)
+           - dl.transpose(1, 2, 0)
+           - np.einsum('ai,bj,abk->ijk', lmat, lmat, cd[:n, :n, :n])
+           + np.einsum('km,ijm->ijk', lmat, brk[:, :, n:]) - brk[:, :, :n])
+    return cyclic, vec
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 4])
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+def test_sampled_pairs_are_bitwise_the_pair_loop(name, samples):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    for p in dyn.sample_domain_points(field, 2, seed=75, scale=0.8):
+        rep = dyn.cdybe_residual(field, p, samples=samples, seed=76)
+        cyclic, vec = flow_tensors(field, p)
+        vector_residual = qbia._max_abs(vec)
+        agreement = qbia._max_abs(vec - cyclic)
+        rng = np.random.default_rng(76)
+        for _ in range(samples):
+            xi = rng.standard_normal(field.G.dim)
+            eta = rng.standard_normal(field.G.dim)
+            v = np.einsum('ijk,i,j->k', vec, xi, eta)
+            ref = np.einsum('ijk,i,j->k', cyclic, xi, eta)
+            scalefac = 1.0 + float(np.linalg.norm(xi) * np.linalg.norm(eta))
+            vector_residual = max(vector_residual,
+                                  float(np.max(np.abs(v))) / scalefac)
+            agreement = max(agreement,
+                            float(np.max(np.abs(v - ref))) / scalefac)
+        assert rep["vector_residual"] == vector_residual
+        assert rep["forms_agreement"] == agreement
+
+
+def test_fd_check_converges_where_the_central_difference_did_not():
+    # sl2-involution is periodic in the far field; at |p| = 56.7 the
+    # central difference alone is off the exact derivative by 5.1e-6
+    entry = catalog.get("sl2-involution")
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    for p in (np.array([56.7]), np.array([-56.7])):
+        assert dyn.in_domain(p, field)["in_domain"]
+        rep = dyn.cdybe_residual(field, p)
+        assert rep["derivative_fd_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+def test_fd_check_fails_a_wrong_derivative(name, monkeypatch):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    p = dyn.sample_domain_points(field, 1, seed=77)[0]
+    assert dyn.cdybe_residual(field, p)["derivative_fd_residual"] <= 1e-6
+    right = field.derivative
+    bump = rskew(field.G.dim, np.random.default_rng(78), scale=1e-4)
+    for wrong in (lambda q, alpha: 1.001 * right(q, alpha),
+                  lambda q, alpha: right(q, alpha) + bump):
+        monkeypatch.setattr(field, "derivative", wrong)
+        rep = dyn.cdybe_residual(field, p)
+        assert rep["derivative_fd_residual"] > 1e-6
 
 
 def _ref_vertex_dual(q0, field):

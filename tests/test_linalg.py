@@ -294,6 +294,59 @@ def test_repeated_matrix_reuses_its_eigendecomposition(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("fn", [linalg.F_MEROMORPHIC, linalg.SINHC,
+                                linalg.TANH])
+def test_stacked_apply_is_bitwise_each_slice_alone(fn, monkeypatch):
+    rng = np.random.default_rng(25)
+    a = random_matrix(rng, 4)
+    sym = a + a.T
+    # a real spectrum, a complex one, the series route, and a repeat
+    stack = np.stack([sym, a - a.T + 0.3 * sym, jordan(0.6, 4), sym])
+    other = random_matrix(rng, 4)
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    fn.apply(other)
+    out = fn.apply(stack)
+    assert [m.shape for m in calls] == [(1, 4, 4), (3, 4, 4)]
+    w = fn.eigvals(stack)
+    assert len(calls) == 2
+    for x, fx, wx in zip(stack, out, w):
+        # drop the memo, so that x is decomposed alone
+        fn.apply(other)
+        assert np.array_equal(fx, fn.apply(x))
+        assert np.array_equal(wx, np.linalg.eigvals(x))
+    assert fn.apply(np.zeros((2, 0, 0))).shape == (2, 0, 0)
+    with pytest.raises(linalg.NonSquare):
+        fn.apply(np.zeros((2, 3, 4)))
+
+
+def test_finite_diff_along_every_basis_direction():
+    p = np.array([0.7, -1.3, 0.4])
+    calls = []
+
+    def field(qs):
+        calls.append(qs.copy())
+        return np.stack([np.sin(10.0 * qs[:, 0]) * qs[:, 1], qs[:, 2] ** 3],
+                        axis=1)
+
+    exact = np.array([[10.0 * np.cos(7.0) * p[1], 0.0],
+                      [np.sin(7.0), 0.0],
+                      [0.0, 3.0 * p[2] ** 2]])
+    d = linalg.finite_diff(field, p)
+    # every probe in one call: +-h e_b for each b, then +-h/2 e_b
+    h = linalg.CBRT_EPS * (1.0 + np.linalg.norm(p))
+    eye = np.eye(3)
+    want = [p + s * e for scale in (h, 0.5 * h) for e in eye
+            for s in (scale, -scale)]
+    assert len(calls) == 1 and np.array_equal(calls[0], want)
+    # the Richardson step removes the h^2 error of the central difference
+    central = np.array([linalg.finite_diff(lambda q: field(q[None])[0], p, e)
+                        for e in eye])
+    assert np.max(np.abs(central - exact)) > 1e-8
+    assert np.max(np.abs(d - exact)) < 1e-9
+
+
 @pytest.fixture
 def series_calls(monkeypatch):
     """Records the matrices `entire_series_apply` is called on."""
