@@ -17,6 +17,8 @@ Builders cover four families:
 * symmetric-pair duals obtained from an involutive automorphism.
 """
 
+from itertools import permutations
+
 import numpy as np
 
 from . import duality, dynamics, lie, linalg, qbia, twist
@@ -358,6 +360,33 @@ def _ev_dual_tables(g, decomp, roots, pair, phivals, star):
     return cerr, verr, perr
 
 
+def _ev_phi_support(k, roots, pair, gens):
+    """Where the associator of a plain-Cartan root-system twist can be
+    nonzero: a boolean mask over its (n, n, n) entries.
+
+    The twist sends the covector e^{pair s} to r_s e_s, and the Cartan
+    pairing is orthonormal with opposite root vectors paired to one, so
+    the twisted associator is phi0 (1 + 4 (r_a r_b + r_b r_c + r_c r_a))
+    entrywise, where phi0 is the untwisted one and slot a carries
+    r_{pair a} (0 on the Cartan slots).  phi0 lives on the weight-zero
+    triples.  On (h, s, pair s) the factor is 1 - 4 r_s^2, which vanishes
+    for the constant coefficients +-1/2 and not for the hyperbolic ones
+    (|r_s| > 1/2).  On three roots summing to zero it vanishes always: by
+    the addition rule of coth when all three lie in the span of the
+    selected roots (at most one can lie outside it), and by the +-1/2
+    values otherwise.  So the support is (h, s, pair s), h a Cartan slot
+    and s a root in that span, with its permutations.
+    """
+    n = k + len(roots)
+    mask = np.zeros((n, n, n), dtype=bool)
+    for s, gamma in roots.items():
+        if _in_root_span(gamma, gens):
+            for h in range(k):
+                for idx in permutations((h, s, pair[s])):
+                    mask[idx] = True
+    return mask
+
+
 def build_EV(rank=1, Gamma=(), mu=None, C0=None):
     """Root-system twist with hyperbolic-cotangent coefficients.
 
@@ -366,9 +395,11 @@ def build_EV(rank=1, Gamma=(), mu=None, C0=None):
     selected simple roots (indices in Gamma) get half the hyperbolic
     cotangent of minus half their pairing with the offset mu, all other
     roots get plus or minus one half by positivity.  C0 is an optional
-    antisymmetric Cartan block; when it is zero the twist is certified
-    against the membership conditions of the twist variety and the dual
-    structure is certified against its explicit coefficient tables.
+    antisymmetric Cartan block; when it is zero the twisted associator
+    holds exact zeros off its support (_ev_phi_support), the twist is
+    certified against the membership conditions of the twist variety and
+    the dual structure is certified against its explicit coefficient
+    tables.
 
     Raises SingularMu when a selected root pairs to zero with mu.
     """
@@ -410,6 +441,10 @@ def build_EV(rank=1, Gamma=(), mu=None, C0=None):
     phi = 0.25 * lie.invariant_triple_tensor(g, B)
     G0 = qbia.QuasiBialgebra(g, np.zeros((n, n, n)), phi)
     Gr = twist.apply_twist(G0, rho)
+    if plain_cartan:
+        # exact zeros where the twisted associator vanishes identically,
+        # in place of the roundoff the twist formula leaves there
+        Gr.phi[~_ev_phi_support(k, roots, pair, gens)] = 0.0
     crep = qbia.check_compatibility(Gr, decomp)
     fixtures = [
         _fixture("twist-is-canonical",

@@ -317,8 +317,9 @@ class _PointFlows:
     fiber isomorphism at p, and per direction their Frechet derivatives.
     Each entry is computed on first use; its arrays are read-only.  The
     field's flow exp(-a) and its derivatives come from the field's record
-    of p, whose derivative jet keeps one Frechet pair per base basis
-    direction."""
+    of p, whose derivative jet is one pass of the Frechet kernel
+    (linalg.expm_frechet) over every base basis direction; the exp(+a)
+    pairs of a stack of directions are one kernel call as well."""
 
     def __init__(self, field, rec):
         self._field = field
@@ -370,15 +371,25 @@ class _PointFlows:
         return self._get(entry, fn, lambda: fn.frechet(self.a, entry["da"]))
 
     def exp_frechet(self, beta, sign=1):
-        """(exp(sign a), D exp(sign a)[sign ad(beta)]).  For sign -1 these
-        are the field's flow and its derivative from the field's jet."""
+        """(exp(sign a), D exp(sign a)[sign ad(beta)]) for one direction
+        beta, or their list for a stack of directions, whose exp(+a) pairs
+        not kept yet come from one kernel call.  For sign -1 these are the
+        field's flow and its derivative from the field's jet."""
         beta = np.asarray(beta, dtype=float)
+        if beta.ndim == 2:
+            todo = [e for e in map(self._along, beta) if ("exp", 1) not in e]
+            if sign > 0 and todo:
+                r, ds = linalg.expm_frechet(
+                    self.a, np.array([e["da"] for e in todo]))
+                for e, d in zip(todo, ds):
+                    self._get(e, ("exp", 1), lambda d=d: (r, d))
+            return [self.exp_frechet(b, sign) for b in beta]
         entry = self._along(beta)
         if sign < 0:
             return self._get(entry, ("exp", -1), lambda: (
                 self.exp_neg, self._field._flow_derivative(self._rec, beta)))
         return self._get(entry, ("exp", 1),
-                         lambda: scipy.linalg.expm_frechet(self.a, entry["da"]))
+                         lambda: linalg.expm_frechet(self.a, entry["da"]))
 
     def bundle(self, beta=None):
         """The matrices (SINH_REM, SINHC, SINH, exp) of a that the bundle
@@ -409,8 +420,8 @@ class TrivializationMap:
     direction beta (keyed on beta's shape and bytes, at most G.dim**2
     directions) ad(beta) with the Frechet derivatives of those functions,
     of exp(+-a) and of the phi_p matrix.  The derivative of exp(-a) is the
-    field's: it comes from the Frechet pairs that the field's derivative
-    jet keeps per base basis direction, so it is never computed twice.
+    field's: it comes from the field's derivative jet, one kernel pass
+    over the base basis directions, so it is never computed twice.
     Each entry is computed on first use; its arrays are read-only, and
     _phi_data hands out copies.
 
@@ -661,9 +672,12 @@ class TrivializationMap:
         the values go through the map as one stack of rows, the derivatives
         as one stack per basis direction."""
         flows = self._flows(p)
+        eye = np.eye(self.k)
+        # the exp(+a) pairs of every basis direction, in one kernel call
+        flows.exp_frechet(eye)
         z, eta, _, _ = self._push(flows.bundle(), a0, x0)
         jets = [self._push_derivative(flows, e, a0, x0, da, dx)
-                for e, da, dx in zip(np.eye(self.k), da0, dx0)]
+                for e, da, dx in zip(eye, da0, dx0)]
         return _jet_brackets(self.field, p, z, eta,
                              np.array([dz for dz, _ in jets]),
                              np.array([deta for _, deta in jets]))

@@ -112,15 +112,17 @@ class LMatrixField:
     The cocom and canonical kinds keep a record of the last base point they
     evaluated, keyed on the point's shape and bytes: the domain report with
     the adjoint matrices and (canonical) the flow expm(-ad_big(p)) it was
-    computed from, the value, and the derivative jet.  The jet holds, per
-    base basis direction e_b and computed on first use, D_b = dl/dp_b and
-    (canonical) the Frechet derivative of the flow along e_b that D_b came
-    from.  The derivative is linear in its direction, so derivative(p,
-    alpha) is the sum of alpha_b D_b over the nonzero alpha_b, and zero
-    for alpha = 0.  Callers receive copies.  The record is replaced as
-    soon as another point comes in, so alternating between points
-    recomputes.  duality.TrivializationMap keeps its matrix functions of
-    the point in the same record (slot "flows").
+    computed from, the value, and the derivative jet.  The jet is computed
+    whole on first use, by one pass over every base basis direction e_b
+    (_closed_form_derivative on the identity): the stack of D_b = dl/dp_b
+    and (canonical) the stack of the flow's Frechet derivatives along e_b
+    that they came from.  The derivative is linear in its direction, so
+    derivative(p, alpha) is the sum of alpha_b D_b over the nonzero
+    alpha_b, and zero for alpha = 0.  Callers receive copies.  The base
+    basis directions' adjoint matrices are built once per field.  The
+    record is replaced as soon as another point comes in, so alternating
+    between points recomputes.  duality.TrivializationMap keeps its matrix
+    functions of the point in the same record (slot "flows").
 
     Records are built by one stacked pass over any number of points
     (_domain_records, _closed_form_values): the record of a point is the
@@ -135,6 +137,7 @@ class LMatrixField:
         self.G = G
         self.decomp = decomp
         self._last = (None, None)
+        self._basis_ads = None
         n = G.dim
         if decomp is None:
             self.sub = np.arange(n)
@@ -228,7 +231,7 @@ class LMatrixField:
         if self.kind in ("cocom", "canonical"):
             self._require_domain(p)
             rec = self._at(p)
-            return _combine(alpha, lambda b: self._jet(rec, b)[0], (n, n))
+            return _combine(alpha, lambda b: self._jet(rec)[0][b], (n, n))
         if self.kind == "gauged":
             ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
             lb = self.base.value(p)
@@ -274,8 +277,8 @@ class LMatrixField:
             if margin < SPECTRAL_MARGIN:
                 rep["in_domain"] = False
                 rep["failing"] = "spectral-margin"
-            recs.append({"report": rep, "value": None,
-                         "jet": [None] * self.base_dim, "ad": ad})
+            recs.append({"report": rep, "value": None, "jet": None,
+                         "ad": ad})
         live = [i for i, rec in enumerate(recs) if rec["report"]["in_domain"]]
         if self.kind == "canonical" and live:
             n = self.G.dim
@@ -307,46 +310,64 @@ class LMatrixField:
         perp = np.linalg.solve(big[:, :n, :n], big[:, :n, n:] @ self.diag_comp)
         return self.inj @ r[:, :k, k:] @ self.inj.T - perp
 
-    def _closed_form_derivative(self, rec, alpha):
-        """Derivative of the value along alpha and (canonical, else None)
-        the Frechet derivative of the flow expm(-ad_big(p)) along alpha
-        that it is computed from."""
+    def _closed_form_derivative(self, rec, alphas):
+        """Derivatives of the value along each direction of the stack
+        alphas (m x k), as a stack, and (canonical, else None) the stack of
+        Frechet derivatives of the flow expm(-ad_big(p)) along them that
+        they are computed from.  All directions share one
+        linalg.expm_frechet call, one F_MEROMORPHIC.frechet call and one
+        solve; each slice is bitwise the call on that direction alone."""
         n, k = self.G.dim, self.base_dim
+        das = self._direction_ads(alphas)
         if self.kind == "cocom":
-            da = self.double.d.ad_matrix(self.double.embed(xi=alpha))
-            return linalg.F_MEROMORPHIC.frechet(rec["ad"], da)[:n, n:], None
-        big, dbig = scipy.linalg.expm_frechet(-rec["ad_big"],
-                                              -self._big_ad(alpha))
+            dl = linalg.F_MEROMORPHIC.frechet(rec["ad"], das)[:, :n, n:]
+            return dl, None
+        da_big, da_small = das
+        big, dbig = linalg.expm_frechet(-rec["ad_big"], -da_big)
         m_blk = big[:n, :n]
         if "jet_perp" not in rec:
             # M^-1 N diag_comp of the pair's exponential, solved once per
-            # point: that exponential does not depend on the direction
-            # (it differs from the value's expm in the last bits)
+            # point (it differs from the value's expm in the last bits)
             rec["jet_perp"] = np.linalg.solve(m_blk,
                                               big[:n, n:] @ self.diag_comp)
-        dm, dn = dbig[:n, :n], dbig[:n, n:]
-        dperp = (np.linalg.solve(m_blk, dn @ self.diag_comp)
-                 - np.linalg.solve(m_blk, dm @ rec["jet_perp"]))
-        da_small = self.small_double.d.ad_matrix(
-            self.small_double.embed(xi=alpha))
-        dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)[:k, k:]
+        m = len(alphas)
+        sol = np.linalg.solve(m_blk, np.concatenate(
+            [dbig[:, :n, n:] @ self.diag_comp,
+             dbig[:, :n, :n] @ rec["jet_perp"]]))
+        dperp = sol[:m] - sol[m:]
+        dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)[:, :k, k:]
         return self.inj @ dr @ self.inj.T - dperp, dbig
 
-    def _jet(self, rec, b):
-        """Entry b of the record's derivative jet: the derivative along the
-        base basis direction e_b and the flow's Frechet derivative along it
-        (see _closed_form_derivative), computed on first use."""
-        jet = rec["jet"]
-        if jet[b] is None:
-            e = np.zeros(self.base_dim)
-            e[b] = 1.0
-            jet[b] = self._closed_form_derivative(rec, e)
-        return jet[b]
+    def _direction_ads(self, alphas):
+        """The adjoint matrices along the stacked base directions alphas
+        that _closed_form_derivative differentiates: the double's (cocom),
+        or ad_big and the small double's (canonical).  Those of the base
+        basis are built once per field."""
+        basis = np.array_equal(alphas, np.eye(self.base_dim))
+        if basis and self._basis_ads is not None:
+            return self._basis_ads
+        if self.kind == "cocom":
+            ads = self.double.d.ad_matrix(self.double.embed(xi=alphas))
+        else:
+            small = self.small_double
+            ads = (self._big_ad(alphas),
+                   small.d.ad_matrix(small.embed(xi=alphas)))
+        if basis:
+            self._basis_ads = ads
+        return ads
+
+    def _jet(self, rec):
+        """The record's derivative jet: _closed_form_derivative along every
+        base basis direction, computed whole on first use."""
+        if rec["jet"] is None:
+            rec["jet"] = self._closed_form_derivative(
+                rec, np.eye(self.base_dim))
+        return rec["jet"]
 
     def _flow_derivative(self, rec, beta):
         """Derivative of the canonical field's flow expm(-ad_big(p)) along
-        beta, from the Frechet pairs of the record's jet."""
-        return _combine(beta, lambda b: self._jet(rec, b)[1],
+        beta, from the Frechet derivatives of the record's jet."""
+        return _combine(beta, lambda b: self._jet(rec)[1][b],
                         rec["big"].shape)
 
     def _require_domain(self, p):
@@ -380,7 +401,7 @@ class LMatrixField:
             if want_d:
                 ds_val = jac @ alpha
                 dad_s = g.ad_matrix(ds_val)
-                de_s = scipy.linalg.expm_frechet(ad_s, dad_s)[1]
+                de_s = linalg.expm_frechet(ad_s, dad_s)[1]
                 dg_s = linalg.EXPM1_OVER.frechet(ad_s, dad_s)
                 djac = f.jacobian_derivative(p, alpha)
                 ddmap = (ddmap + dpre @ g_s @ jac + pre @ dg_s @ jac

@@ -13,6 +13,7 @@ the tests compare against; the two routes are not compared at run time.
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import zeta
 
 EPS = float(np.finfo(float).eps)
@@ -283,11 +284,12 @@ class AnalyticFunction:
     Carries the Taylor table at 0 with its convergence radius, a closed-form
     complex evaluator used away from 0, and the scalar derivative (for the
     divided-difference matrices of the Frechet derivative).  `apply` takes a
-    matrix or a stack of them, `frechet` one matrix.  A call eigendecomposes
-    each of its matrices at most once, with one eig call for all of them,
-    and not at all for a matrix the memo holds: the memo keeps the matrices
-    of the last call that brought a new one, and every zero matrix it has
-    seen (the adjoint of a point in an abelian algebra is 0 everywhere).
+    matrix or a stack of them, `frechet` one matrix with one direction or a
+    stack of them.  A call eigendecomposes each of its matrices at most
+    once, with one eig call for all of them, and not at all for a matrix
+    the memo holds: the memo keeps the matrices of the last call that
+    brought a new one, and every zero matrix it has seen (the adjoint of a
+    point in an abelian algebra is 0 everywhere).
     Each matrix takes the eigen route when cond(V) < EIG_COND_LIMIT and the
     series otherwise.
     """
@@ -368,8 +370,8 @@ class AnalyticFunction:
         EIG_COND_LIMIT (the caller then takes the series).
 
         The singular-set check runs on the eigenvalues of every new slice
-        before any route is chosen.  cond(V) takes one call per eigenvector
-        dtype and f(w) one call for the whole stack; inv(V) runs per slice.
+        before any route is chosen.  cond(V) and inv(V) take one call per
+        eigenvector dtype, and f(w) one call for the whole stack.
         """
         entries = self._eig(a)
         new = list({id(e): e for e in entries if "fw" not in e}.values())
@@ -385,10 +387,11 @@ class AnalyticFunction:
             conds = _per_dtype(np.linalg.cond, [e["v"] for e in new])
             good = [i for i, c in enumerate(conds) if c < EIG_COND_LIMIT]
             fw = self.f(w[good].ravel()).reshape(len(good), w.shape[1])
+            vinvs = _per_dtype(np.linalg.inv, [new[i]["v"] for i in good])
             for e in new:
                 e["fw"] = None
-            for i, fw_i in zip(good, fw):
-                new[i]["vinv"] = np.linalg.inv(new[i]["v"])
+            for i, fw_i, vinv in zip(good, fw, vinvs):
+                new[i]["vinv"] = vinv
                 new[i]["fw"] = fw_i
         return [None if e["fw"] is None else e for e in entries]
 
@@ -448,18 +451,22 @@ class AnalyticFunction:
         return assert_finite(out.reshape(a.shape))
 
     def frechet(self, a, e):
-        """Directional derivative D f(a)[e], exact up to roundoff.
+        """Directional derivative D f(a)[e] along one direction e (N x N)
+        or along each slice of a stack of them (k x N x N), exact up to
+        roundoff; each slice is bitwise the call on that slice alone.
 
-        Eigen route: Daleckii-Krein divided differences.  Fallback: series
-        evaluation on the block-triangular [[a, e], [0, a]], whose top-right
+        Eigen route: Daleckii-Krein divided differences, one contraction
+        for the whole stack.  Fallback: series evaluation on the
+        block-triangular [[a, e], [0, a]] of each slice, whose top-right
         block is the termwise derivative of the series.
         """
         a = _check_square(np.asarray(a, dtype=float))
         e = np.asarray(e, dtype=float)
-        if e.shape != a.shape:
-            raise NonSquare("direction shape %s != matrix shape %s" % (e.shape, a.shape))
+        if e.shape[-2:] != a.shape or e.ndim not in (2, 3):
+            raise NonSquare("direction shape %s does not match matrix shape %s"
+                            % (e.shape, a.shape))
         if not a.size:
-            return np.zeros((0, 0))
+            return np.zeros(e.shape)
         eig = self._decompose(a[None])[0]
         if eig is not None:
             if "dd" not in eig:
@@ -468,8 +475,10 @@ class AnalyticFunction:
             out = v @ ((vinv @ e @ v) * eig["dd"]) @ vinv
             return assert_finite(self._realify(out))
         n = a.shape[0]
-        big = np.block([[a, e], [np.zeros_like(a), a]])
-        return assert_finite(self._series(big)[:n, n:])
+        zero = np.zeros_like(a)
+        out = [self._series(np.block([[a, x], [zero, a]]))[:n, n:]
+               for x in (e if e.ndim == 3 else e[None])]
+        return assert_finite(np.array(out).reshape(e.shape))
 
     def _divided_differences(self, w, fw):
         scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
@@ -548,6 +557,139 @@ TRIV_REM = AnalyticFunction(
     lambda z: 1.0 / z - 1.0 / np.sinh(z),
     lambda z: np.cosh(z) / np.sinh(z) ** 2 - 1.0 / z ** 2,
     singular_distance=_dist_to_ipi_nonzero)
+
+
+# ---------------------------------------------------------------------------
+# Frechet derivative of the matrix exponential: the scaling-Pade-squaring
+# algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 30(4), 2009),
+# in scipy.linalg.expm_frechet's operation order, for a stack of directions.
+# ---------------------------------------------------------------------------
+
+# largest 1-norm of A at which the degree-m approximant needs no scaling
+# (backward error below 2^-53)
+PADE_ELL = {3: 1.08e-2, 5: 2.00e-1, 7: 7.83e-1, 9: 1.78e0, 13: 4.74e0}
+PADE_B = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.),
+}
+
+
+def _series_sum(b, mats, first):
+    """b[first] mats[-1] + b[first - 2] mats[-2] + ..., summed left to
+    right over mats (the even powers, or their derivatives, from the
+    lowest up)."""
+    out = None
+    for j, m in zip(range(first, -1, -2), mats[::-1]):
+        out = b[j] * m if out is None else out + b[j] * m
+    return out
+
+
+def _pade_parts(a, e, m):
+    """U, V and their derivatives Lu, Lv (stacked along e) of the
+    degree-m Pade approximant of exp at a, for m <= 9."""
+    b = PADE_B[m]
+    ident = np.identity(a.shape[0])
+    pows = [ident, a @ a]
+    ders = [None, a @ e + e @ a]
+    if m >= 5:
+        pows.append(pows[1] @ pows[1])
+        ders.append(pows[1] @ ders[1] + ders[1] @ pows[1])
+    if m >= 7:
+        pows.append(pows[1] @ pows[2])
+        ders.append(pows[2] @ ders[1] + ders[2] @ pows[1])
+    if m >= 9:
+        pows.append(pows[2] @ pows[2])
+        ders.append(pows[2] @ ders[2] + ders[2] @ pows[2])
+    odd = _series_sum(b, pows, m)
+    u = a @ odd
+    v = _series_sum(b, pows, m - 1)
+    lu = a @ _series_sum(b, ders[1:], m) + e @ odd
+    lv = _series_sum(b, ders[1:], m - 1)
+    return u, v, lu, lv
+
+
+def _pade13_parts(a, e):
+    """U, V, Lu, Lv of the degree-13 approximant at the scaled a."""
+    b = PADE_B[13]
+    ident = np.identity(a.shape[0])
+    a2 = a @ a
+    m2 = a @ e + e @ a
+    a4 = a2 @ a2
+    m4 = a2 @ m2 + m2 @ a2
+    a6 = a2 @ a4
+    m6 = a4 @ m2 + m4 @ a2
+    w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
+    w2 = b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
+    z2 = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    w = a6 @ w1 + w2
+    u = a @ w
+    v = a6 @ z1 + z2
+    lw1 = b[13] * m6 + b[11] * m4 + b[9] * m2
+    lw2 = b[7] * m6 + b[5] * m4 + b[3] * m2
+    lz1 = b[12] * m6 + b[10] * m4 + b[8] * m2
+    lz2 = b[6] * m6 + b[4] * m4 + b[2] * m2
+    lw = a6 @ lw1 + m6 @ w1 + lw2
+    lu = a @ lw + e @ w
+    lv = a6 @ lz1 + m6 @ z1 + lz2
+    return u, v, lu, lv
+
+
+def expm_frechet(a, e):
+    """(exp(a), L) with L the Frechet derivative of exp at a along e, for
+    one direction e (N x N) or a stack of them (k x N x N, L stacked alike).
+
+    The algorithm and operation order are scipy.linalg.expm_frechet's
+    (SPS), with everything that depends on a alone (its powers, the Pade
+    U and V, the LU of V - U and the squarings of exp(a)) computed once
+    for all directions, the derivative parts as stacked products, and the
+    LU through LAPACK getrf / getrs directly.  Non-finite input raises
+    ValueError and a singular V - U raises EvaluationFailed.
+    """
+    a = _check_square(np.asarray(a, dtype=float))
+    e = np.asarray(e, dtype=float)
+    if e.shape[-2:] != a.shape or e.ndim not in (2, 3):
+        raise NonSquare("direction shape %s does not match matrix shape %s"
+                        % (e.shape, a.shape))
+    if not (np.isfinite(a).all() and np.isfinite(e).all()):
+        raise ValueError("expm_frechet: array must not contain infs or NaNs")
+    stack = e if e.ndim == 3 else e[None]
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    s = 0
+    for m in (3, 5, 7, 9):
+        if norm <= PADE_ELL[m]:
+            u, v, lu, lv = _pade_parts(a, stack, m)
+            break
+    else:
+        s = max(0, int(np.ceil(np.log2(norm / PADE_ELL[13]))))
+        u, v, lu, lv = _pade13_parts(a * 2.0 ** -s, stack * 2.0 ** -s)
+    fac, piv, info = lapack.dgetrf(-u + v)
+    if info > 0:
+        raise EvaluationFailed("expm_frechet: V - U of the Pade approximant "
+                               "is singular")
+    if info < 0:
+        raise ValueError("illegal value in argument %d of getrf" % -info)
+    r = _getrs(fac, piv, u + v)
+    rhs = lu + lv + (lu - lv) @ r
+    deriv = np.array([_getrs(fac, piv, x) for x in rhs])
+    for _ in range(s):
+        deriv = r @ deriv + deriv @ r
+        r = r @ r
+    return r, deriv if e.ndim == 3 else deriv[0]
+
+
+def _getrs(fac, piv, b):
+    x, info = lapack.dgetrs(fac, piv, b)
+    if info:
+        raise ValueError("illegal value in argument %d of getrs" % -info)
+    return x
 
 
 def offdiag_inverse_identity_residual(f, split):

@@ -198,3 +198,75 @@ def test_symmetric_entries_record_signature_behaviour():
     same = catalog.get("so3-identity")
     names = [fx["name"] for fx in same.fixtures]
     assert "dual-equals-base" in names
+
+
+def _mp_ev_phi(rank, Gamma, mp):
+    """The associator of build_EV(rank, Gamma) at the working precision of
+    mp, from exact data: the integer structure constants, the normalizing
+    basis change, the Killing form and the coth coefficients."""
+    if rank == 1:
+        c0 = lie.sl2_data().c
+        P = mp.diag([1 / (2 * mp.sqrt(2)), mp.mpf(1) / 2, mp.mpf(1) / 2])
+        simple = [[1 / mp.sqrt(2)]]
+    else:
+        c0 = sl3_from_matrices()
+        P = mp.zeros(8, 8)
+        P[0, 0] = 1 / mp.sqrt(12)
+        P[0, 1], P[1, 1] = mp.mpf(1) / 6, mp.mpf(1) / 3
+        for s in range(2, 8):
+            P[s, s] = 1 / mp.sqrt(6)
+        simple = [[1 / mp.sqrt(3), 0], [-1 / (2 * mp.sqrt(3)), mp.mpf(1) / 2]]
+    n = c0.shape[0]
+    _, decomp, roots, pair, positive, simple_f = catalog._ev_root_data(rank)
+    k = decomp.dim_sub
+    Pinv = P ** -1
+    c = np.full((n, n, n), mp.mpf(0), dtype=object)
+    for a, b, m in np.argwhere(c0 != 0):
+        for i in range(n):
+            for j in range(n):
+                if P[a, i] != 0 and P[b, j] != 0:
+                    for kk in range(n):
+                        c[i, j, kk] += (P[a, i] * P[b, j] * int(c0[a, b, m])
+                                        * Pinv[kk, m])
+    kill = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            kill[i, j] = sum(c[i, b, a] * c[j, a, b]
+                             for a in range(n) for b in range(n))
+    binv = kill ** -1
+    binv = np.array([[binv[i, j] for j in range(n)] for i in range(n)])
+    # the untwisted associator 1/4 <e^i, [B^-1 e^j, B^-1 e^k]>
+    phi = np.einsum("aj,bk,abi->ijk", binv, binv, c) / 4
+    # the twist's coefficients, chosen as build_EV does with its default
+    # offset mu = weight * (sum of the simple roots)
+    weight = 2 if rank == 1 else 6
+    mu = [weight * sum(g[d] for g in simple) for d in range(k)]
+    gens = [simple_f[i][0] for i in Gamma]
+    simple_mat = np.stack([g for g, _ in simple_f], axis=1)
+    t = np.full((n, n), mp.mpf(0), dtype=object)
+    for s, gamma in roots.items():
+        if catalog._in_root_span(gamma, gens):
+            coords = np.linalg.lstsq(simple_mat, gamma, rcond=None)[0]
+            x = sum(int(round(coords[i])) * simple[i][d] * mu[d]
+                    for i in range(len(simple)) for d in range(k))
+            t[s, pair[s]] = 1 / (2 * mp.tanh(-x / 2))
+        else:
+            t[s, pair[s]] = mp.mpf(1) / 2 if s in positive else -mp.mpf(1) / 2
+    p = np.einsum("ia,jb,ijk->abk", t, t, c)
+    return phi + p + p.transpose(1, 2, 0) + p.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("rank, Gamma", [(1, ()), (1, (0,)), (2, ()),
+                                         (2, (0,)), (2, (0, 1))])
+def test_ev_associator_zeros_are_exact(rank, Gamma):
+    # every entry that build_EV sets to zero is below 1e-45 in a 50-digit
+    # build of the same twist, and every entry it keeps is not; the kept
+    # entries agree with that build to roundoff
+    mp = pytest.importorskip("mpmath").mp
+    G = catalog.build_EV(rank, Gamma).G
+    with mp.workdps(50):
+        ref = _mp_ev_phi(rank, Gamma, mp)
+        exact_zero = np.vectorize(lambda v: abs(v) < mp.mpf("1e-45"))(ref)
+        ref = ref.astype(float)
+    assert np.array_equal(G.phi == 0.0, exact_zero)
+    assert np.max(np.abs(G.phi - ref)) <= 1e-15

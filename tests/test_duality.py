@@ -426,37 +426,43 @@ def test_check_reuses_the_flow_of_each_base_point(monkeypatch):
 def test_check_computes_each_flow_of_a_base_point_once(monkeypatch):
     # one record per base point holds exp(+-ad(p)) and its Frechet
     # derivatives per direction; without it this check made 74 expm and 46
-    # expm_frechet calls, with it 2 and 8
+    # expm_frechet calls
     entry = catalog.get("sl2-cartan")
     triv = duality.TrivializationMap(entry.G, entry.decomp)
     calls = []
-    for name in ("expm", "expm_frechet"):
-        orig = getattr(scipy.linalg, name)
+    for owner, name in ((scipy.linalg, "expm"), (linalg, "expm_frechet")):
+        orig = getattr(owner, name)
 
         def counted(*args, _orig=orig, **kwargs):
             calls.append(args[0].shape)
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert triv.check(samples=1)["passed"]
     assert len(calls) <= 10
 
 
 def test_check_shares_the_fields_frechet_pairs(monkeypatch):
     # the derivative of phi_p reads the field's flow derivative from the
-    # Frechet pairs of the field's jet, so no expm_frechet input repeats;
-    # computed apart, this check made 6 calls on 4 distinct inputs
+    # Frechet pairs of the field's jet, so no (matrix, direction) input of
+    # the kernel repeats; computed apart, this check made 6 expm_frechet
+    # calls on 4 distinct inputs
     entry = catalog.get("ev-sl3")
     triv = duality.TrivializationMap(entry.G, entry.decomp)
-    inputs = []
-    orig = scipy.linalg.expm_frechet
+    calls = []
+    orig = linalg.expm_frechet
 
-    def expm_frechet(a, e, *args, **kwargs):
-        inputs.append(a.tobytes() + e.tobytes())
-        return orig(a, e, *args, **kwargs)
+    def expm_frechet(a, e):
+        calls.append([a.tobytes() + d.tobytes()
+                      for d in (e if e.ndim == 3 else [e])])
+        return orig(a, e)
 
-    monkeypatch.setattr(scipy.linalg, "expm_frechet", expm_frechet)
+    monkeypatch.setattr(linalg, "expm_frechet", expm_frechet)
     assert triv.check(samples=1)["passed"]
+    inputs = [key for call in calls for key in call]
+    # exp(+ad(p)) along both base directions in one call, then the
+    # field's jet along both in one call
+    assert [len(call) for call in calls] == [2, 2]
     assert len(inputs) == len(set(inputs)) == 4
 
 

@@ -747,7 +747,7 @@ def test_derivative_is_linear_in_the_basis_jet(name, monkeypatch):
     entry = catalog.get(name)
     field = dyn.canonical_field(entry.G, entry.decomp)
     k, n = field.base_dim, field.G.dim
-    frechet = count_calls(monkeypatch, scipy.linalg, "expm_frechet")
+    frechet = count_calls(monkeypatch, linalg, "expm_frechet")
     rng = np.random.default_rng(60)
     for p in dyn.sample_domain_points(field, 3, seed=7, scale=1.0):
         # along 0 the derivative is exact zeros and nothing is computed
@@ -756,17 +756,40 @@ def test_derivative_is_linear_in_the_basis_jet(name, monkeypatch):
         assert np.array_equal(dl0, np.zeros((n, n)))
         assert not frechet
         rec = field._at(p)
-        assert rec["jet"] == [None] * k
+        assert rec["jet"] is None
+        # a single direction is a stack of one
         for e in np.eye(k):
             assert np.array_equal(field.derivative(p, e),
-                                  field._closed_form_derivative(rec, e)[0])
+                                  field._closed_form_derivative(
+                                      rec, e[None])[0][0])
         for _ in range(3):
             alpha = rng.standard_normal(k)
-            direct = field._closed_form_derivative(rec, alpha)[0]
+            direct = field._closed_form_derivative(rec, alpha[None])[0][0]
             err = np.max(np.abs(field.derivative(p, alpha) - direct))
             assert err <= 1e-13 * (1.0 + np.max(np.abs(direct)))
         with pytest.raises(ValueError):
             field.derivative(p, np.ones(k + 1))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_stacked_jet_is_bitwise_each_direction_alone(name):
+    entry = catalog.get(name)
+    field = dyn.canonical_field(entry.G, entry.decomp)
+    k = field.base_dim
+    rng = np.random.default_rng(62)
+    for p in dyn.sample_domain_points(field, 2, seed=9, scale=1.5):
+        field._require_domain(p)
+        rec = field._at(p)
+        alphas = np.vstack([np.eye(k), rng.standard_normal((2, k))])
+        dls, dbigs = field._closed_form_derivative(rec, alphas)
+        for i, alpha in enumerate(alphas):
+            dl, dbig = field._closed_form_derivative(rec, alpha[None])
+            assert np.array_equal(dls[i], dl[0])
+            assert np.array_equal(dbigs[i], dbig[0])
+        # the record's jet is the pass over the base basis
+        jet = field._jet(rec)
+        assert np.array_equal(jet[0], dls[:k])
+        assert np.array_equal(jet[1], dbigs[:k])
 
 
 @pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
@@ -778,7 +801,7 @@ def test_sweep_op_builds_one_record_and_one_frechet_pair_per_direction(
     field = dyn.canonical_field(entry.G, entry.decomp)
     k = field.base_dim
     passes = count_calls(monkeypatch, dyn.LMatrixField, "_domain_records")
-    frechet = count_calls(monkeypatch, scipy.linalg, "expm_frechet")
+    frechet = count_calls(monkeypatch, linalg, "expm_frechet")
     for p in dyn.sample_domain_points(field, 2, seed=8, scale=1.0):
         del passes[:], frechet[:]
         assert dyn.in_domain(p, field)["in_domain"]
@@ -788,7 +811,10 @@ def test_sweep_op_builds_one_record_and_one_frechet_pair_per_direction(
         # the record of p, then one pass over the 4k finite-difference
         # probes
         assert [len(points) for _, points in passes] == [1, 4 * k]
-        assert len(frechet) == k
+        # the Frechet pairs of all k base directions come from one kernel
+        # call
+        n2 = 2 * field.G.dim
+        assert [e.shape for _, e in frechet] == [(k, n2, n2)]
 
 
 def test_probe_equals_value_and_leaves_the_record():

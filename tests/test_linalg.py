@@ -493,3 +493,84 @@ def test_series_fallback_past_its_radius_fails():
     # 3.2 lies past the 0.95 pi series guard and away from the poles +- i pi
     with pytest.raises(linalg.EvaluationFailed):
         linalg.F_MEROMORPHIC.apply(jordan(3.2, 2))
+
+
+# -- the Frechet kernel of exp -----------------------------------------------
+
+
+@pytest.fixture
+def pade_degrees(monkeypatch):
+    """Records the Pade degree of every expm_frechet call (13 when it
+    scales and squares)."""
+    degrees = []
+    low, high = linalg._pade_parts, linalg._pade13_parts
+
+    def spy_low(a, e, m):
+        degrees.append(m)
+        return low(a, e, m)
+
+    def spy_high(a, e):
+        degrees.append(13)
+        return high(a, e)
+
+    monkeypatch.setattr(linalg, "_pade_parts", spy_low)
+    monkeypatch.setattr(linalg, "_pade13_parts", spy_high)
+    return degrees
+
+
+def test_expm_frechet_stacks_directions_and_matches_scipy(pade_degrees):
+    rng = np.random.default_rng(70)
+    # 1-norms just below and above every degree's threshold, and far past
+    # the last one, where the scaling and squaring run
+    norms = sorted([t * f for t in linalg.PADE_ELL.values()
+                    for f in (0.97, 1.03)] + [45.0])
+    for n in (3, 8):
+        for norm in norms:
+            a = rng.standard_normal((n, n))
+            a *= norm / np.max(np.sum(np.abs(a), axis=0))
+            e = rng.standard_normal((3, n, n))
+            r, d = linalg.expm_frechet(a, e)
+            assert d.shape == e.shape
+            for x, dx in zip(e, d):
+                # each slice is bitwise the kernel on that direction alone
+                r1, d1 = linalg.expm_frechet(a, x)
+                assert np.array_equal(r1, r) and np.array_equal(d1, dx)
+                # and scipy's result to roundoff
+                ref_r, ref_d = scipy.linalg.expm_frechet(a, x)
+                for got, ref in ((r, ref_r), (dx, ref_d)):
+                    err = np.max(np.abs(got - ref))
+                    assert err <= 1e-14 * np.max(np.abs(ref))
+    assert set(pade_degrees) == {3, 5, 7, 9, 13}
+
+
+def test_expm_frechet_rejects_bad_input(monkeypatch):
+    a = np.eye(3)
+    for bad_a, bad_e in ((np.where(a == 1.0, np.nan, 0.0), a),
+                         (a, np.full((2, 3, 3), np.inf))):
+        with pytest.raises(ValueError):
+            linalg.expm_frechet(bad_a, bad_e)
+    with pytest.raises(linalg.NonSquare):
+        linalg.expm_frechet(a, np.zeros((2, 2)))
+    # a singular V - U is refused rather than solved
+    getrf = linalg.lapack.dgetrf
+    monkeypatch.setattr(linalg.lapack, "dgetrf",
+                        lambda m: getrf(m)[:2] + (2,))
+    with pytest.raises(linalg.EvaluationFailed):
+        linalg.expm_frechet(a, a)
+
+
+@pytest.mark.parametrize("fn", [linalg.F_MEROMORPHIC, linalg.SINHC])
+def test_stacked_frechet_is_bitwise_each_direction_alone(fn, series_calls):
+    rng = np.random.default_rng(71)
+    a = random_matrix(rng, 4)
+    # a real spectrum, a complex one, and the series route
+    for m, series in ((a + a.T, 0), (a - a.T + 0.3 * (a + a.T), 0),
+                      (jordan(0.6, 4), 3)):
+        e = rng.standard_normal((3, 4, 4))
+        del series_calls[:]
+        out = fn.frechet(m, e)
+        # the series route runs once per direction, the eigen route never
+        assert len(series_calls) == series
+        assert out.shape == e.shape
+        for x, dx in zip(e, out):
+            assert np.array_equal(dx, fn.frechet(m, x))
