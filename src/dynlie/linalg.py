@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import zeta
 
 EPS = float(np.finfo(float).eps)
 CBRT_EPS = EPS ** (1.0 / 3.0)
@@ -208,7 +207,31 @@ def entire_series_apply(coeffs, a, radius=np.inf):
 #   tanh z            = sum_{m>=1} (-1)^{m+1} 2 (4^m-1) zeta(2m)/pi^{2m} z^{2m-1}
 #   z/sinh z          = 1 + sum_{m>=1} (-1)^m 2 (4^m-2) zeta(2m)/(2 pi)^{2m} z^{2m}
 #   1/z - 1/sinh z    = sum_{m>=1} (-1)^{m+1} 2 (4^m-2) zeta(2m)/(2 pi)^{2m} z^{2m-1}
+#
+# zeta(2m) comes from the frozen table ZETA_EVEN: zeta(2), ..., zeta(52) as
+# the nearest doubles, and exactly 1.0 from m = 27 on, where zeta(2m) - 1
+# (5.6e-17 at m = 27) is under half an ulp of 1.  tests/test_linalg.py checks
+# every entry, and the 1.0 tail out to m = _POLE_TERMS // 2, against a
+# 50-digit mpmath zeta.
 # ---------------------------------------------------------------------------
+
+ZETA_EVEN = (
+    1.6449340668482264, 1.0823232337111381, 1.0173430619844492,
+    1.0040773561979444, 1.000994575127818, 1.000246086553308,
+    1.0000612481350588, 1.0000152822594086, 1.000003817293265,
+    1.0000009539620338, 1.0000002384505027, 1.000000059608189,
+    1.0000000149015549, 1.000000003725334, 1.0000000009313275,
+    1.000000000232831, 1.0000000000582077, 1.000000000014552,
+    1.000000000003638, 1.0000000000009095, 1.0000000000002274,
+    1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
+    1.0000000000000009, 1.0000000000000002,
+)
+
+
+def _zeta_even(m):
+    """zeta(2m) rounded to the nearest double, for m >= 1."""
+    return ZETA_EVEN[m - 1] if m <= len(ZETA_EVEN) else 1.0
+
 
 _ENTIRE_TERMS = 220
 _POLE_TERMS = 1200
@@ -228,7 +251,6 @@ def _inv_factorial(k):
         return 0.0
 
 
-EXP_COEFFS = _entire_coeffs(_inv_factorial)
 # (e^z - 1)/z
 EXPM1_OVER_COEFFS = _entire_coeffs(lambda k: _inv_factorial(k + 1))
 SINH_COEFFS = _entire_coeffs(lambda k: _inv_factorial(k) if k % 2 == 1 else 0.0)
@@ -247,7 +269,7 @@ def _pole_coeffs(odd, factor):
         k = 2 * m - 1 if odd else 2 * m
         if k >= _POLE_TERMS:
             break
-        c[k] = (-1.0) ** (m + 1) * 2.0 * factor(m) * zeta(2 * m)
+        c[k] = (-1.0) ** (m + 1) * 2.0 * factor(m) * _zeta_even(m)
     return c
 
 
@@ -514,8 +536,6 @@ def _per_dtype(fn, arrays):
 def _coth(z):
     return np.cosh(z) / np.sinh(z)
 
-
-EXP = AnalyticFunction("exp", EXP_COEFFS, np.inf, np.exp, np.exp)
 
 EXPM1_OVER = AnalyticFunction(
     "(exp(z)-1)/z", EXPM1_OVER_COEFFS, np.inf,

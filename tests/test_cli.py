@@ -1,6 +1,10 @@
 """Tests for spec files, verification reports, and the command line."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +372,33 @@ def test_main_builds_its_parser_once_per_process(tmp_path, capsys,
     assert capsys.readouterr().out == first
     assert cli.main(["catalog", "list"]) == 0
     assert built == []
+
+
+IMPORT_FOOTPRINT_SCRIPT = """\
+import sys
+from dynlie import cli
+
+spec, dual = sys.argv[1], sys.argv[2]
+for argv in (["catalog", "emit", "sl2-cartan", "--out", spec],
+             ["verify", spec, "--samples", "2"],
+             ["dual", spec, dual, "--samples", "2"],
+             ["lcan", spec, "0.3", "--check"],
+             ["catalog", "list"]):
+    assert cli.main(argv) == 0, argv
+print("scipy.special" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_cli_commands_never_import_scipy_special(tmp_path):
+    # a fresh process, so that nothing imported by other tests counts;
+    # scipy.linalg must stay imported, because perfbench/run.py's
+    # import_times reads its cumulative time without a default until the
+    # benchmark learns to do without it (ROADMAP item 4)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT_SCRIPT,
+         str(tmp_path / "sl2-cartan.spec"), str(tmp_path / "dual.spec")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False True"

@@ -20,6 +20,9 @@ TRIV_REM_AT_07 = 0.11032533710513137
 
 
 # matrix functions only the tests use, built on linalg's coefficient tables
+EXP = linalg.AnalyticFunction(
+    "exp", linalg._entire_coeffs(linalg._inv_factorial), np.inf, np.exp, np.exp)
+
 COSH = linalg.AnalyticFunction(
     "cosh",
     linalg._entire_coeffs(
@@ -59,6 +62,34 @@ def test_scalar_values():
     assert abs(linalg.TRIV_REM.f(0.7) - TRIV_REM_AT_07) < tol
 
 
+def test_zeta_table_matches_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    terms = linalg._POLE_TERMS // 2
+    with mpmath.workdps(50):
+        oracle = [float(mpmath.zeta(2 * m)) for m in range(1, terms + 1)]
+    assert len(linalg.ZETA_EVEN) == 26
+    # past zeta(52) every zeta(2m) the pole tables use rounds to exactly 1
+    assert oracle[26:] == [1.0] * (terms - 26)
+    assert [linalg._zeta_even(m) for m in range(1, terms + 1)] == oracle
+
+
+def test_pole_tables_are_bitwise_those_built_from_scipy_zeta(monkeypatch):
+    # the tables were once built with scipy.special.zeta; the frozen zeta
+    # table must reproduce them to the last bit, loop and factors unchanged
+    from scipy import special
+    monkeypatch.setattr(linalg, "_zeta_even", lambda m: special.zeta(2 * m))
+    coth = lambda m: np.pi ** (-2.0 * m)
+    tanh = lambda m: (4.0 / np.pi ** 2) ** m - np.pi ** (-2.0 * m)
+    triv = lambda m: np.pi ** (-2.0 * m) - 2.0 * (2.0 * np.pi) ** (-2.0 * m)
+    inv_sinhc = -linalg._pole_coeffs(False, triv)
+    inv_sinhc[0] = 1.0
+    for table, ref in [(linalg.F_COEFFS, linalg._pole_coeffs(True, coth)),
+                       (linalg.TANH_COEFFS, linalg._pole_coeffs(True, tanh)),
+                       (linalg.TRIV_REM_COEFFS, linalg._pole_coeffs(True, triv)),
+                       (linalg.INV_SINHC_COEFFS, inv_sinhc)]:
+        assert table.tobytes() == ref.tobytes()
+
+
 def test_scalar_series_branch_near_zero():
     # below the series cutoff the Taylor route is used; the leading terms of
     # coth(z) - 1/z are z/3 - z^3/45 + 2 z^5/945 - z^7/4725
@@ -71,7 +102,7 @@ def test_scalar_series_branch_near_zero():
 
 
 @pytest.mark.parametrize("fn", [linalg.F_MEROMORPHIC, linalg.TANH,
-                                linalg.SINHC, linalg.SINH_REM, linalg.EXP])
+                                linalg.SINHC, linalg.SINH_REM, EXP])
 def test_scalar_branches_each_run_on_their_own_entries(fn):
     # entries on both sides of SCALAR_SERIES_CUTOFF, plus one far up the
     # imaginary axis where the 30-term polynomial overflows while the
@@ -91,13 +122,13 @@ def test_exp_apply_matches_scipy():
     worst = 0.0
     for _ in range(20):
         a = random_matrix(rng, 5, 1.5)
-        worst = max(worst, np.max(np.abs(linalg.EXP.apply(a)
+        worst = max(worst, np.max(np.abs(EXP.apply(a)
                                          - scipy.linalg.expm(a))))
     assert worst < 1e-12
 
 
 def test_exp_of_zero():
-    assert np.array_equal(linalg.EXP.apply(np.zeros((4, 4))), np.eye(4))
+    assert np.array_equal(EXP.apply(np.zeros((4, 4))), np.eye(4))
 
 
 def test_sinh_doubling():
@@ -166,10 +197,10 @@ def test_radius_guard():
 
 def test_non_square_rejected():
     with pytest.raises(linalg.NonSquare):
-        linalg.EXP.apply(np.zeros((2, 3)))
+        EXP.apply(np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("fn", [linalg.EXP, linalg.F_MEROMORPHIC])
+@pytest.mark.parametrize("fn", [EXP, linalg.F_MEROMORPHIC])
 def test_zero_size_matrix(fn):
     empty = np.zeros((0, 0))
     assert fn.apply(empty).shape == (0, 0)
@@ -259,7 +290,7 @@ def test_dexp_factor_finite_difference():
 @given(st.integers(min_value=1, max_value=4), st.floats(min_value=-1.5, max_value=1.5))
 def test_entire_series_scalar_consistency(n, s):
     a = s * np.eye(n)
-    out = linalg.entire_series_apply(linalg.EXP_COEFFS, a)
+    out = linalg.entire_series_apply(EXP.coeffs, a)
     assert np.max(np.abs(out - np.exp(s) * np.eye(n))) < 1e-12
 
 
@@ -442,7 +473,7 @@ def test_series_fallback_exp_on_jordan_block(n, series_calls):
     j = jordan(0.7, n)
     _, v = np.linalg.eig(j)
     assert np.linalg.cond(v) >= linalg.EIG_COND_LIMIT
-    out = linalg.EXP.apply(j)
+    out = EXP.apply(j)
     assert len(series_calls) == 1
     assert np.max(np.abs(out - scipy.linalg.expm(j))) < 1e-14
 
@@ -461,7 +492,7 @@ def test_series_fallback_exp_frechet_on_jordan_block(n, series_calls):
     rng = np.random.default_rng(21)
     j = jordan(-0.4, n)
     e = rng.standard_normal((n, n))
-    out = linalg.EXP.frechet(j, e)
+    out = EXP.frechet(j, e)
     assert [a.shape for a in series_calls] == [(2 * n, 2 * n)]
     _, ref = scipy.linalg.expm_frechet(j, e)
     assert np.max(np.abs(out - ref)) < 1e-13
