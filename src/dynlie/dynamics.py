@@ -12,7 +12,7 @@ base-point dual algebra, and the gauge action of equivariant exponential maps.
 import numpy as np
 import scipy.linalg
 
-from . import lie, linalg, qbia, twist
+from . import lie, linalg, qbia, spectral, twist
 
 SPECTRAL_MARGIN = 1e-6
 BLOCK_COND_LIMIT = 1e10
@@ -20,6 +20,8 @@ SKEW_TOL = 1e-10
 CERT_TOL = 1e-10
 EXACT_COCYCLE_TOL = 1e-9
 EQUIVARIANCE_CHECK_TOL = 1e-8
+# the bounded_condition of a domain report without a bounded system
+NO_CONDITION = np.nan
 
 # Bounds on the flow-equation residuals at one base point, keyed like the
 # cdybe_residual report; "equivariance" bounds equivariance_residual.  The
@@ -115,21 +117,36 @@ class LMatrixField:
     computed from, the value, and the derivative jet.  The jet is computed
     whole on first use, by one pass over every base basis direction e_b
     (_closed_form_derivative on the identity): the stack of D_b = dl/dp_b
-    and (canonical) the stack of the flow's Frechet derivatives along e_b
-    that they came from.  The derivative is linear in its direction, so
+    and (canonical) the stack of the flow's derivatives along e_b that
+    they came from.  The derivative is linear in its direction, so
     derivative(p, alpha) is the sum of alpha_b D_b over the nonzero
     alpha_b, and zero for alpha = 0.  Callers receive copies.  The base
     basis directions' adjoint matrices are built once per field.  The
     record is replaced as soon as another point comes in, so alternating
     between points recomputes.  duality.TrivializationMap keeps its matrix
-    functions of the point in the same record (slot "flows").
+    functions of the point in the same record (slot "flows"), and reads
+    the flow and its derivatives from the record's "big" and jet.
+
+    A canonical field evaluates its records by one of two routes, which
+    `route` names.  canonical_field builds a spectral model (see
+    dynlie.spectral) of each adjoint family, ad_big(p) of the double and
+    ad(p) of the small double, and keeps the pair when both pass their
+    check.  On this model route ("commuting" or "cubic") the spectral
+    margin, the flow, F of the small double and every derivative are
+    closed forms, with no eig, expm or Frechet kernel per point; on a
+    cubic model the points with mu >= spectral.GRADED_MU read M^-1 N and
+    its jet through the bounded system of the flow (record slot "graded").
+    Structures whose families pass neither check (spec files of other
+    shapes) take the general route ("general"): one eig of the small
+    double's adjoint, scipy's expm of ad_big and the Frechet kernel.  The
+    domain rule is the same on both routes.
 
     Records are built by one stacked pass over any number of points
     (_domain_records, _closed_form_values): the record of a point is the
     pass over that point alone, and cdybe_residual's finite-difference
     probes are one pass over all of them (_probe), which reads and
     replaces no record.  Each slice of a pass is bitwise the pass over its
-    point alone.
+    point alone, on either route.
     """
 
     def __init__(self, kind, G, decomp=None):
@@ -138,6 +155,7 @@ class LMatrixField:
         self.decomp = decomp
         self._last = (None, None)
         self._basis_ads = None
+        self._model = None
         n = G.dim
         if decomp is None:
             self.sub = np.arange(n)
@@ -153,6 +171,12 @@ class LMatrixField:
     def __repr__(self):
         return ("LMatrixField(kind=%r, dim=%d, base_dim=%d)"
                 % (self.kind, self.G.dim, self.base_dim))
+
+    @property
+    def route(self):
+        """How the point records are evaluated: the kind of the canonical
+        field's spectral model ("commuting" or "cubic"), or "general"."""
+        return "general" if self._model is None else self._model[0].kind
 
     def _check_point(self, p):
         p = np.asarray(p, dtype=float)
@@ -262,28 +286,46 @@ class LMatrixField:
         point of the stack ps, keeping per point the matrices they are
         computed from for the evaluators: one record per point.
 
-        The stack takes one eig call, whose eigenvalues give the spectral
-        margin and which F_MEROMORPHIC keeps for the value, and (canonical)
-        one expm and one cond call over the points that pass the margin.
+        On the general route the stack takes one eig call, whose
+        eigenvalues give the spectral margin and which F_MEROMORPHIC keeps
+        for the value, and (canonical) one expm and one cond call over the
+        points that pass the margin.  On the model route (canonical fields
+        whose spectral model was accepted, see `route`) the margin and the
+        flow exp(-ad_big(p)) come from the model in closed form, and on a
+        cubic model the points in the domain with mu >= spectral.GRADED_MU
+        also get the bounded system of M^-1 N (slot "graded"), whose
+        condition the report gives as bounded_condition.  The domain rule
+        reads cond(M) on both routes.
         """
         recs = []
+        model = self._model
         small = self.double if self.kind == "cocom" else self.small_double
         ads = small.d.ad_matrix(small.embed(xi=ps))
-        margins = np.min(linalg._dist_to_ipi_nonzero(
-            linalg.F_MEROMORPHIC.eigvals(ads)), axis=-1).tolist()
-        for ad, margin in zip(ads, margins):
+        if model is None:
+            margins = np.min(linalg._dist_to_ipi_nonzero(
+                linalg.F_MEROMORPHIC.eigvals(ads)), axis=-1).tolist()
+        else:
+            data = model[0].data(ps), model[1].data(ps)
+            margins = model[1].margin(data[1]).tolist()
+        for i, (ad, margin) in enumerate(zip(ads, margins)):
             rep = {"in_domain": True, "spectral_margin": margin,
-                   "block_condition": 1.0, "failing": None}
+                   "block_condition": 1.0, "bounded_condition": NO_CONDITION,
+                   "failing": None}
             if margin < SPECTRAL_MARGIN:
                 rep["in_domain"] = False
                 rep["failing"] = "spectral-margin"
             recs.append({"report": rep, "value": None, "jet": None,
-                         "ad": ad})
+                         "ad": ad, "p": ps[i]})
+            if model is not None:
+                recs[i]["spec"] = (data[0][i], data[1][i])
         live = [i for i, rec in enumerate(recs) if rec["report"]["in_domain"]]
         if self.kind == "canonical" and live:
             n = self.G.dim
             ad_big = self._big_ad(ps[live])
-            big = scipy.linalg.expm(-ad_big)
+            if model is None:
+                big = scipy.linalg.expm(-ad_big)
+            else:
+                big = model[0].exp_neg(data[0][live], ad_big)
             m_blk = big[:, :n, :n]
             # an overflowed flow has no condition number: out of domain
             conds = np.full(len(live), np.inf)
@@ -297,46 +339,108 @@ class LMatrixField:
                     rep["in_domain"] = False
                     rep["failing"] = "block-condition"
                 recs[i]["ad_big"], recs[i]["big"] = a, b
+                # the blocks [M N] whose ratio M^-1 N the value takes
+                recs[i]["system"] = b[:n, :n], b[:n, n:]
+            if model is not None and model[0].kind == "cubic" \
+                    and model[0].rank:
+                # the bounded system serves evaluation, so only the points
+                # in the domain get one
+                inside = np.array([rec["report"]["in_domain"]
+                                   for rec in (recs[i] for i in live)])
+                mu = model[0].mu(data[0][live])
+                graded = np.flatnonzero(inside & (mu >= spectral.GRADED_MU))
+                if len(graded):
+                    self._graded_records([recs[live[j]] for j in graded],
+                                         data[0][live][graded],
+                                         ad_big[graded])
         return recs
+
+    def _graded_records(self, recs, data, ad_big):
+        """Attach the bounded system of M^-1 N (spectral.CubicModel.graded)
+        to the records, from the model's data of their points, and report
+        its condition."""
+        g = self._model[0].graded(data, ad_big, self.G.dim)
+        conds = np.linalg.cond(g["tm"]).tolist()
+        for j, (rec, cond) in enumerate(zip(recs, conds)):
+            rec["report"]["bounded_condition"] = cond
+            rec["graded"] = {key: tuple(x[j] for x in v)
+                             if isinstance(v, tuple) else v[j]
+                             for key, v in g.items()}
+            rec["system"] = rec["graded"]["tm"], rec["graded"]["tn"]
 
     def _closed_form_values(self, recs):
         """The values at the points of the records (cocom, canonical), as a
-        stack: one F apply and (canonical) one solve for all of them."""
+        stack: one F apply (or the model's closed form) and (canonical) one
+        solve per route for all of them."""
         n, k = self.G.dim, self.base_dim
-        r = linalg.F_MEROMORPHIC.apply(np.stack([rec["ad"] for rec in recs]))
+        ads = np.stack([rec["ad"] for rec in recs])
+        if self._model is None:
+            r = linalg.F_MEROMORPHIC.apply(ads)
+        else:
+            r = self._model[1].f(np.stack([rec["spec"][1] for rec in recs]),
+                                 ads)
         if self.kind == "cocom":
             return r[:, :n, n:]
-        big = np.stack([rec["big"] for rec in recs])
-        perp = np.linalg.solve(big[:, :n, :n], big[:, :n, n:] @ self.diag_comp)
-        return self.inj @ r[:, :k, k:] @ self.inj.T - perp
+        return self.inj @ r[:, :k, k:] @ self.inj.T - self._perps(recs)
+
+    def _perps(self, recs):
+        """M^-1 N diag_comp at each record, by one stacked solve of the
+        records' systems ([M N], or [TM TN] where the record has a bounded
+        system), and kept in the record."""
+        out = np.linalg.solve(np.stack([rec["system"][0] for rec in recs]),
+                              np.stack([rec["system"][1] for rec in recs])
+                              @ self.diag_comp)
+        for rec, perp in zip(recs, out):
+            rec["perp"] = perp
+        return out
 
     def _closed_form_derivative(self, rec, alphas):
         """Derivatives of the value along each direction of the stack
         alphas (m x k), as a stack, and (canonical, else None) the stack of
-        Frechet derivatives of the flow expm(-ad_big(p)) along them that
-        they are computed from.  All directions share one
-        linalg.expm_frechet call, one F_MEROMORPHIC.frechet call and one
-        solve; each slice is bitwise the call on that direction alone."""
+        derivatives of the flow expm(-ad_big(p)) along them that they are
+        computed from; each slice is bitwise the call on that direction
+        alone.
+
+        On the general route all directions share one linalg.expm_frechet
+        call, one F_MEROMORPHIC.frechet call and one solve.  On the model
+        route the flow's derivatives are exact closed forms (-dA exp(-A)
+        on a commuting frame, the derivative of the Rodrigues form on a
+        cubic family), F's come from the small double's model, and a
+        record with a bounded system differentiates M^-1 N through it
+        (spectral.graded_derivative)."""
         n, k = self.G.dim, self.base_dim
         das = self._direction_ads(alphas)
         if self.kind == "cocom":
             dl = linalg.F_MEROMORPHIC.frechet(rec["ad"], das)[:, :n, n:]
             return dl, None
         da_big, da_small = das
-        big, dbig = linalg.expm_frechet(-rec["ad_big"], -da_big)
-        m_blk = big[:n, :n]
-        if "jet_perp" not in rec:
-            # M^-1 N diag_comp of the pair's exponential, solved once per
-            # point (it differs from the value's expm in the last bits)
-            rec["jet_perp"] = np.linalg.solve(m_blk,
-                                              big[:n, n:] @ self.diag_comp)
         m = len(alphas)
-        sol = np.linalg.solve(m_blk, np.concatenate(
-            [dbig[:, :n, n:] @ self.diag_comp,
-             dbig[:, :n, :n] @ rec["jet_perp"]]))
+        if self._model is None:
+            big, dbig = linalg.expm_frechet(-rec["ad_big"], -da_big)
+            if "jet_perp" not in rec:
+                # M^-1 N diag_comp of the pair's exponential, solved once
+                # per point (it differs from the value's expm in the last
+                # bits)
+                rec["jet_perp"] = np.linalg.solve(
+                    big[:n, :n], big[:n, n:] @ self.diag_comp)
+            perp = rec["jet_perp"]
+            dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)
+        else:
+            big_model, small_model = self._model
+            big = rec["big"]
+            dbig = big_model.exp_neg_derivative(
+                rec["p"], rec["spec"][0], rec["ad_big"], big, alphas, da_big)
+            perp = rec["perp"] if "perp" in rec else self._perps([rec])[0]
+            dr = small_model.f_derivative(rec["p"], rec["spec"][1], rec["ad"],
+                                          alphas, da_small)
+            if "graded" in rec:
+                dperp = spectral.graded_derivative(
+                    rec["graded"], perp, self.diag_comp, da_big)
+                return self.inj @ dr[:, :k, k:] @ self.inj.T - dperp, dbig
+        sol = np.linalg.solve(big[:n, :n], np.concatenate(
+            [dbig[:, :n, n:] @ self.diag_comp, dbig[:, :n, :n] @ perp]))
         dperp = sol[:m] - sol[m:]
-        dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)[:, :k, k:]
-        return self.inj @ dr @ self.inj.T - dperp, dbig
+        return self.inj @ dr[:, :k, k:] @ self.inj.T - dperp, dbig
 
     def _direction_ads(self, alphas):
         """The adjoint matrices along the stacked base directions alphas
@@ -366,7 +470,7 @@ class LMatrixField:
 
     def _flow_derivative(self, rec, beta):
         """Derivative of the canonical field's flow expm(-ad_big(p)) along
-        beta, from the Frechet derivatives of the record's jet."""
+        beta, from the flow derivatives of the record's jet."""
         return _combine(beta, lambda b: self._jet(rec)[1][b],
                         rec["big"].shape)
 
@@ -463,7 +567,11 @@ def cocom_field(G):
 
 
 def canonical_field(G, decomp=None):
-    """The closed-form field attached to a canonically compatible pair."""
+    """The closed-form field attached to a canonically compatible pair.
+
+    The field takes the model route when the spectral models of both its
+    adjoint families pass their checks, else the general route (see
+    `LMatrixField.route`)."""
     if decomp is None:
         decomp = G.decomp
     if decomp is None:
@@ -480,7 +588,16 @@ def canonical_field(G, decomp=None):
     small = qbia.QuasiBialgebra(sub_g, np.zeros((k, k, k)), phi_sub)
     field.small_double = qbia.build_double(small)
     field.diag_comp = linalg.indicator_diag(n, field.comp)
+    field._model = _spectral_model(field)
     return field
+
+
+def _spectral_model(field):
+    """The (double, small double) pair of spectral models of the canonical
+    field's two adjoint families, or None unless both pass their check."""
+    big, small = field._direction_ads(np.eye(field.base_dim))
+    models = (spectral.build(big), spectral.build(small))
+    return None if None in models else models
 
 
 def shifted_field(base, offset, target=None):
@@ -599,13 +716,17 @@ def in_domain(p, field):
     The first predicate asks the relevant adjoint spectrum to stay away
     from the poles i*pi*k (k nonzero) by SPECTRAL_MARGIN; the second asks
     the upper-left block of the double's adjoint flow to have condition
-    below BLOCK_COND_LIMIT.  Raises ValueError unless p has the field's
-    base_dim coordinates.
+    below BLOCK_COND_LIMIT.  The report also gives bounded_condition, the
+    condition of the bounded system TM through which a cubic model reads
+    M^-1 N at a point in the domain (NaN where none is built); no
+    predicate reads it.  Raises
+    ValueError unless p has the field's base_dim coordinates.
     """
     p = field._check_point(p)
     if field.kind == "polynomial":
         return {"in_domain": True, "spectral_margin": np.inf,
-                "block_condition": 1.0, "failing": None}
+                "block_condition": 1.0, "bounded_condition": NO_CONDITION,
+                "failing": None}
     if field.kind in ("shifted", "gauged"):
         return in_domain(p, field.base)
     if field.kind in ("cocom", "canonical"):

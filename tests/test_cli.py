@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynlie import catalog, cli, dynamics, qbia
+from dynlie import catalog, cli, dynamics, linalg, qbia
 
 GOOD_SPEC = """\
 dynlie-spec 1
@@ -402,3 +402,45 @@ def test_cli_commands_never_import_scipy_special(tmp_path):
          str(tmp_path / "sl2-cartan.spec"), str(tmp_path / "dual.spec")],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False True"
+
+
+def _sl3_invariant_spec(path):
+    """A spec of sl3 with the Killing-form invariant 3-tensor over its full
+    split: neither adjoint family of its canonical field is commuting or
+    cubic, so the spectral model's check refuses it."""
+    g = catalog.sl3_chevalley()
+    binv = np.linalg.inv(g.killing_form())
+    phi = 0.25 * np.einsum("ja,kb,abi->ijk", binv, binv, g.c)
+    G = qbia.QuasiBialgebra(g, np.zeros((8, 8, 8)),
+                            linalg.antisymmetrize3(phi))
+    cli.AlgebraSpecFile(G, None, field_kind="canonical",
+                        name="sl3-invariant").save(str(path))
+
+
+@pytest.mark.parametrize("which,route", [("demo", "commuting"),
+                                         ("so3-identity", "cubic"),
+                                         ("sl3-invariant", "general")])
+def test_verify_takes_the_route_the_spectral_model_allows(
+        tmp_path, capsys, monkeypatch, which, route):
+    path = tmp_path / ("%s.spec" % which)
+    if which == "demo":
+        path.write_text(GOOD_SPEC)
+    elif which == "sl3-invariant":
+        _sl3_invariant_spec(path)
+    else:
+        assert cli.main(["catalog", "emit", which, "--out", str(path)]) == 0
+    built = []
+    orig = dynamics.canonical_field
+
+    def spy(*args, **kwargs):
+        built.append(orig(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "canonical_field", spy)
+    capsys.readouterr()
+    code = cli.main(["verify", str(path), "--samples", "2"])
+    report = capsys.readouterr().out
+    assert code == 0 and "result: pass" in report, report
+    assert built and {field.route for field in built} == {route}
+    with pytest.raises(AttributeError):
+        built[0].route = "general"

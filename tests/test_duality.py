@@ -444,9 +444,10 @@ def test_check_computes_each_flow_of_a_base_point_once(monkeypatch):
 
 def test_check_shares_the_fields_frechet_pairs(monkeypatch):
     # the derivative of phi_p reads the field's flow derivative from the
-    # Frechet pairs of the field's jet, so no (matrix, direction) input of
-    # the kernel repeats; computed apart, this check made 6 expm_frechet
-    # calls on 4 distinct inputs
+    # field's jet, which the spectral model gives in closed form, so the
+    # kernel runs only for exp(+ad(p)) and no (matrix, direction) input of
+    # it repeats; computed apart, this check made 6 expm_frechet calls on
+    # 4 distinct inputs
     entry = catalog.get("ev-sl3")
     triv = duality.TrivializationMap(entry.G, entry.decomp)
     calls = []
@@ -460,10 +461,10 @@ def test_check_shares_the_fields_frechet_pairs(monkeypatch):
     monkeypatch.setattr(linalg, "expm_frechet", expm_frechet)
     assert triv.check(samples=1)["passed"]
     inputs = [key for call in calls for key in call]
-    # exp(+ad(p)) along both base directions in one call, then the
-    # field's jet along both in one call
-    assert [len(call) for call in calls] == [2, 2]
-    assert len(inputs) == len(set(inputs)) == 4
+    # exp(+ad(p)) along both base directions in one call
+    assert triv.field.route == "commuting"
+    assert [len(call) for call in calls] == [2]
+    assert len(inputs) == len(set(inputs)) == 2
 
 
 def _record_outputs(triv, p, seed):
