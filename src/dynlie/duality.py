@@ -317,9 +317,11 @@ class _PointFlows:
     fiber isomorphism at p, and per direction their Frechet derivatives.
     Each entry is computed on first use; its arrays are read-only.  The
     field's flow exp(-a) and its derivatives come from the field's record
-    of p, whose derivative jet is one pass of the Frechet kernel
-    (linalg.expm_frechet) over every base basis direction; the exp(+a)
-    pairs of a stack of directions are one kernel call as well."""
+    of p and its derivative jet over every base basis direction, by
+    whichever route the field takes (LMatrixField.route: closed forms of
+    the spectral model, or one pass of the Frechet kernel on the general
+    route); the exp(+a) pairs of a stack of directions are one kernel
+    call."""
 
     def __init__(self, field, rec):
         self._field = field
@@ -420,8 +422,8 @@ class TrivializationMap:
     direction beta (keyed on beta's shape and bytes, at most G.dim**2
     directions) ad(beta) with the Frechet derivatives of those functions,
     of exp(+-a) and of the phi_p matrix.  The derivative of exp(-a) is the
-    field's: it comes from the field's derivative jet, one kernel pass
-    over the base basis directions, so it is never computed twice.
+    field's: it comes from the field's derivative jet over the base basis
+    directions (see _PointFlows), so it is never computed twice.
     Each entry is computed on first use; its arrays are read-only, and
     _phi_data hands out copies.
 

@@ -127,19 +127,20 @@ class LMatrixField:
     functions of the point in the same record (slot "flows"), and reads
     the flow and its derivatives from the record's "big" and jet.
 
-    A canonical field evaluates its records by one of two routes, which
-    `route` names.  canonical_field builds a spectral model (see
-    dynlie.spectral) of each adjoint family, ad_big(p) of the double and
-    ad(p) of the small double, and keeps the pair when both pass their
-    check.  On this model route ("commuting" or "cubic") the spectral
-    margin, the flow, F of the small double and every derivative are
-    closed forms, with no eig, expm or Frechet kernel per point; on a
-    cubic model the points with mu >= spectral.GRADED_MU read M^-1 N and
-    its jet through the bounded system of the flow (record slot "graded").
-    Structures whose families pass neither check (spec files of other
-    shapes) take the general route ("general"): one eig of the small
-    double's adjoint, scipy's expm of ad_big and the Frechet kernel.  The
-    domain rule is the same on both routes.
+    The records are evaluated through a pair of spectral models (see
+    dynlie.spectral), one per adjoint family: ad_big(p) of the double and
+    ad(p) of the small double (the double's ad(p) for the cocom kind), and
+    `route` names the kind of the pair.  canonical_field builds a closed
+    model of each family and keeps the pair when both pass their check:
+    on this model route ("commuting" or "cubic") the spectral margin, the
+    flow, F of the small double and every derivative are closed forms,
+    with no eig, expm or Frechet kernel per point, and a cubic model reads
+    M^-1 N and its jet through the bounded system of the flow where mu >=
+    spectral.GRADED_MU (record slot "system").  The cocom kind, and
+    canonical fields whose families pass neither check (spec files of
+    other shapes), take the general route ("general", spectral.GENERAL):
+    one eig of the small double's adjoint, scipy's expm of ad_big and the
+    Frechet kernels.  The domain rule is the same on both routes.
 
     Records are built by one stacked pass over any number of points
     (_domain_records, _closed_form_values): the record of a point is the
@@ -155,7 +156,8 @@ class LMatrixField:
         self.decomp = decomp
         self._last = (None, None)
         self._basis_ads = None
-        self._model = None
+        # (double, small double) spectral models of the adjoint families
+        self._models = (spectral.GENERAL, spectral.GENERAL)
         n = G.dim
         if decomp is None:
             self.sub = np.arange(n)
@@ -174,9 +176,10 @@ class LMatrixField:
 
     @property
     def route(self):
-        """How the point records are evaluated: the kind of the canonical
-        field's spectral model ("commuting" or "cubic"), or "general"."""
-        return "general" if self._model is None else self._model[0].kind
+        """How the point records are evaluated: the kind of the field's
+        spectral models, "commuting" or "cubic" (the model route of a
+        canonical field), or "general"."""
+        return self._models[0].kind
 
     def _check_point(self, p):
         p = np.asarray(p, dtype=float)
@@ -286,27 +289,24 @@ class LMatrixField:
         point of the stack ps, keeping per point the matrices they are
         computed from for the evaluators: one record per point.
 
-        On the general route the stack takes one eig call, whose
-        eigenvalues give the spectral margin and which F_MEROMORPHIC keeps
-        for the value, and (canonical) one expm and one cond call over the
-        points that pass the margin.  On the model route (canonical fields
-        whose spectral model was accepted, see `route`) the margin and the
-        flow exp(-ad_big(p)) come from the model in closed form, and on a
-        cubic model the points in the domain with mu >= spectral.GRADED_MU
-        also get the bounded system of M^-1 N (slot "graded"), whose
-        condition the report gives as bounded_condition.  The domain rule
-        reads cond(M) on both routes.
+        The small family's model gives every point its data ("data") and
+        spectral margin; (canonical) the double's model gives the points
+        that pass the margin their data ("data_big") and flow
+        exp(-ad_big(p)) ("big"), whose block M the domain rule reads by
+        one cond call, and the points in the domain the system whose ratio
+        is M^-1 N ("system"): [M N], or on a cubic model with mu >=
+        spectral.GRADED_MU the bounded system [TM TN], whose condition the
+        report gives as bounded_condition.  Each step is one stacked call
+        of the model: one eig on the general route (F_MEROMORPHIC keeps it
+        for the value) and one scipy expm, closed forms on the model
+        route.
         """
         recs = []
-        model = self._model
+        big_model, small_model = self._models
         small = self.double if self.kind == "cocom" else self.small_double
         ads = small.d.ad_matrix(small.embed(xi=ps))
-        if model is None:
-            margins = np.min(linalg._dist_to_ipi_nonzero(
-                linalg.F_MEROMORPHIC.eigvals(ads)), axis=-1).tolist()
-        else:
-            data = model[0].data(ps), model[1].data(ps)
-            margins = model[1].margin(data[1]).tolist()
+        data = small_model.data(ps, ads)
+        margins = small_model.margin(data).tolist()
         for i, (ad, margin) in enumerate(zip(ads, margins)):
             rep = {"in_domain": True, "spectral_margin": margin,
                    "block_condition": 1.0, "bounded_condition": NO_CONDITION,
@@ -315,70 +315,49 @@ class LMatrixField:
                 rep["in_domain"] = False
                 rep["failing"] = "spectral-margin"
             recs.append({"report": rep, "value": None, "jet": None,
-                         "ad": ad, "p": ps[i]})
-            if model is not None:
-                recs[i]["spec"] = (data[0][i], data[1][i])
+                         "ad": ad, "data": data[i], "p": ps[i]})
         live = [i for i, rec in enumerate(recs) if rec["report"]["in_domain"]]
         if self.kind == "canonical" and live:
             n = self.G.dim
             ad_big = self._big_ad(ps[live])
-            if model is None:
-                big = scipy.linalg.expm(-ad_big)
-            else:
-                big = model[0].exp_neg(data[0][live], ad_big)
+            data_big = big_model.data(ps[live], ad_big)
+            big = big_model.exp_neg(data_big, ad_big)
             m_blk = big[:, :n, :n]
             # an overflowed flow has no condition number: out of domain
             conds = np.full(len(live), np.inf)
             finite = np.all(np.isfinite(m_blk), axis=(1, 2))
             if finite.any():
                 conds[finite] = np.linalg.cond(m_blk[finite])
-            for i, a, b, cond in zip(live, ad_big, big, conds.tolist()):
-                rep = recs[i]["report"]
-                rep["block_condition"] = cond
+            inside = []
+            for j, (i, cond) in enumerate(zip(live, conds.tolist())):
+                rec = recs[i]
+                rec["report"]["block_condition"] = cond
                 if not cond < BLOCK_COND_LIMIT:
-                    rep["in_domain"] = False
-                    rep["failing"] = "block-condition"
-                recs[i]["ad_big"], recs[i]["big"] = a, b
-                # the blocks [M N] whose ratio M^-1 N the value takes
-                recs[i]["system"] = b[:n, :n], b[:n, n:]
-            if model is not None and model[0].kind == "cubic" \
-                    and model[0].rank:
-                # the bounded system serves evaluation, so only the points
-                # in the domain get one
-                inside = np.array([rec["report"]["in_domain"]
-                                   for rec in (recs[i] for i in live)])
-                mu = model[0].mu(data[0][live])
-                graded = np.flatnonzero(inside & (mu >= spectral.GRADED_MU))
-                if len(graded):
-                    self._graded_records([recs[live[j]] for j in graded],
-                                         data[0][live][graded],
-                                         ad_big[graded])
+                    rec["report"]["in_domain"] = False
+                    rec["report"]["failing"] = "block-condition"
+                else:
+                    inside.append(j)
+                rec["ad_big"], rec["data_big"], rec["big"] = (
+                    ad_big[j], data_big[j], big[j])
+            # the system serves evaluation, so only the points in the
+            # domain get one (all of them, mostly: then nothing is copied)
+            if inside:
+                pick = slice(None) if len(inside) == len(live) else inside
+                systems = big_model.systems(data_big[pick], ad_big[pick],
+                                            big[pick], n)
+                for j, system in zip(inside, systems):
+                    recs[live[j]]["system"] = system
+                    recs[live[j]]["report"]["bounded_condition"] = system.get(
+                        "condition", NO_CONDITION)
         return recs
-
-    def _graded_records(self, recs, data, ad_big):
-        """Attach the bounded system of M^-1 N (spectral.CubicModel.graded)
-        to the records, from the model's data of their points, and report
-        its condition."""
-        g = self._model[0].graded(data, ad_big, self.G.dim)
-        conds = np.linalg.cond(g["tm"]).tolist()
-        for j, (rec, cond) in enumerate(zip(recs, conds)):
-            rec["report"]["bounded_condition"] = cond
-            rec["graded"] = {key: tuple(x[j] for x in v)
-                             if isinstance(v, tuple) else v[j]
-                             for key, v in g.items()}
-            rec["system"] = rec["graded"]["tm"], rec["graded"]["tn"]
 
     def _closed_form_values(self, recs):
         """The values at the points of the records (cocom, canonical), as a
-        stack: one F apply (or the model's closed form) and (canonical) one
-        solve per route for all of them."""
+        stack: one F call of the small family's model and (canonical) one
+        solve for all of them."""
         n, k = self.G.dim, self.base_dim
-        ads = np.stack([rec["ad"] for rec in recs])
-        if self._model is None:
-            r = linalg.F_MEROMORPHIC.apply(ads)
-        else:
-            r = self._model[1].f(np.stack([rec["spec"][1] for rec in recs]),
-                                 ads)
+        r = self._models[1].f(np.stack([rec["data"] for rec in recs]),
+                              np.stack([rec["ad"] for rec in recs]))
         if self.kind == "cocom":
             return r[:, :n, n:]
         return self.inj @ r[:, :k, k:] @ self.inj.T - self._perps(recs)
@@ -387,8 +366,8 @@ class LMatrixField:
         """M^-1 N diag_comp at each record, by one stacked solve of the
         records' systems ([M N], or [TM TN] where the record has a bounded
         system), and kept in the record."""
-        out = np.linalg.solve(np.stack([rec["system"][0] for rec in recs]),
-                              np.stack([rec["system"][1] for rec in recs])
+        out = np.linalg.solve(np.stack([rec["system"]["tm"] for rec in recs]),
+                              np.stack([rec["system"]["tn"] for rec in recs])
                               @ self.diag_comp)
         for rec, perp in zip(recs, out):
             rec["perp"] = perp
@@ -401,45 +380,28 @@ class LMatrixField:
         computed from; each slice is bitwise the call on that direction
         alone.
 
-        On the general route all directions share one linalg.expm_frechet
-        call, one F_MEROMORPHIC.frechet call and one solve.  On the model
-        route the flow's derivatives are exact closed forms (-dA exp(-A)
-        on a commuting frame, the derivative of the Rodrigues form on a
-        cubic family), F's come from the small double's model, and a
-        record with a bounded system differentiates M^-1 N through it
-        (spectral.graded_derivative)."""
+        Each family's model differentiates its own function along all the
+        directions in one call: the flow (the Frechet kernel on the general
+        route, -dA exp(-A) on a commuting frame, the derivative of the
+        Rodrigues form on a cubic family), F of the small double, and
+        M^-1 N through the record's system (one solve; a bounded system
+        differentiates through spectral.graded_derivative)."""
         n, k = self.G.dim, self.base_dim
+        big_model, small_model = self._models
         das = self._direction_ads(alphas)
         if self.kind == "cocom":
-            dl = linalg.F_MEROMORPHIC.frechet(rec["ad"], das)[:, :n, n:]
-            return dl, None
+            dl = small_model.f_derivative(rec["p"], rec["data"], rec["ad"],
+                                          alphas, das)
+            return dl[:, :n, n:], None
         da_big, da_small = das
-        m = len(alphas)
-        if self._model is None:
-            big, dbig = linalg.expm_frechet(-rec["ad_big"], -da_big)
-            if "jet_perp" not in rec:
-                # M^-1 N diag_comp of the pair's exponential, solved once
-                # per point (it differs from the value's expm in the last
-                # bits)
-                rec["jet_perp"] = np.linalg.solve(
-                    big[:n, :n], big[:n, n:] @ self.diag_comp)
-            perp = rec["jet_perp"]
-            dr = linalg.F_MEROMORPHIC.frechet(rec["ad"], da_small)
-        else:
-            big_model, small_model = self._model
-            big = rec["big"]
-            dbig = big_model.exp_neg_derivative(
-                rec["p"], rec["spec"][0], rec["ad_big"], big, alphas, da_big)
-            perp = rec["perp"] if "perp" in rec else self._perps([rec])[0]
-            dr = small_model.f_derivative(rec["p"], rec["spec"][1], rec["ad"],
-                                          alphas, da_small)
-            if "graded" in rec:
-                dperp = spectral.graded_derivative(
-                    rec["graded"], perp, self.diag_comp, da_big)
-                return self.inj @ dr[:, :k, k:] @ self.inj.T - dperp, dbig
-        sol = np.linalg.solve(big[:n, :n], np.concatenate(
-            [dbig[:, :n, n:] @ self.diag_comp, dbig[:, :n, :n] @ perp]))
-        dperp = sol[:m] - sol[m:]
+        dbig = big_model.exp_neg_derivative(
+            rec["p"], rec["data_big"], rec["ad_big"], rec["big"], alphas,
+            da_big)
+        perp = rec["perp"] if "perp" in rec else self._perps([rec])[0]
+        dr = small_model.f_derivative(rec["p"], rec["data"], rec["ad"],
+                                      alphas, da_small)
+        dperp = big_model.perp_derivative(rec["system"], perp,
+                                          self.diag_comp, da_big, dbig)
         return self.inj @ dr[:, :k, k:] @ self.inj.T - dperp, dbig
 
     def _direction_ads(self, alphas):
@@ -588,16 +550,11 @@ def canonical_field(G, decomp=None):
     small = qbia.QuasiBialgebra(sub_g, np.zeros((k, k, k)), phi_sub)
     field.small_double = qbia.build_double(small)
     field.diag_comp = linalg.indicator_diag(n, field.comp)
-    field._model = _spectral_model(field)
-    return field
-
-
-def _spectral_model(field):
-    """The (double, small double) pair of spectral models of the canonical
-    field's two adjoint families, or None unless both pass their check."""
     big, small = field._direction_ads(np.eye(field.base_dim))
     models = (spectral.build(big), spectral.build(small))
-    return None if None in models else models
+    if None not in models:
+        field._models = models
+    return field
 
 
 def shifted_field(base, offset, target=None):

@@ -310,8 +310,7 @@ class AnalyticFunction:
     stack of them.  A call eigendecomposes each of its matrices at most
     once, with one eig call for all of them, and not at all for a matrix
     the memo holds: the memo keeps the matrices of the last call that
-    brought a new one, and every zero matrix it has seen (the adjoint of a
-    point in an abelian algebra is 0 everywhere).
+    brought a new one.
     Each matrix takes the eigen route when cond(V) < EIG_COND_LIMIT and the
     series otherwise.
     """
@@ -356,10 +355,9 @@ class AnalyticFunction:
         """The memo entries {w, v} of the slices of the stack a, in order.
 
         The slices the memo does not hold are decomposed by one eig call
-        and replace the memo, which keeps the held slices of a and the zero
-        matrices; an entry is what np.linalg.eig returns for its slice
-        alone, real when its spectrum is.  A new slice drops the kept
-        series results.
+        and replace the memo, which keeps the held slices of a; an entry is
+        what np.linalg.eig returns for its slice alone, real when its
+        spectrum is.  A new slice drops the kept series results.
         """
         memo = self._memo
         keys = [x.tobytes() for x in a]
@@ -368,9 +366,6 @@ class AnalyticFunction:
             w, v = np.linalg.eig(np.array(list(todo.values())))
             real = (~np.any(w.imag, axis=-1)).tolist()
             kept = {key: memo[key] for key in keys if key in memo}
-            # a zero matrix (all bytes zero) stays for good
-            kept.update((key, e) for key, e in memo.items()
-                        if not key.strip(b"\0"))
             for key, wi, vi, r in zip(todo, w, v, real):
                 kept[key] = {"w": wi.real, "v": vi.real} if r else {
                     "w": wi, "v": vi}

@@ -30,6 +30,12 @@ same ratio M^-1 N = (TM)^-1 TN (the decoupling of Ascher, Mattheij &
 Russell, Numerical Solution of BVPs for ODEs, 1988, ch. 6, made exact by
 the projectors).  Its derivative is bounded as well (`graded_derivative`).
 
+A family that passes neither check takes the general model
+(`GeneralModel`, `GENERAL`), which has the same interface and evaluates
+each point numerically: one eig per matrix for the margin and F (kept by
+linalg.F_MEROMORPHIC for the apply that follows), scipy's expm for the
+flow and the Frechet kernels for the derivatives.
+
 Every evaluator takes a stack of points and works slice by slice with
 elementwise operations and stacked products, so each slice is bitwise the
 call on that point alone.
@@ -38,6 +44,7 @@ call on that point alone.
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 
@@ -50,7 +57,11 @@ MODEL_SEED = 0
 SERIES_S = 1.0
 SERIES_TERMS = 20
 # a cubic flow with mu = sqrt(s) at least this large takes the bounded form
-# of M^-1 N; below it cond(M) is small and a plain solve loses nothing
+# of M^-1 N.  Against tests/oracle.py on su2-lagrangian, both forms are at
+# roundoff for 0.75 <= mu <= 2; below, the projectors' division by s costs
+# the bounded form digits (value off by 2.8e-15 at mu = 0.05) while the
+# plain solve holds (cond(M) < 1.6 for mu <= 1); above, the plain solve
+# loses digits with cond(M) (jet off by 8.6e-13 at mu = 8)
 GRADED_MU = 1.0
 RANK_TOL = 1e-8
 
@@ -141,14 +152,75 @@ def cubic_coeffs(s):
 
 
 # ---------------------------------------------------------------------------
-# the two model shapes
+# the models
 #
-# Both take the points through `data(ps)`, the per-point numbers the other
+# Every model takes the points through `data(ps, a)` (a the family's
+# matrices A(p) at the points ps), the per-point numbers the other
 # evaluators read (a stack; a record keeps its slice): the eigenvalues of
-# A(p) for a frame, the coefficient table for a cubic family.
+# A(p) for a frame, the coefficient table for a cubic family, A(p) itself
+# for the general model.  Per point, `margin` gives the spectral margin,
+# `exp_neg` the flow exp(-A), `f` the meromorphic F(A) and `systems` the
+# system whose ratio is M^-1 N; at one point, `exp_neg_derivative`,
+# `f_derivative` and `perp_derivative` differentiate them along a stack of
+# directions.
 
 
-class FrameModel:
+class _Model:
+    """The evaluators every model shares: the system of the flow's top
+    block rows [M N] = W exp(-A), W = [I 0], and the derivative of its
+    ratio M^-1 N."""
+
+    def systems(self, d, a, e, n):
+        """The system whose ratio is M^-1 N at each point of the stack (e
+        the flows exp(-A)), as one dict per point with the blocks "tm" and
+        "tn": here M and N themselves."""
+        return [{"tm": x[:n, :n], "tn": x[:n, n:]} for x in e]
+
+    def perp_derivative(self, system, perp, diag, das, dbig):
+        """Derivatives of perp = (M^-1 N) diag at one point along the stack
+        das of directions of A, dbig the flow's derivatives along them:
+        M^-1 (dN diag - dM perp), by one solve for all directions."""
+        m, n = len(das), perp.shape[0]
+        sol = np.linalg.solve(system["tm"], np.concatenate(
+            [dbig[:, :n, n:] @ diag, dbig[:, :n, :n] @ perp]))
+        return sol[:m] - sol[m:]
+
+
+class GeneralModel(_Model):
+    """A family with no closed form, evaluated point by point: its data
+    are the matrices A(p), the margin and F come from one eig per matrix
+    (linalg.F_MEROMORPHIC keeps it for the apply that follows), the flow
+    from scipy's expm and the derivatives from the Frechet kernels."""
+
+    kind = "general"
+
+    def data(self, ps, a):
+        return a
+
+    def margin(self, d):
+        return np.min(linalg._dist_to_ipi_nonzero(
+            linalg.F_MEROMORPHIC.eigvals(d)), axis=-1)
+
+    def exp_neg(self, d, a):
+        # an overflowed flow is refused by the domain rule, as on the
+        # closed models
+        with np.errstate(over="ignore", invalid="ignore"):
+            return scipy.linalg.expm(-a)
+
+    def exp_neg_derivative(self, p, d, a, e, alphas, das):
+        return linalg.expm_frechet(-a, -das)[1]
+
+    def f(self, d, a):
+        return linalg.F_MEROMORPHIC.apply(a)
+
+    def f_derivative(self, p, d, a, alphas, das):
+        return linalg.F_MEROMORPHIC.frechet(a, das)
+
+
+GENERAL = GeneralModel()
+
+
+class FrameModel(_Model):
     """A commuting family diagonalized by one eigenvector matrix V: the
     eigenvalues of A(p) are sum_b p_b lam[b], lam[b] those of A_b in V's
     order."""
@@ -160,7 +232,7 @@ class FrameModel:
         self.v, self.vinv, self.lam = v, vinv, lam
         self.zero = not np.any(basis)
 
-    def data(self, ps):
+    def data(self, ps, a):
         return combine(ps, self.lam)
 
     def margin(self, d):
@@ -202,7 +274,7 @@ class FrameModel:
         return self._spectral(linalg.F_MEROMORPHIC.df(d)[None]) @ das
 
 
-class CubicModel:
+class CubicModel(_Model):
     """A family with A(p)^3 = s(p) A(p), s(p) = p^T Q p."""
 
     kind = "cubic"
@@ -213,7 +285,7 @@ class CubicModel:
         # rank of the projector P- (None: no point with s > 0 was seen)
         self.rank = rank
 
-    def data(self, ps):
+    def data(self, ps, a):
         with np.errstate(over="ignore", invalid="ignore"):
             return cubic_coeffs(_dot(ps, combine(ps, self.q)))
 
@@ -256,6 +328,30 @@ class CubicModel:
 
     def f_derivative(self, p, d, a, alphas, das):
         return d[DH] * self._ds(p, alphas)[:, None, None] * a + d[H] * das
+
+    def systems(self, d, a, e, n):
+        """[M N] where mu < GRADED_MU (or the bounded form does not exist:
+        no rank), else the bounded system of `graded`, whose dict adds its
+        condition cond(TM) under "condition"."""
+        out = super().systems(d, a, e, n)
+        graded = (np.flatnonzero(self.mu(d) >= GRADED_MU) if self.rank
+                  else [])
+        if len(graded):
+            g = self.graded(d[graded], a[graded], n)
+            conds = np.linalg.cond(g["tm"]).tolist()
+            for j, (i, cond) in enumerate(zip(graded, conds)):
+                out[i] = {key: tuple(x[j] for x in v)
+                          if isinstance(v, tuple) else v[j]
+                          for key, v in g.items()}
+                out[i]["condition"] = cond
+        return out
+
+    def perp_derivative(self, system, perp, diag, das, dbig):
+        """Through the bounded system where the point has one
+        (graded_derivative), else through [M N]."""
+        if "mu" in system:
+            return graded_derivative(system, perp, diag, das)
+        return super().perp_derivative(system, perp, diag, das, dbig)
 
     def graded(self, d, a, n):
         """The bounded form of the top block rows of exp(-A(p)) for the
@@ -366,7 +462,7 @@ def _cubic(basis):
     # holds the identity with this Q
     q[np.abs(q) <= MODEL_TOL * np.max(np.abs(q))] = 0.0
     model = CubicModel(basis, q)
-    s_fit = model.data(pts)[:, S]
+    s_fit = model.data(pts, a)[:, S]
     resid = np.max(np.abs(a3 - s_fit[:, None, None] * a), axis=(1, 2))
     bound = MODEL_TOL * (np.max(np.abs(a3), axis=(1, 2))
                          + np.abs(s_fit) * np.max(np.abs(a), axis=(1, 2)))
@@ -395,7 +491,8 @@ def build(basis):
     FrameModel when its check passes, else a CubicModel when that check
     passes, else None.  A model depends on the basis alone and is never
     changed, so the last MODEL_MEMO bases keep theirs: a structure that is
-    rebuilt (a TrivializationMap per call, catalog list) checks once."""
+    rebuilt in one process (a TrivializationMap per check, each command
+    of cli.main called in process) is checked once."""
     basis = np.asarray(basis, dtype=float)
     key = (basis.shape, basis.tobytes())
     if key in _MODELS:

@@ -33,10 +33,27 @@ def field_by_name(name):
 
 
 def general_route(field):
-    """The field with its spectral model dropped: the general route, the
-    reference the model route is compared with."""
-    field._model = None
+    """The field with its spectral models replaced by the general model:
+    the general route, the reference the model route is compared with."""
+    field._models = (spectral.GENERAL, spectral.GENERAL)
     return field
+
+
+def field_on_route(name, route):
+    """The canonical field of field_by_name(name) on the model route (as
+    built) or on the general route."""
+    field = field_by_name(name)
+    return general_route(field) if route == "general" else field
+
+
+def on_both_routes(names):
+    """Parametrize (name, route) over the names on both routes: the model
+    route's case is named by the name, the general route's by
+    name-general."""
+    return pytest.mark.parametrize("name, route", [
+        pytest.param(name, route,
+                     id=name if route == "model" else name + "-general")
+        for name in names for route in ("model", "general")])
 
 
 def cartan_split(G):
@@ -233,11 +250,10 @@ def test_zero_and_constant_fields_stay_exact_far_out():
         assert np.array_equal(f.derivative(p, p), np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+@on_both_routes(["sl2-cartan", "ev-sl3", "su2-lagrangian"])
 @pytest.mark.parametrize("norm", [1e5, 1e300])
-def test_overflowing_flow_is_reported_out_of_domain(name, norm):
-    entry = catalog.get(name)
-    f = dyn.canonical_field(entry.G, entry.decomp)
+def test_overflowing_flow_is_reported_out_of_domain(name, norm, route):
+    f = field_on_route(name, route)
     p = np.full(f.base_dim, norm)
     rep = dyn.in_domain(p, f)
     assert not rep["in_domain"]
@@ -782,10 +798,9 @@ def test_derivative_is_linear_in_the_basis_jet(name, monkeypatch):
             field.derivative(p, np.ones(k + 1))
 
 
-@pytest.mark.parametrize("name", catalog.names())
-def test_stacked_jet_is_bitwise_each_direction_alone(name):
-    entry = catalog.get(name)
-    field = dyn.canonical_field(entry.G, entry.decomp)
+@on_both_routes(catalog.names())
+def test_stacked_jet_is_bitwise_each_direction_alone(name, route):
+    field = field_on_route(name, route)
     k = field.base_dim
     rng = np.random.default_rng(62)
     for p in dyn.sample_domain_points(field, 2, seed=9, scale=1.5):
@@ -948,10 +963,9 @@ def ray_points(field, seed, cap=64.0, rays=2):
     return np.array(pts)
 
 
-@pytest.mark.parametrize("name", catalog.names())
-def test_stacked_pass_is_bitwise_the_value_at_each_point(name):
-    entry = catalog.get(name)
-    field = dyn.canonical_field(entry.G, entry.decomp)
+@on_both_routes(catalog.names())
+def test_stacked_pass_is_bitwise_the_value_at_each_point(name, route):
+    field = field_on_route(name, route)
     pts = ray_points(field, seed=70)
     assert len(pts) > 10
     reports = [rec["report"] for rec in field._domain_records(pts)]
@@ -998,20 +1012,25 @@ def test_stacked_pass_raises_for_the_first_point_outside_the_domain():
 def test_zero_small_double_slices_make_no_eig_call(monkeypatch):
     # 7 of the 9 entries have an abelian subalgebra: the small double's
     # ad(p) is 0 at every point; the other two have a cubic small double.
-    # Every entry's spectral model gives F in closed form, with no eig
+    # Every entry's spectral model gives F in closed form, with no eig; on
+    # the general route the value's call left F(0) in the function's memo,
+    # and the other slices take one eig call for the whole stack
     abelian = 0
     for name in catalog.names():
-        entry = catalog.get(name)
-        field = dyn.canonical_field(entry.G, entry.decomp)
-        k = field.base_dim
-        p = dyn.sample_domain_points(field, 1, seed=74)[0]
-        field.value(p)
-        probes = p + 1e-3 * np.concatenate([np.eye(k), -np.eye(k)])
-        zero = not np.any(field.small_double.d.ad[k:])
-        calls = count_calls(monkeypatch, np.linalg, "eig")
-        field._probe(probes)
-        monkeypatch.undo()
-        assert field.route != "general" and not calls, name
+        for route in ("model", "general"):
+            field = field_on_route(name, route)
+            k = field.base_dim
+            p = dyn.sample_domain_points(field, 1, seed=74)[0]
+            field.value(p)
+            probes = p + 1e-3 * np.concatenate([np.eye(k), -np.eye(k)])
+            zero = not np.any(field.small_double.d.ad[k:])
+            calls = count_calls(monkeypatch, np.linalg, "eig")
+            field._probe(probes)
+            monkeypatch.undo()
+            if route == "general":
+                assert len(calls) == (0 if zero else 1), name
+            else:
+                assert field.route != "general" and not calls, name
         abelian += zero
     assert abelian == 7
 

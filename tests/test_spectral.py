@@ -82,9 +82,9 @@ def test_model_flow_and_margin_match_mpmath_and_eig(name):
     ps = rng.standard_normal((4, field.base_dim)) * np.array(
         [0.01, 1.0, 8.0, 20.0])[:, None]
     a = spectral.combine(ps, big)
-    got = mbig.exp_neg(mbig.data(ps), a)
+    got = mbig.exp_neg(mbig.data(ps, a), a)
     a_small = spectral.combine(ps, small)
-    margin = msmall.margin(msmall.data(ps))
+    margin = msmall.margin(msmall.data(ps, a_small))
     for x, e, xs, m in zip(a, got, a_small, margin):
         with mp.workdps(30):
             want = mp.expm(-mp.matrix(x.tolist()))
@@ -101,7 +101,7 @@ def test_the_bounded_system_has_the_ratio_of_the_flow():
     n = field.G.dim
     ps = np.array([[1.5, -2.0, 0.5], [4.0, 1.0, -3.0]])
     a = spectral.combine(ps, big)
-    d = model.data(ps)
+    d = model.data(ps, a)
     g = model.graded(d, a, n)
     e = model.exp_neg(d, a)
     for tm, tn, x in zip(g["tm"], g["tn"], e):
@@ -122,13 +122,15 @@ def test_an_indefinite_cubic_family_matches_the_general_route():
     model = dyn.canonical_field(G)
     # the general route, the reference
     general = dyn.canonical_field(G)
-    general._model = None
+    general._models = (spectral.GENERAL, spectral.GENERAL)
     assert model.route == "cubic"
     rng = np.random.default_rng(91)
     signs = set()
     for r in (0.1, 1.0, 3.0, 8.0, 20.0):
         p = r * rng.standard_normal(3)
-        signs.add(float(np.sign(model._model[1].data(p[None])[0, spectral.S])))
+        small = model._models[1]
+        d = small.data(p[None], spectral.combine(p[None], small.basis))
+        signs.add(float(np.sign(d[0, spectral.S])))
         got, want = dyn.in_domain(p, model), dyn.in_domain(p, general)
         assert got["in_domain"] == want["in_domain"]
         assert abs(got["spectral_margin"] - want["spectral_margin"]) <= 1e-12
