@@ -9,6 +9,8 @@ the generalized dynamical Yang-Baxter system (in two independent forms), the
 base-point dual algebra, and the gauge action of equivariant exponential maps.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -106,58 +108,16 @@ class LMatrixField:
     """A field of linear maps from covectors to vectors over a base that
     lives in the coordinates dual to the chosen subalgebra.
 
-    Built through the factory functions below; `kind` is one of polynomial
-    (also behind zero_field and constant_field), cocom, canonical, shifted,
-    gauged.  Every evaluation is expected to be skew; skewness is part of
+    One subclass per kind of field, each built by its factory below.
+    `value`, `derivative`, `_probe` and `in_domain` check their arguments
+    once and call the kind's _value, _derivative, _probe_stack and
+    _report.  Every evaluation is expected to be skew; skewness is part of
     what the residual reports certify, so `value` returns the raw matrix.
-
-    The cocom and canonical kinds keep a record of the last base point they
-    evaluated, keyed on the point's shape and bytes: the domain report with
-    the adjoint matrices and (canonical) the flow expm(-ad_big(p)) it was
-    computed from, the value, and the derivative jet.  The jet is computed
-    whole on first use, by one pass over every base basis direction e_b
-    (_closed_form_derivative on the identity): the stack of D_b = dl/dp_b
-    and (canonical) the stack of the flow's derivatives along e_b that
-    they came from.  The derivative is linear in its direction, so
-    derivative(p, alpha) is the sum of alpha_b D_b over the nonzero
-    alpha_b, and zero for alpha = 0.  Callers receive copies.  The base
-    basis directions' adjoint matrices are built once per field.  The
-    record is replaced as soon as another point comes in, so alternating
-    between points recomputes.  duality.TrivializationMap keeps its matrix
-    functions of the point in the same record (slot "flows"), and reads
-    the flow and its derivatives from the record's "big" and jet.
-
-    The records are evaluated through a pair of spectral models (see
-    dynlie.spectral), one per adjoint family: ad_big(p) of the double and
-    ad(p) of the small double (the double's ad(p) for the cocom kind), and
-    `route` names the kind of the pair.  canonical_field builds a closed
-    model of each family and keeps the pair when both pass their check:
-    on this model route ("commuting" or "cubic") the spectral margin, the
-    flow, F of the small double and every derivative are closed forms,
-    with no eig, expm or Frechet kernel per point, and a cubic model reads
-    M^-1 N and its jet through the bounded system of the flow where mu >=
-    spectral.GRADED_MU (record slot "system").  The cocom kind, and
-    canonical fields whose families pass neither check (spec files of
-    other shapes), take the general route ("general", spectral.GENERAL):
-    one eig of the small double's adjoint, scipy's expm of ad_big and the
-    Frechet kernels.  The domain rule is the same on both routes.
-
-    Records are built by one stacked pass over any number of points
-    (_domain_records, _closed_form_values): the record of a point is the
-    pass over that point alone, and cdybe_residual's finite-difference
-    probes are one pass over all of them (_probe), which reads and
-    replaces no record.  Each slice of a pass is bitwise the pass over its
-    point alone, on either route.
     """
 
-    def __init__(self, kind, G, decomp=None):
-        self.kind = kind
+    def __init__(self, G, decomp=None):
         self.G = G
         self.decomp = decomp
-        self._last = (None, None)
-        self._basis_ads = None
-        # (double, small double) spectral models of the adjoint families
-        self._models = (spectral.GENERAL, spectral.GENERAL)
         n = G.dim
         if decomp is None:
             self.sub = np.arange(n)
@@ -171,15 +131,18 @@ class LMatrixField:
         self.inj = linalg.injection(n, self.sub)
 
     def __repr__(self):
-        return ("LMatrixField(kind=%r, dim=%d, base_dim=%d)"
-                % (self.kind, self.G.dim, self.base_dim))
+        return "%s(dim=%d, base_dim=%d)" % (type(self).__name__, self.G.dim,
+                                            self.base_dim)
 
     @property
     def route(self):
-        """How the point records are evaluated: the kind of the field's
-        spectral models, "commuting" or "cubic" (the model route of a
-        canonical field), or "general"."""
-        return self._models[0].kind
+        """None: the field keeps no point record (PointRecordField.route)."""
+        return None
+
+    @functools.cached_property
+    def double(self):
+        """The double of G, built on first use."""
+        return qbia.build_double(self.G)
 
     def _check_point(self, p):
         p = np.asarray(p, dtype=float)
@@ -191,52 +154,7 @@ class LMatrixField:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, p):
-        p = self._check_point(p)
-        if self.kind == "polynomial":
-            out = self.t0.copy()
-            if self.t1 is not None:
-                out += np.einsum('a,aij->ij', p, self.t1)
-            if self.t2 is not None:
-                out += np.einsum('a,b,abij->ij', p, p, self.t2)
-            return out
-        if self.kind == "shifted":
-            return self.base.value(p) + self.offset
-        if self.kind in ("cocom", "canonical"):
-            self._require_domain(p)
-            rec = self._at(p)
-            if rec["value"] is None:
-                rec["value"] = self._closed_form_values([rec])[0]
-            return rec["value"].copy()
-        if self.kind == "gauged":
-            return self._gauged_value(p, self.base.value(p))
-        raise ValueError("unknown field kind %r" % self.kind)
-
-    def _probe(self, q):
-        """The values at a stack of base points q (m x k), or the value at
-        one point, evaluated without reading or replacing the point record:
-        cdybe_residual's finite-difference probes, so that the record of
-        the point they straddle survives them.  The cocom and canonical
-        kinds run one stacked pass (shifted and gauged fields through their
-        base), in which every point gets the domain check of value before
-        any value is computed; the first point outside the domain raises
-        value's OutOfDomain."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            return self._probe(self._check_point(q)[None])[0]
-        if q.ndim != 2 or q.shape[1] != self.base_dim:
-            raise ValueError("base points must have %d coordinates"
-                             % self.base_dim)
-        if self.kind in ("cocom", "canonical"):
-            recs = self._domain_records(q)
-            for rec in recs:
-                _raise_outside(rec["report"])
-            return self._closed_form_values(recs)
-        if self.kind == "shifted":
-            return self.base._probe(q) + self.offset
-        if self.kind == "gauged":
-            return np.array([self._gauged_value(point, lb)
-                             for point, lb in zip(q, self.base._probe(q))])
-        return np.array([self.value(point) for point in q])
+        return self._value(self._check_point(p))
 
     def derivative(self, p, alpha):
         """Exact directional derivative of the field at p along alpha."""
@@ -245,68 +163,139 @@ class LMatrixField:
         if alpha.shape != (self.base_dim,):
             raise ValueError("direction must have %d coordinates"
                              % self.base_dim)
+        return self._derivative(p, alpha)
+
+    def _probe(self, q):
+        """The values at a stack of base points q (m x k), or the value at
+        one point, evaluated without reading or replacing a point record:
+        cdybe_residual's finite-difference probes, so that the record of
+        the point they straddle survives them.  A point outside the domain
+        raises value's OutOfDomain."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            return self._probe(self._check_point(q)[None])[0]
+        if q.ndim != 2 or q.shape[1] != self.base_dim:
+            raise ValueError("base points must have %d coordinates"
+                             % self.base_dim)
+        return self._probe_stack(q)
+
+    def _require_domain(self, p):
+        _raise_outside(in_domain(p, self))
+
+
+class PolynomialField(LMatrixField):
+    """The jet field of polynomial_field, defined on the whole base.  A
+    coefficient T1 or T2 that was not given is None and is not
+    evaluated."""
+
+    def __init__(self, G, decomp, t0, t1, t2):
+        super().__init__(G, decomp)
+        self.t0, self.t1, self.t2 = t0, t1, t2
+
+    def _report(self, p):
+        return {"in_domain": True, "spectral_margin": np.inf,
+                "block_condition": 1.0, "bounded_condition": NO_CONDITION,
+                "failing": None}
+
+    def _value(self, p):
+        out = self.t0.copy()
+        if self.t1 is not None:
+            out += np.einsum('a,aij->ij', p, self.t1)
+        if self.t2 is not None:
+            out += np.einsum('a,b,abij->ij', p, p, self.t2)
+        return out
+
+    def _derivative(self, p, alpha):
         n = self.G.dim
-        if self.kind == "polynomial":
-            out = np.zeros((n, n))
-            if self.t1 is not None:
-                out += np.einsum('a,aij->ij', alpha, self.t1)
-            if self.t2 is not None:
-                out += 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2)
-            return out
-        if self.kind == "shifted":
-            return self.base.derivative(p, alpha)
-        if self.kind in ("cocom", "canonical"):
-            self._require_domain(p)
-            rec = self._at(p)
-            return _combine(alpha, lambda b: self._jet(rec)[0][b], (n, n))
-        if self.kind == "gauged":
-            ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
-            lb = self.base.value(p)
-            dlb = self.base.derivative(p, alpha)
-            out = (dad @ lb @ ad_big.T + ad_big @ dlb @ ad_big.T
-                   + ad_big @ lb @ dad.T + dtheta)
-            if self.potential is not None:
-                t = self.potential
-                out = out + dad @ t @ ad_big.T + ad_big @ t @ dad.T
-            return out
-        raise ValueError("unknown field kind %r" % self.kind)
+        out = np.zeros((n, n))
+        if self.t1 is not None:
+            out += np.einsum('a,aij->ij', alpha, self.t1)
+        if self.t2 is not None:
+            out += 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2)
+        return out
 
-    # -- internals ----------------------------------------------------------
+    def _probe_stack(self, q):
+        return np.array([self._value(point) for point in q])
 
-    def _big_ad(self, p):
-        """ad_big(p), or the stack of them for a stack of points."""
-        return self.double.d.ad_matrix(self.double.embed(xi=p @ self.inj.T))
+
+class PointRecordField(LMatrixField):
+    """A field evaluated through a record of the last base point
+    (CocomField, CanonicalField), keyed on the point's shape and bytes:
+    the domain report with the matrices it was computed from, the value,
+    and the derivative jet, the stack of D_b = dl/dp_b that one pass over
+    the base basis directions computes whole on first use
+    (_closed_form_derivative on the identity).  derivative(p, alpha) is
+    the sum of alpha_b D_b over the nonzero alpha_b, and zero for alpha =
+    0.  Callers receive copies.  A new point replaces the record, so
+    alternating between points recomputes.
+
+    Records are built by one stacked pass over any number of points
+    (_domain_records, _closed_form_values) through the field's pair of
+    spectral models (see dynlie.spectral), one per adjoint family.  The
+    evaluators here give the upper-right block of F of the small family,
+    which is the whole cocom field; CanonicalField extends them.
+    cdybe_residual's finite-difference probes are one pass (_probe) that
+    reads and replaces no record, and checks every point's domain before
+    it computes any value.  Each slice of a pass is bitwise the pass over
+    its point alone, on either route.
+    """
+
+    def __init__(self, G, decomp=None):
+        super().__init__(G, decomp)
+        self._last = (None, None)
+        # (double, small double) spectral models of the adjoint families
+        self._models = (spectral.GENERAL, spectral.GENERAL)
+
+    @property
+    def route(self):
+        """The kind of the field's spectral models: "commuting" or "cubic"
+        (the model route of a canonical field), or "general"."""
+        return self._models[0].kind
+
+    def _report(self, p):
+        return dict(self._at(p)["report"])
+
+    def _value(self, p):
+        rec = self._at(p)
+        _raise_outside(rec["report"])
+        if rec["value"] is None:
+            rec["value"] = self._closed_form_values([rec])[0]
+        return rec["value"].copy()
+
+    def _derivative(self, p, alpha):
+        rec = self._at(p)
+        _raise_outside(rec["report"])
+        n = self.G.dim
+        return _combine(alpha, lambda b: self._jet(rec)[0][b], (n, n))
+
+    def _probe_stack(self, q):
+        recs = self._domain_records(q)
+        for rec in recs:
+            _raise_outside(rec["report"])
+        return self._closed_form_values(recs)
 
     def _at(self, p):
-        """The record of the validated base point p (cocom, canonical)."""
+        """The record of the validated base point p."""
         key = (p.shape, p.tobytes())
         if self._last[0] != key:
             self._last = (key, self._domain_records(p[None])[0])
         return self._last[1]
 
-    def _domain_records(self, ps):
-        """Evaluate the two domain conditions (see `in_domain`) at each
-        point of the stack ps, keeping per point the matrices they are
-        computed from for the evaluators: one record per point.
+    def _small_ads(self, xs):
+        """The small double's ad at each point of the stack xs."""
+        small = self.small_double
+        return small.d.ad_matrix(small.embed(xi=xs))
 
-        The small family's model gives every point its data ("data") and
-        spectral margin; (canonical) the double's model gives the points
-        that pass the margin their data ("data_big") and flow
-        exp(-ad_big(p)) ("big"), whose block M the domain rule reads by
-        one cond call, and the points in the domain the system whose ratio
-        is M^-1 N ("system"): [M N], or on a cubic model with mu >=
-        spectral.GRADED_MU the bounded system [TM TN], whose condition the
-        report gives as bounded_condition.  Each step is one stacked call
-        of the model: one eig on the general route (F_MEROMORPHIC keeps it
-        for the value) and one scipy expm, closed forms on the model
-        route.
-        """
+    def _domain_records(self, ps):
+        """One record per point of the stack ps, with the spectral margin
+        (see `in_domain`) and the matrices it is computed from: the small
+        family's model gives every point its data ("data") and margin by
+        one stacked call, one eig on the general route (F_MEROMORPHIC keeps
+        it for the value) and closed forms on the model route."""
         recs = []
-        big_model, small_model = self._models
-        small = self.double if self.kind == "cocom" else self.small_double
-        ads = small.d.ad_matrix(small.embed(xi=ps))
-        data = small_model.data(ps, ads)
-        margins = small_model.margin(data).tolist()
+        ads = self._small_ads(ps)
+        data = self._models[1].data(ps, ads)
+        margins = self._models[1].margin(data).tolist()
         for i, (ad, margin) in enumerate(zip(ads, margins)):
             rep = {"in_domain": True, "spectral_margin": margin,
                    "block_condition": 1.0, "bounded_condition": NO_CONDITION,
@@ -316,51 +305,148 @@ class LMatrixField:
                 rep["failing"] = "spectral-margin"
             recs.append({"report": rep, "value": None, "jet": None,
                          "ad": ad, "data": data[i], "p": ps[i]})
-        live = [i for i, rec in enumerate(recs) if rec["report"]["in_domain"]]
-        if self.kind == "canonical" and live:
-            n = self.G.dim
-            ad_big = self._big_ad(ps[live])
-            data_big = big_model.data(ps[live], ad_big)
-            big = big_model.exp_neg(data_big, ad_big)
-            m_blk = big[:, :n, :n]
-            # an overflowed flow has no condition number: out of domain
-            conds = np.full(len(live), np.inf)
-            finite = np.all(np.isfinite(m_blk), axis=(1, 2))
-            if finite.any():
-                conds[finite] = np.linalg.cond(m_blk[finite])
-            inside = []
-            for j, (i, cond) in enumerate(zip(live, conds.tolist())):
-                rec = recs[i]
-                rec["report"]["block_condition"] = cond
-                if not cond < BLOCK_COND_LIMIT:
-                    rec["report"]["in_domain"] = False
-                    rec["report"]["failing"] = "block-condition"
-                else:
-                    inside.append(j)
-                rec["ad_big"], rec["data_big"], rec["big"] = (
-                    ad_big[j], data_big[j], big[j])
-            # the system serves evaluation, so only the points in the
-            # domain get one (all of them, mostly: then nothing is copied)
-            if inside:
-                pick = slice(None) if len(inside) == len(live) else inside
-                systems = big_model.systems(data_big[pick], ad_big[pick],
-                                            big[pick], n)
-                for j, system in zip(inside, systems):
-                    recs[live[j]]["system"] = system
-                    recs[live[j]]["report"]["bounded_condition"] = system.get(
-                        "condition", NO_CONDITION)
         return recs
 
     def _closed_form_values(self, recs):
-        """The values at the points of the records (cocom, canonical), as a
-        stack: one F call of the small family's model and (canonical) one
-        solve for all of them."""
-        n, k = self.G.dim, self.base_dim
+        """The upper-right k x k block of F of the small family at the
+        records' points, as a stack: one call of its model."""
+        k = self.base_dim
         r = self._models[1].f(np.stack([rec["data"] for rec in recs]),
                               np.stack([rec["ad"] for rec in recs]))
-        if self.kind == "cocom":
-            return r[:, :n, n:]
-        return self.inj @ r[:, :k, k:] @ self.inj.T - self._perps(recs)
+        return r[:, :k, k:]
+
+    def _family_ads(self, alphas):
+        return self._small_ads(alphas)
+
+    def _closed_form_derivative(self, rec, alphas):
+        """The derivatives of _closed_form_values along each direction of
+        the stack alphas (m x k), by one call of the model, and None (no
+        flow); each slice is bitwise the call on that direction alone."""
+        k = self.base_dim
+        dl = self._models[1].f_derivative(rec["p"], rec["data"], rec["ad"],
+                                          alphas, self._direction_ads(alphas))
+        return dl[:, :k, k:], None
+
+    @functools.cached_property
+    def _basis_ads(self):
+        """_family_ads along the base basis, built once per field."""
+        return self._family_ads(np.eye(self.base_dim))
+
+    def _direction_ads(self, alphas):
+        """_family_ads along the stacked base directions alphas, which
+        _closed_form_derivative differentiates."""
+        if np.array_equal(alphas, np.eye(self.base_dim)):
+            return self._basis_ads
+        return self._family_ads(alphas)
+
+    def _jet(self, rec):
+        """The record's derivative jet: _closed_form_derivative along every
+        base basis direction, computed whole on first use."""
+        if rec["jet"] is None:
+            rec["jet"] = self._closed_form_derivative(
+                rec, np.eye(self.base_dim))
+        return rec["jet"]
+
+
+class CocomField(PointRecordField):
+    """The field of cocom_field: the upper-right block of F_MEROMORPHIC of
+    the double's ad(p), where the spectral margin holds.  No closed model
+    is built for it, so it takes the general route."""
+
+    @property
+    def small_double(self):
+        """The double, whose ad(p) is the field's one adjoint family."""
+        return self.double
+
+
+class CanonicalField(PointRecordField):
+    """The field of canonical_field: F of the small double's ad(p) on the
+    annihilator of the complement, less M^-1 N diag_comp on that of the
+    subalgebra, [M N] the top block rows of the flow exp(-ad_big(p)).  The
+    record adds the flow ("big"), the system of M^-1 N ("system") and,
+    in the jet, the flow's derivatives along each e_b.
+    duality.TrivializationMap keeps its matrix functions of the point in
+    the same record (slot "flows"), and reads the flow and its
+    derivatives from "big" and the jet.
+
+    The field keeps a closed model of each adjoint family, ad_big(p) and
+    the small double's ad(p), when both pass their check: on this model
+    route ("commuting" or "cubic") the margin, the flow, F and every
+    derivative are closed forms, with no eig, expm or Frechet kernel per
+    point, and a cubic model reads M^-1 N and its jet through the bounded
+    system of the flow where mu >= spectral.GRADED_MU.  Fields whose
+    families pass neither check (spec files of other shapes) take the
+    general route ("general", spectral.GENERAL): one eig of the small
+    double's adjoint, scipy's expm of ad_big and the Frechet kernels.  The
+    domain rule is the same on both routes.
+    """
+
+    def __init__(self, G, decomp):
+        super().__init__(G, decomp)
+        n, k = G.dim, self.base_dim
+        phi_sub = G.phi[np.ix_(self.sub, self.sub, self.sub)]
+        self.small_double = qbia.build_double(qbia.QuasiBialgebra(
+            decomp.sub_algebra(), np.zeros((k, k, k)), phi_sub))
+        self.diag_comp = linalg.indicator_diag(n, self.comp)
+        big, small = self._basis_ads
+        models = (spectral.build(big), spectral.build(small))
+        if None not in models:
+            self._models = models
+
+    def _big_ad(self, p):
+        """ad_big(p), or the stack of them for a stack of points."""
+        return self.double.d.ad_matrix(self.double.embed(xi=p @ self.inj.T))
+
+    def _domain_records(self, ps):
+        """The records of PointRecordField._domain_records with the block
+        condition: the double's model gives the points that pass the margin
+        their data ("data_big") and flow ("big"), whose block M the domain
+        rule reads by one cond call, and the points in the domain the
+        system whose ratio is M^-1 N: [M N], or on a cubic model with mu >=
+        spectral.GRADED_MU the bounded system [TM TN], whose condition the
+        report gives as bounded_condition.  Each step is one stacked call
+        of the model: one scipy expm on the general route."""
+        recs = super()._domain_records(ps)
+        live = [i for i, rec in enumerate(recs) if rec["report"]["in_domain"]]
+        if not live:
+            return recs
+        n = self.G.dim
+        big_model = self._models[0]
+        ad_big = self._big_ad(ps[live])
+        data_big = big_model.data(ps[live], ad_big)
+        big = big_model.exp_neg(data_big, ad_big)
+        m_blk = big[:, :n, :n]
+        # an overflowed flow has no condition number: out of domain
+        conds = np.full(len(live), np.inf)
+        finite = np.all(np.isfinite(m_blk), axis=(1, 2))
+        if finite.any():
+            conds[finite] = np.linalg.cond(m_blk[finite])
+        inside = []
+        for j, (i, cond) in enumerate(zip(live, conds.tolist())):
+            rec = recs[i]
+            rec["report"]["block_condition"] = cond
+            if not cond < BLOCK_COND_LIMIT:
+                rec["report"]["in_domain"] = False
+                rec["report"]["failing"] = "block-condition"
+            else:
+                inside.append(j)
+            rec["ad_big"], rec["data_big"], rec["big"] = (
+                ad_big[j], data_big[j], big[j])
+        # the system serves evaluation, so only the points in the
+        # domain get one (all of them, mostly: then nothing is copied)
+        if inside:
+            pick = slice(None) if len(inside) == len(live) else inside
+            systems = big_model.systems(data_big[pick], ad_big[pick],
+                                        big[pick], n)
+            for j, system in zip(inside, systems):
+                recs[live[j]]["system"] = system
+                recs[live[j]]["report"]["bounded_condition"] = system.get(
+                    "condition", NO_CONDITION)
+        return recs
+
+    def _closed_form_values(self, recs):
+        return (self.inj @ super()._closed_form_values(recs) @ self.inj.T
+                - self._perps(recs))
 
     def _perps(self, recs):
         """M^-1 N diag_comp at each record, by one stacked solve of the
@@ -373,12 +459,14 @@ class LMatrixField:
             rec["perp"] = perp
         return out
 
+    def _family_ads(self, alphas):
+        return self._big_ad(alphas), self._small_ads(alphas)
+
     def _closed_form_derivative(self, rec, alphas):
         """Derivatives of the value along each direction of the stack
-        alphas (m x k), as a stack, and (canonical, else None) the stack of
-        derivatives of the flow expm(-ad_big(p)) along them that they are
-        computed from; each slice is bitwise the call on that direction
-        alone.
+        alphas (m x k), as a stack, and the stack of derivatives of the
+        flow expm(-ad_big(p)) along them that they are computed from; each
+        slice is bitwise the call on that direction alone.
 
         Each family's model differentiates its own function along all the
         directions in one call: the flow (the Frechet kernel on the general
@@ -386,14 +474,9 @@ class LMatrixField:
         Rodrigues form on a cubic family), F of the small double, and
         M^-1 N through the record's system (one solve; a bounded system
         differentiates through spectral.graded_derivative)."""
-        n, k = self.G.dim, self.base_dim
+        k = self.base_dim
         big_model, small_model = self._models
-        das = self._direction_ads(alphas)
-        if self.kind == "cocom":
-            dl = small_model.f_derivative(rec["p"], rec["data"], rec["ad"],
-                                          alphas, das)
-            return dl[:, :n, n:], None
-        da_big, da_small = das
+        da_big, da_small = self._direction_ads(alphas)
         dbig = big_model.exp_neg_derivative(
             rec["p"], rec["data_big"], rec["ad_big"], rec["big"], alphas,
             da_big)
@@ -404,40 +487,84 @@ class LMatrixField:
                                           self.diag_comp, da_big, dbig)
         return self.inj @ dr[:, :k, k:] @ self.inj.T - dperp, dbig
 
-    def _direction_ads(self, alphas):
-        """The adjoint matrices along the stacked base directions alphas
-        that _closed_form_derivative differentiates: the double's (cocom),
-        or ad_big and the small double's (canonical).  Those of the base
-        basis are built once per field."""
-        basis = np.array_equal(alphas, np.eye(self.base_dim))
-        if basis and self._basis_ads is not None:
-            return self._basis_ads
-        if self.kind == "cocom":
-            ads = self.double.d.ad_matrix(self.double.embed(xi=alphas))
-        else:
-            small = self.small_double
-            ads = (self._big_ad(alphas),
-                   small.d.ad_matrix(small.embed(xi=alphas)))
-        if basis:
-            self._basis_ads = ads
-        return ads
-
-    def _jet(self, rec):
-        """The record's derivative jet: _closed_form_derivative along every
-        base basis direction, computed whole on first use."""
-        if rec["jet"] is None:
-            rec["jet"] = self._closed_form_derivative(
-                rec, np.eye(self.base_dim))
-        return rec["jet"]
-
     def _flow_derivative(self, rec, beta):
-        """Derivative of the canonical field's flow expm(-ad_big(p)) along
-        beta, from the flow derivatives of the record's jet."""
+        """Derivative of the flow expm(-ad_big(p)) along beta, from the
+        flow derivatives of the record's jet."""
         return _combine(beta, lambda b: self._jet(rec)[1][b],
                         rec["big"].shape)
 
-    def _require_domain(self, p):
-        _raise_outside(in_domain(p, self))
+
+class ShiftedField(LMatrixField):
+    """The field of shifted_field: base + a constant skew offset, on the
+    base's domain and route; its structure G may differ from the base's."""
+
+    def __init__(self, base, offset, G):
+        super().__init__(G, base.decomp)
+        self.base = base
+        self.offset = offset
+
+    @property
+    def route(self):
+        return self.base.route
+
+    def _report(self, p):
+        return self.base._report(p)
+
+    def _value(self, p):
+        return self.base.value(p) + self.offset
+
+    def _derivative(self, p, alpha):
+        return self.base.derivative(p, alpha)
+
+    def _probe_stack(self, q):
+        return self.base._probe(q) + self.offset
+
+
+class GaugedField(LMatrixField):
+    """The field of gauge_transform: the adjoint flow of the product
+    e^{S_1}...e^{S_m} of the gauge factors at p conjugates the base value,
+    plus the exact-cocycle block theta (and the potential's terms where the
+    cocycle is exact).  Its route is the base's.  Its domain is the base's,
+    less the points where the gauge flow is not finite (failing
+    "gauge-flow"): each factor grows with p, so its flow overflows far
+    out."""
+
+    def __init__(self, base, factors, potential):
+        super().__init__(base.G, base.decomp)
+        self.base = base
+        self.factors = factors
+        self.potential = potential
+
+    @property
+    def route(self):
+        return self.base.route
+
+    def _report(self, p):
+        rep = self.base._report(p)
+        if rep["in_domain"]:
+            try:
+                self._gauge_data(p)
+            except OutOfDomain:
+                rep["in_domain"], rep["failing"] = False, "gauge-flow"
+        return rep
+
+    def _value(self, p):
+        return self._gauged_value(p, self.base.value(p))
+
+    def _derivative(self, p, alpha):
+        ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
+        lb = self.base.value(p)
+        dlb = self.base.derivative(p, alpha)
+        out = (dad @ lb @ ad_big.T + ad_big @ dlb @ ad_big.T
+               + ad_big @ lb @ dad.T + dtheta)
+        if self.potential is not None:
+            t = self.potential
+            out = out + dad @ t @ ad_big.T + ad_big @ t @ dad.T
+        return out
+
+    def _probe_stack(self, q):
+        return np.array([self._gauged_value(point, lb)
+                         for point, lb in zip(q, self.base._probe(q))])
 
     def _gauged_value(self, p, lb):
         """The gauged field at p from the base field's value lb there."""
@@ -449,7 +576,19 @@ class LMatrixField:
 
     def _gauge_data(self, p, alpha=None):
         """Adjoint flow of the gauge product e^{S_1}..e^{S_m} at p, the
-        exact-cocycle block theta, and (optionally) their derivatives."""
+        exact-cocycle block theta, and (optionally) their derivatives.
+        Raises OutOfDomain where they are not finite."""
+        try:
+            data = self._gauge_flow(p, alpha)
+        except linalg.EvaluationFailed:
+            data = [np.nan]
+        if all(np.isfinite(x).all() for x in data if x is not None):
+            return data
+        raise OutOfDomain("point outside domain: gauge-flow (the gauge flow"
+                          " is not finite)")
+
+    def _gauge_flow(self, p, alpha=None):
+        """The gauge data of _gauge_data, unchecked."""
         g = self.G.g
         n = self.G.dim
         want_d = alpha is not None
@@ -501,7 +640,6 @@ def polynomial_field(G, decomp, coeff0=None, coeff1=None, coeff2=None):
     A coefficient that is not given is not evaluated, so a field without
     T1 and T2 is exactly constant at every base point.
     """
-    field = LMatrixField("polynomial", G, decomp)
     n = G.dim
     t0 = np.zeros((n, n)) if coeff0 is None else np.array(coeff0, float)
     t1 = None if coeff1 is None else np.asarray(coeff1, float)
@@ -512,10 +650,9 @@ def polynomial_field(G, decomp, coeff0=None, coeff1=None, coeff2=None):
         for m in np.atleast_3d(part).reshape(-1, n, n):
             if linalg.skew_residual(m) > SKEW_TOL:
                 raise ValueError("polynomial coefficients must be skew")
-    field.t0 = t0
-    field.t1 = t1
-    field.t2 = None if t2 is None else 0.5 * (t2 + t2.transpose(1, 0, 2, 3))
-    return field
+    return PolynomialField(
+        G, decomp, t0, t1,
+        None if t2 is None else 0.5 * (t2 + t2.transpose(1, 0, 2, 3)))
 
 
 def cocom_field(G):
@@ -523,9 +660,7 @@ def cocom_field(G):
     cocycle vanishes; the subalgebra is all of the base algebra."""
     if qbia._max_abs(G.varpi) > SKEW_TOL:
         raise ValueError("field requires a vanishing cocycle")
-    field = LMatrixField("cocom", G, None)
-    field.double = qbia.build_double(G)
-    return field
+    return CocomField(G)
 
 
 def canonical_field(G, decomp=None):
@@ -533,7 +668,7 @@ def canonical_field(G, decomp=None):
 
     The field takes the model route when the spectral models of both its
     adjoint families pass their checks, else the general route (see
-    `LMatrixField.route`)."""
+    `CanonicalField`)."""
     if decomp is None:
         decomp = G.decomp
     if decomp is None:
@@ -541,20 +676,7 @@ def canonical_field(G, decomp=None):
     rep = qbia.check_compatibility(G, decomp)
     if not rep["canonical"]:
         raise NotCanonicalCompatible(str(rep))
-    field = LMatrixField("canonical", G, decomp)
-    n = G.dim
-    field.double = qbia.build_double(G)
-    sub_g = G.g if decomp is None else decomp.sub_algebra()
-    k = field.base_dim
-    phi_sub = G.phi[np.ix_(field.sub, field.sub, field.sub)]
-    small = qbia.QuasiBialgebra(sub_g, np.zeros((k, k, k)), phi_sub)
-    field.small_double = qbia.build_double(small)
-    field.diag_comp = linalg.indicator_diag(n, field.comp)
-    big, small = field._direction_ads(np.eye(field.base_dim))
-    models = (spectral.build(big), spectral.build(small))
-    if None not in models:
-        field._models = models
-    return field
+    return CanonicalField(G, decomp)
 
 
 def shifted_field(base, offset, target=None):
@@ -563,11 +685,8 @@ def shifted_field(base, offset, target=None):
     offset = np.asarray(offset, dtype=float)
     if linalg.skew_residual(offset) > SKEW_TOL:
         raise ValueError("offset must be skew")
-    field = LMatrixField("shifted", target if target is not None else base.G,
-                         base.decomp)
-    field.base = base
-    field.offset = offset.copy()
-    return field
+    return ShiftedField(base, offset.copy(),
+                        target if target is not None else base.G)
 
 
 def cocycle_fit(G):
@@ -633,10 +752,7 @@ def gauge_transform(field, sigma):
         if np.max(np.abs(f.value(np.zeros(k)))) > 1e-12:
             raise ValueError("gauge map must vanish at the origin")
     potential = _cocycle_potential(G)
-    out = LMatrixField("gauged", G, field.decomp)
-    out.base = field
-    out.factors = factors
-    out.potential = potential
+    out = GaugedField(field, factors, potential)
     err = _sigma_equivariance_residual(out)
     if err > EQUIVARIANCE_CHECK_TOL:
         raise NonEquivariantSigma("gauge map equivariance residual %.3e" % err)
@@ -676,19 +792,13 @@ def in_domain(p, field):
     below BLOCK_COND_LIMIT.  The report also gives bounded_condition, the
     condition of the bounded system TM through which a cubic model reads
     M^-1 N at a point in the domain (NaN where none is built); no
-    predicate reads it.  Raises
-    ValueError unless p has the field's base_dim coordinates.
+    predicate reads it.  Each kind reports through its _report: a
+    polynomial field's domain is the whole base, a shifted field's is its
+    base's, and a gauged field's also fails ("gauge-flow") where its gauge
+    flow is not finite.  Raises ValueError unless p has the field's
+    base_dim coordinates.
     """
-    p = field._check_point(p)
-    if field.kind == "polynomial":
-        return {"in_domain": True, "spectral_margin": np.inf,
-                "block_condition": 1.0, "bounded_condition": NO_CONDITION,
-                "failing": None}
-    if field.kind in ("shifted", "gauged"):
-        return in_domain(p, field.base)
-    if field.kind in ("cocom", "canonical"):
-        return dict(field._at(p)["report"])
-    raise ValueError("unknown field kind %r" % field.kind)
+    return field._report(field._check_point(p))
 
 
 def sample_domain_points(field, count, seed=0, scale=0.5):
@@ -767,10 +877,7 @@ def cdybe_residual(field, p, samples=8, seed=0):
     cyclic = e3 + e3.transpose(1, 2, 0) + e3.transpose(2, 0, 1) - G.phi
     cyclic_residual = qbia._max_abs(cyclic)
 
-    dbl = getattr(field, "double", None)
-    if dbl is None or dbl.source is not G:
-        dbl = qbia.build_double(G)
-    cd = dbl.d.c
+    cd = field.double.d.c
     # brk[i, j] = [l e_i, e_j*] + [e_i*, l e_j] + [e_i*, e_j*] in the double
     brk = (np.einsum('ai,ajm->ijm', lmat, cd[:n, n:])
            + np.einsum('bj,ibm->ijm', lmat, cd[n:, :n]) + cd[n:, n:])

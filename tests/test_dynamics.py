@@ -270,16 +270,72 @@ def test_overflowing_flow_is_reported_out_of_domain(name, norm, route):
         f._probe(np.array([inside, p]))
 
 
-@pytest.mark.parametrize("kind", ["zero", "cocom", "canonical"])
-def test_in_domain_rejects_a_point_of_the_wrong_shape(kind):
+def field_of_kind(kind):
+    """A field of each kind over the rank-one split of the invariant sl2
+    structure ("zero" is the polynomial kind)."""
     G = invariant_structure()
-    f = {"zero": lambda: dyn.zero_field(G),
-         "cocom": lambda: dyn.cocom_field(G),
-         "canonical": lambda: dyn.canonical_field(G, cartan_split(G))}[kind]()
+    if kind == "zero":
+        return dyn.zero_field(G)
+    if kind == "cocom":
+        return dyn.cocom_field(G)
+    base = dyn.canonical_field(G, cartan_split(G))
+    return {"canonical": base,
+            "shifted": dyn.shifted_field(
+                base, rskew(3, np.random.default_rng(5))),
+            "gauged": dyn.gauge_transform(
+                base, equivariant_gauge(0.4, 0.15))}[kind]
+
+
+# the in_domain cases keep the bare kind as their id
+@pytest.mark.parametrize("kind, entry", [
+    pytest.param(kind, entry,
+                 id=kind if entry == "in_domain" else kind + "-" + entry)
+    for kind in ("zero", "cocom", "canonical", "shifted", "gauged")
+    for entry in ("in_domain", "value", "derivative", "_probe")])
+def test_in_domain_rejects_a_point_of_the_wrong_shape(kind, entry):
+    f = field_of_kind(kind)
     k = f.base_dim
-    for p in (np.zeros(k + 1), np.zeros((1, k)), np.zeros((k, k))):
+    call = {"in_domain": lambda p: dyn.in_domain(p, f),
+            "value": f.value,
+            "derivative": lambda p: f.derivative(p, np.zeros(k)),
+            "_probe": f._probe}[entry]
+    # a 2-d argument of _probe is a stack of points
+    points = ((np.zeros(k + 1), np.zeros(k + 2)) if entry == "_probe"
+              else (np.zeros(k + 1), np.zeros((1, k)), np.zeros((k, k))))
+    for p in points:
         with pytest.raises(ValueError, match="base point must have"):
-            dyn.in_domain(p, f)
+            call(p)
+    if entry == "derivative":
+        for alpha in (np.zeros(k + 1), np.zeros((1, k))):
+            with pytest.raises(ValueError, match="direction must have"):
+                f.derivative(np.zeros(k), alpha)
+    if entry == "_probe":
+        for q in (np.zeros((2, k + 1)), np.zeros((2, 2, k))):
+            with pytest.raises(ValueError, match="base points must have"):
+                f._probe(q)
+
+
+def test_route_of_derived_and_polynomial_fields():
+    # a shifted or gauged field evaluates through its base's records, a
+    # polynomial field through none
+    G = invariant_structure()
+    entry = catalog.get("su2-lagrangian")
+    cubic = dyn.canonical_field(entry.G, entry.decomp)
+    base = dyn.canonical_field(G, cartan_split(G))
+    t = rskew(3, np.random.default_rng(6))
+    gauged = dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15))
+    general = general_route(dyn.canonical_field(entry.G, entry.decomp))
+    for field, want in ((dyn.zero_field(G), None),
+                        (dyn.constant_field(G, t), None),
+                        (dyn.cocom_field(G), "general"),
+                        (base, "commuting"),
+                        (cubic, "cubic"),
+                        (dyn.shifted_field(cubic, 0), "cubic"),
+                        (gauged, "commuting"),
+                        (dyn.shifted_field(general, 0), "general")):
+        assert field.route == want, field
+        with pytest.raises(AttributeError):
+            field.route = "general"
 
 
 def test_sample_domain_points_deterministic():
@@ -490,6 +546,58 @@ def test_gauge_rejects_bad_maps():
                             dyn.PolynomialMap(2, 2, coeff1=0.1 * np.eye(2)))
 
 
+def test_gauged_domain_refuses_points_where_the_gauge_flow_overflows():
+    # the gauge factor grows like p^2: its flow overflows past |p| ~ 47
+    # while the base field is still in its domain
+    G = invariant_structure()
+    base = dyn.canonical_field(G, cartan_split(G))
+    field = dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15))
+    for r in (48.0, 60.0, 100.0, -60.0):
+        p = np.array([r])
+        assert dyn.in_domain(p, base)["in_domain"]
+        rep = dyn.in_domain(p, field)
+        assert not rep["in_domain"] and rep["failing"] == "gauge-flow"
+        for evaluate in (field.value, field._probe,
+                         lambda q: field.derivative(q, np.ones(1))):
+            with pytest.raises(dyn.OutOfDomain, match="gauge-flow"):
+                evaluate(p)
+    # inside, the checked values are those of the unchecked flow
+    for r in (0.3, 8.0, 30.0, 45.0, -48.0):
+        p = np.array([r])
+        assert dyn.in_domain(p, field) == dyn.in_domain(p, base)
+        pre, theta, _, _ = field._gauge_flow(p)
+        lb = base.value(p)
+        assert np.array_equal(field.value(p), pre @ lb @ pre.T + theta)
+    assert dyn.cdybe_residual(field, np.array([45.0]))["passed"]
+
+
+def test_cdybe_residual_reads_one_double_per_field(monkeypatch):
+    G = invariant_structure()
+    dec = cartan_split(G)
+    base = dyn.canonical_field(G, dec)
+    t = np.zeros((3, 3))
+    t[1, 2], t[2, 1] = 0.31, -0.31
+    Gt = twist.apply_twist(G, t)
+    rng = np.random.default_rng(7)
+    fields = [dyn.zero_field(G, dec),
+              dyn.polynomial_field(G, dec, coeff0=rskew(3, rng),
+                                   coeff1=np.stack([rskew(3, rng)])),
+              dyn.shifted_field(base, -t, target=Gt),
+              dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15)),
+              dyn.cocom_field(G), base]
+    builds = count_calls(monkeypatch, qbia, "build_double")
+    for field in fields:
+        del builds[:]
+        p = np.full(field.base_dim, 0.27)
+        reps = [dyn.cdybe_residual(field, p) for _ in range(3)]
+        assert reps[1] == reps[0] and reps[2] == reps[0]
+        # built on first use by the kinds that need it nowhere else
+        assert len(builds) <= 1
+        assert field.double is field.double
+        assert field.double.source is field.G
+    assert fields[2].double.source is Gt
+
+
 # -- symmetry and transport checks --------------------------------------------
 
 
@@ -584,7 +692,7 @@ def test_point_record_is_replaced_by_a_new_point(monkeypatch):
     G = invariant_structure()
     f = dyn.canonical_field(G, cartan_split(G))
     p1, p2 = np.array([0.3]), np.array([-0.7])
-    calls = count_calls(monkeypatch, dyn.LMatrixField, "_domain_records")
+    calls = count_calls(monkeypatch, dyn.CanonicalField, "_domain_records")
     # the domain check's flow is the one value uses, once per point
     v1 = f.value(p1)
     assert dyn.in_domain(p1, f)["in_domain"]
@@ -742,7 +850,7 @@ def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
     entry = catalog.get("ev-sl3")
     field = dyn.canonical_field(entry.G, entry.decomp)
     p = np.array([0.3, -0.2])
-    passes = count_calls(monkeypatch, dyn.LMatrixField, "_domain_records")
+    passes = count_calls(monkeypatch, dyn.CanonicalField, "_domain_records")
     dyn.cdybe_residual(field, p)
     for z in np.eye(field.base_dim):
         dyn.equivariance_residual(field, p, z)
@@ -877,7 +985,7 @@ def test_sweep_op_builds_one_record_and_one_frechet_pair_per_direction(
     # equations, then equivariance along every base basis direction
     field = field_by_name(name)
     k = field.base_dim
-    passes = count_calls(monkeypatch, dyn.LMatrixField, "_domain_records")
+    passes = count_calls(monkeypatch, dyn.CanonicalField, "_domain_records")
     frechet = count_calls(monkeypatch, linalg, "expm_frechet")
     for p in dyn.sample_domain_points(field, 2, seed=8, scale=1.0):
         del passes[:], frechet[:]
@@ -908,9 +1016,11 @@ def test_probe_equals_value_and_leaves_the_record():
         p, q = dyn.sample_domain_points(field, 2, seed=9)
         field.value(p)
         owner = getattr(field, "base", field)
-        kept = owner._last
+        # every field here but the polynomial one evaluates through a record
+        kept = getattr(owner, "_last", None)
+        assert (kept is None) == isinstance(field, dyn.PolynomialField)
         probe = field._probe(q)
-        assert owner._last is kept
+        assert getattr(owner, "_last", None) is kept
         assert np.array_equal(probe, field.value(q))
 
 
