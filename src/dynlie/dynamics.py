@@ -106,13 +106,12 @@ def _combine(alpha, basis_value, shape):
 
 class LMatrixField:
     """A field of linear maps from covectors to vectors over a base that
-    lives in the coordinates dual to the chosen subalgebra.
-
-    One subclass per kind of field, each built by its factory below.
-    `value`, `derivative`, `_probe` and `in_domain` check their arguments
-    once and call the kind's _value, _derivative, _probe_stack and
-    _report.  Every evaluation is expected to be skew; skewness is part of
-    what the residual reports certify, so `value` returns the raw matrix.
+    lives in the coordinates dual to the chosen subalgebra; one subclass
+    per kind, each built by its factory below.  `value`, `derivative`,
+    `_probe` and `in_domain` check their arguments and call the kind's
+    _value, _derivative, _probe_stack and _report.  Every evaluation is
+    expected to be skew; skewness is part of what the residual reports
+    certify, so `value` returns the raw matrix.
     """
 
     def __init__(self, G, decomp=None):
@@ -136,7 +135,8 @@ class LMatrixField:
 
     @property
     def route(self):
-        """None: the field keeps no point record (PointRecordField.route)."""
+        """How the field's matrix functions are evaluated: None where it
+        evaluates none (see PointRecordField.route)."""
         return None
 
     @functools.cached_property
@@ -184,9 +184,8 @@ class LMatrixField:
 
 
 class PolynomialField(LMatrixField):
-    """The jet field of polynomial_field, defined on the whole base.  A
-    coefficient T1 or T2 that was not given is None and is not
-    evaluated."""
+    """The jet field of polynomial_field, on the whole base; a coefficient
+    T1 or T2 that was not given is None and is not evaluated."""
 
     def __init__(self, G, decomp, t0, t1, t2):
         super().__init__(G, decomp)
@@ -219,30 +218,27 @@ class PolynomialField(LMatrixField):
 
 
 class PointRecordField(LMatrixField):
-    """A field evaluated through a record of the last base point
-    (CocomField, CanonicalField), keyed on the point's shape and bytes:
-    the domain report with the matrices it was computed from, the value,
-    and the derivative jet, the stack of D_b = dl/dp_b that one pass over
-    the base basis directions computes whole on first use
-    (_closed_form_derivative on the identity).  derivative(p, alpha) is
-    the sum of alpha_b D_b over the nonzero alpha_b, and zero for alpha =
-    0.  Callers receive copies.  A new point replaces the record, so
-    alternating between points recomputes.
+    """A field evaluated through a record of the last base point it
+    evaluated, keyed on the point's shape and bytes: the domain report with
+    the matrices it was computed from, the value, and the derivative jet,
+    the stack of D_b = dl/dp_b along every base basis direction, computed
+    whole on first use.  derivative(p, alpha) is the sum of alpha_b D_b
+    over the nonzero alpha_b.  Callers receive copies; a new point
+    replaces the record, so alternating between points recomputes.
 
-    Records are built by one stacked pass over any number of points
-    (_domain_records, _closed_form_values) through the field's pair of
-    spectral models (see dynlie.spectral), one per adjoint family.  The
-    evaluators here give the upper-right block of F of the small family,
-    which is the whole cocom field; CanonicalField extends them.
-    cdybe_residual's finite-difference probes are one pass (_probe) that
-    reads and replaces no record, and checks every point's domain before
-    it computes any value.  Each slice of a pass is bitwise the pass over
-    its point alone, on either route.
+    Records come from one stacked pass over any number of points
+    (_domain_records, _closed_form_values) through a pair of spectral
+    models (see dynlie.spectral), one per adjoint family; _probe is one
+    pass that reads and replaces no record.  Each slice of a pass is
+    bitwise the pass over its point alone, on either route.  The pass here
+    gives the upper-right block of F of the small family, which is the
+    whole cocom field; CanonicalField extends it.
     """
 
     def __init__(self, G, decomp=None):
         super().__init__(G, decomp)
         self._last = (None, None)
+        self._basis_ads = None
         # (double, small double) spectral models of the adjoint families
         self._models = (spectral.GENERAL, spectral.GENERAL)
 
@@ -256,15 +252,15 @@ class PointRecordField(LMatrixField):
         return dict(self._at(p)["report"])
 
     def _value(self, p):
+        self._require_domain(p)
         rec = self._at(p)
-        _raise_outside(rec["report"])
         if rec["value"] is None:
             rec["value"] = self._closed_form_values([rec])[0]
         return rec["value"].copy()
 
     def _derivative(self, p, alpha):
+        self._require_domain(p)
         rec = self._at(p)
-        _raise_outside(rec["report"])
         n = self.G.dim
         return _combine(alpha, lambda b: self._jet(rec)[0][b], (n, n))
 
@@ -281,11 +277,6 @@ class PointRecordField(LMatrixField):
             self._last = (key, self._domain_records(p[None])[0])
         return self._last[1]
 
-    def _small_ads(self, xs):
-        """The small double's ad at each point of the stack xs."""
-        small = self.small_double
-        return small.d.ad_matrix(small.embed(xi=xs))
-
     def _domain_records(self, ps):
         """One record per point of the stack ps, with the spectral margin
         (see `in_domain`) and the matrices it is computed from: the small
@@ -293,7 +284,8 @@ class PointRecordField(LMatrixField):
         one stacked call, one eig on the general route (F_MEROMORPHIC keeps
         it for the value) and closed forms on the model route."""
         recs = []
-        ads = self._small_ads(ps)
+        small = self.small_double
+        ads = small.d.ad_matrix(small.embed(xi=ps))
         data = self._models[1].data(ps, ads)
         margins = self._models[1].margin(data).tolist()
         for i, (ad, margin) in enumerate(zip(ads, margins)):
@@ -315,9 +307,6 @@ class PointRecordField(LMatrixField):
                               np.stack([rec["ad"] for rec in recs]))
         return r[:, :k, k:]
 
-    def _family_ads(self, alphas):
-        return self._small_ads(alphas)
-
     def _closed_form_derivative(self, rec, alphas):
         """The derivatives of _closed_form_values along each direction of
         the stack alphas (m x k), by one call of the model, and None (no
@@ -327,17 +316,23 @@ class PointRecordField(LMatrixField):
                                           alphas, self._direction_ads(alphas))
         return dl[:, :k, k:], None
 
-    @functools.cached_property
-    def _basis_ads(self):
-        """_family_ads along the base basis, built once per field."""
-        return self._family_ads(np.eye(self.base_dim))
+    def _family_ads(self, alphas):
+        """The small family's ad along each direction of the stack alphas
+        (CanonicalField puts ad_big's before it)."""
+        small = self.small_double
+        return small.d.ad_matrix(small.embed(xi=alphas))
 
     def _direction_ads(self, alphas):
         """_family_ads along the stacked base directions alphas, which
-        _closed_form_derivative differentiates."""
-        if np.array_equal(alphas, np.eye(self.base_dim)):
+        _closed_form_derivative differentiates; those of the base basis
+        are built once per field."""
+        basis = np.array_equal(alphas, np.eye(self.base_dim))
+        if basis and self._basis_ads is not None:
             return self._basis_ads
-        return self._family_ads(alphas)
+        ads = self._family_ads(alphas)
+        if basis:
+            self._basis_ads = ads
+        return ads
 
     def _jet(self, rec):
         """The record's derivative jet: _closed_form_derivative along every
@@ -350,12 +345,11 @@ class PointRecordField(LMatrixField):
 
 class CocomField(PointRecordField):
     """The field of cocom_field: the upper-right block of F_MEROMORPHIC of
-    the double's ad(p), where the spectral margin holds.  No closed model
-    is built for it, so it takes the general route."""
+    the double's ad(p), where the spectral margin holds; it takes the
+    general route."""
 
     @property
     def small_double(self):
-        """The double, whose ad(p) is the field's one adjoint family."""
         return self.double
 
 
@@ -363,22 +357,18 @@ class CanonicalField(PointRecordField):
     """The field of canonical_field: F of the small double's ad(p) on the
     annihilator of the complement, less M^-1 N diag_comp on that of the
     subalgebra, [M N] the top block rows of the flow exp(-ad_big(p)).  The
-    record adds the flow ("big"), the system of M^-1 N ("system") and,
-    in the jet, the flow's derivatives along each e_b.
-    duality.TrivializationMap keeps its matrix functions of the point in
-    the same record (slot "flows"), and reads the flow and its
-    derivatives from "big" and the jet.
+    record adds the flow ("big"), the system of M^-1 N ("system") and, in
+    the jet, the flow's derivatives along each e_b, which
+    duality.TrivializationMap reads beside its own slot "flows".
 
-    The field keeps a closed model of each adjoint family, ad_big(p) and
-    the small double's ad(p), when both pass their check: on this model
-    route ("commuting" or "cubic") the margin, the flow, F and every
-    derivative are closed forms, with no eig, expm or Frechet kernel per
-    point, and a cubic model reads M^-1 N and its jet through the bounded
-    system of the flow where mu >= spectral.GRADED_MU.  Fields whose
-    families pass neither check (spec files of other shapes) take the
-    general route ("general", spectral.GENERAL): one eig of the small
-    double's adjoint, scipy's expm of ad_big and the Frechet kernels.  The
-    domain rule is the same on both routes.
+    On the model route ("commuting" or "cubic": both families' closed
+    models pass their check) the margin, the flow, F and every derivative
+    are closed forms, with no eig, expm or Frechet kernel per point, and a
+    cubic model reads M^-1 N and its jet through the bounded system of the
+    flow where mu >= spectral.GRADED_MU.  Other fields take the general
+    route ("general"): one eig of the small double's adjoint, scipy's expm
+    of ad_big and the Frechet kernels.  The domain rule is the same on
+    both routes.
     """
 
     def __init__(self, G, decomp):
@@ -388,7 +378,7 @@ class CanonicalField(PointRecordField):
         self.small_double = qbia.build_double(qbia.QuasiBialgebra(
             decomp.sub_algebra(), np.zeros((k, k, k)), phi_sub))
         self.diag_comp = linalg.indicator_diag(n, self.comp)
-        big, small = self._basis_ads
+        big, small = self._direction_ads(np.eye(k))
         models = (spectral.build(big), spectral.build(small))
         if None not in models:
             self._models = models
@@ -460,7 +450,7 @@ class CanonicalField(PointRecordField):
         return out
 
     def _family_ads(self, alphas):
-        return self._big_ad(alphas), self._small_ads(alphas)
+        return self._big_ad(alphas), super()._family_ads(alphas)
 
     def _closed_form_derivative(self, rec, alphas):
         """Derivatives of the value along each direction of the stack
@@ -494,21 +484,35 @@ class CanonicalField(PointRecordField):
                         rec["big"].shape)
 
 
-class ShiftedField(LMatrixField):
-    """The field of shifted_field: base + a constant skew offset, on the
-    base's domain and route; its structure G may differ from the base's."""
+class DerivedField(LMatrixField):
+    """A field made from another, its base (ShiftedField, GaugedField): on
+    the base's route and domain, and with the base's double unless its
+    structure G is another."""
 
-    def __init__(self, base, offset, G):
+    def __init__(self, base, G):
         super().__init__(G, base.decomp)
         self.base = base
-        self.offset = offset
 
     @property
     def route(self):
         return self.base.route
 
+    @functools.cached_property
+    def double(self):
+        if self.G is self.base.G:
+            return self.base.double
+        return qbia.build_double(self.G)
+
     def _report(self, p):
         return self.base._report(p)
+
+
+class ShiftedField(DerivedField):
+    """The field of shifted_field: base + a constant skew offset."""
+
+    def __init__(self, base, offset, G):
+        super().__init__(base, G)
+        self.offset = offset
 
     def _value(self, p):
         return self.base.value(p) + self.offset
@@ -520,27 +524,21 @@ class ShiftedField(LMatrixField):
         return self.base._probe(q) + self.offset
 
 
-class GaugedField(LMatrixField):
+class GaugedField(DerivedField):
     """The field of gauge_transform: the adjoint flow of the product
     e^{S_1}...e^{S_m} of the gauge factors at p conjugates the base value,
     plus the exact-cocycle block theta (and the potential's terms where the
-    cocycle is exact).  Its route is the base's.  Its domain is the base's,
-    less the points where the gauge flow is not finite (failing
-    "gauge-flow"): each factor grows with p, so its flow overflows far
-    out."""
+    cocycle is exact).  Each factor grows with p, so far out its flow
+    overflows: the domain is the base's less those points (failing
+    "gauge-flow"), so in_domain computes the gauge flow once per call."""
 
     def __init__(self, base, factors, potential):
-        super().__init__(base.G, base.decomp)
-        self.base = base
+        super().__init__(base, base.G)
         self.factors = factors
         self.potential = potential
 
-    @property
-    def route(self):
-        return self.base.route
-
     def _report(self, p):
-        rep = self.base._report(p)
+        rep = super()._report(p)
         if rep["in_domain"]:
             try:
                 self._gauge_data(p)
@@ -574,21 +572,12 @@ class GaugedField(LMatrixField):
             out = out + ad_big @ self.potential @ ad_big.T - self.potential
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _gauge_data(self, p, alpha=None):
         """Adjoint flow of the gauge product e^{S_1}..e^{S_m} at p, the
         exact-cocycle block theta, and (optionally) their derivatives.
-        Raises OutOfDomain where they are not finite."""
-        try:
-            data = self._gauge_flow(p, alpha)
-        except linalg.EvaluationFailed:
-            data = [np.nan]
-        if all(np.isfinite(x).all() for x in data if x is not None):
-            return data
-        raise OutOfDomain("point outside domain: gauge-flow (the gauge flow"
-                          " is not finite)")
-
-    def _gauge_flow(self, p, alpha=None):
-        """The gauge data of _gauge_data, unchecked."""
+        Raises OutOfDomain where they are not finite; numpy's overflow
+        warnings on the way there are silenced."""
         g = self.G.g
         n = self.G.dim
         want_d = alpha is not None
@@ -596,30 +585,36 @@ class GaugedField(LMatrixField):
         dpre = np.zeros((n, n))
         dmap = np.zeros((n, self.base_dim))
         ddmap = np.zeros((n, self.base_dim))
-        for f in self.factors:
-            s_val = f.value(p)
-            ad_s = g.ad_matrix(s_val)
-            e_s = scipy.linalg.expm(ad_s)
-            g_s = linalg.EXPM1_OVER.apply(ad_s)
-            jac = f.jacobian(p)
-            dmap = dmap + pre @ g_s @ jac
-            if want_d:
-                ds_val = jac @ alpha
-                dad_s = g.ad_matrix(ds_val)
-                de_s = linalg.expm_frechet(ad_s, dad_s)[1]
-                dg_s = linalg.EXPM1_OVER.frechet(ad_s, dad_s)
-                djac = f.jacobian_derivative(p, alpha)
-                ddmap = (ddmap + dpre @ g_s @ jac + pre @ dg_s @ jac
-                         + pre @ g_s @ djac)
-                dpre = dpre @ e_s + pre @ de_s
-            pre = pre @ e_s
+        try:
+            for f in self.factors:
+                s_val = f.value(p)
+                ad_s = g.ad_matrix(s_val)
+                e_s = scipy.linalg.expm(ad_s)
+                g_s = linalg.EXPM1_OVER.apply(ad_s)
+                jac = f.jacobian(p)
+                dmap = dmap + pre @ g_s @ jac
+                if want_d:
+                    ds_val = jac @ alpha
+                    dad_s = g.ad_matrix(ds_val)
+                    de_s = linalg.expm_frechet(ad_s, dad_s)[1]
+                    dg_s = linalg.EXPM1_OVER.frechet(ad_s, dad_s)
+                    djac = f.jacobian_derivative(p, alpha)
+                    ddmap = (ddmap + dpre @ g_s @ jac + pre @ dg_s @ jac
+                             + pre @ g_s @ djac)
+                    dpre = dpre @ e_s + pre @ de_s
+                pre = pre @ e_s
+        except linalg.EvaluationFailed:
+            pre = np.full((n, n), np.nan)
         istar = self.inj.T
         theta = dmap @ istar @ pre.T - self.inj @ dmap.T
-        if not want_d:
-            return pre, theta, None, None
-        dtheta = (ddmap @ istar @ pre.T + dmap @ istar @ dpre.T
-                  - self.inj @ ddmap.T)
-        return pre, theta, dpre, dtheta
+        out = (pre, theta, None, None)
+        if want_d:
+            out = (pre, theta, dpre, ddmap @ istar @ pre.T
+                   + dmap @ istar @ dpre.T - self.inj @ ddmap.T)
+        if not all(np.isfinite(x).all() for x in out if x is not None):
+            raise OutOfDomain("point outside domain: gauge-flow (the gauge"
+                              " flow is not finite)")
+        return out
 
 
 # ---------------------------------------------------------------------------

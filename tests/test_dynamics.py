@@ -561,11 +561,11 @@ def test_gauged_domain_refuses_points_where_the_gauge_flow_overflows():
                          lambda q: field.derivative(q, np.ones(1))):
             with pytest.raises(dyn.OutOfDomain, match="gauge-flow"):
                 evaluate(p)
-    # inside, the checked values are those of the unchecked flow
+    # inside, the values are those of the gauge flow
     for r in (0.3, 8.0, 30.0, 45.0, -48.0):
         p = np.array([r])
         assert dyn.in_domain(p, field) == dyn.in_domain(p, base)
-        pre, theta, _, _ = field._gauge_flow(p)
+        pre, theta, _, _ = field._gauge_data(p)
         lb = base.value(p)
         assert np.array_equal(field.value(p), pre @ lb @ pre.T + theta)
     assert dyn.cdybe_residual(field, np.array([45.0]))["passed"]
