@@ -9,8 +9,6 @@ the generalized dynamical Yang-Baxter system (in two independent forms), the
 base-point dual algebra, and the gauge action of equivariant exponential maps.
 """
 
-import functools
-
 import numpy as np
 import scipy.linalg
 
@@ -128,6 +126,7 @@ class LMatrixField:
             self.sub_c = decomp.sub_algebra().c
         self.base_dim = len(self.sub)
         self.inj = linalg.injection(n, self.sub)
+        self._double = None
 
     def __repr__(self):
         return "%s(dim=%d, base_dim=%d)" % (type(self).__name__, self.G.dim,
@@ -139,10 +138,14 @@ class LMatrixField:
         evaluates none (see PointRecordField.route)."""
         return None
 
-    @functools.cached_property
+    @property
     def double(self):
-        """The double of G, built on first use."""
-        return qbia.build_double(self.G)
+        """The double of G, built on first use.  (Not a cached_property:
+        its write through the instance __dict__ slows every attribute
+        read of the field about twofold on CPython 3.11.)"""
+        if self._double is None:
+            self._double = qbia.build_double(self.G)
+        return self._double
 
     def _check_point(self, p):
         p = np.asarray(p, dtype=float)
@@ -385,7 +388,8 @@ class CanonicalField(PointRecordField):
 
     def _big_ad(self, p):
         """ad_big(p), or the stack of them for a stack of points."""
-        return self.double.d.ad_matrix(self.double.embed(xi=p @ self.inj.T))
+        dbl = self.double
+        return dbl.d.ad_matrix(dbl.embed(xi=p @ self.inj.T))
 
     def _domain_records(self, ps):
         """The records of PointRecordField._domain_records with the block
@@ -497,11 +501,11 @@ class DerivedField(LMatrixField):
     def route(self):
         return self.base.route
 
-    @functools.cached_property
+    @property
     def double(self):
         if self.G is self.base.G:
             return self.base.double
-        return qbia.build_double(self.G)
+        return super().double
 
     def _report(self, p):
         return self.base._report(p)

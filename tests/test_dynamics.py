@@ -596,6 +596,8 @@ def test_cdybe_residual_reads_one_double_per_field(monkeypatch):
         assert field.double is field.double
         assert field.double.source is field.G
     assert fields[2].double.source is Gt
+    # a derived field of the base's structure shares the base's double
+    assert fields[3].double is base.double
 
 
 # -- symmetry and transport checks --------------------------------------------
