@@ -28,7 +28,6 @@ algebra with an involution.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import dynamics, lie, linalg, qbia
 
@@ -315,17 +314,26 @@ class _PointFlows:
     """What the trivialization computes from one base point p of a canonical
     field (see TrivializationMap): matrix functions of a = ad(p) and the
     fiber isomorphism at p, and per direction their Frechet derivatives.
-    Each entry is computed on first use; its arrays are read-only.  The
-    field's flow exp(-a) and its derivatives come from the field's record
-    of p and its derivative jet over every base basis direction, by
-    whichever route the field takes (LMatrixField.route: closed forms of
-    the spectral model, or one pass of the Frechet kernel on the general
-    route); the exp(+a) pairs of a stack of directions are one kernel
-    call."""
+    Each entry is computed on first use; its arrays are read-only.
+
+    Every matrix comes from the field's spectral model of ad_big
+    (field._models[0]) and the record's data of p ("data_big"), so on the
+    model route a point pays no eig, expm or Frechet kernel call:
+    - f(a) and D f(a)[ad(beta)] for an AnalyticFunction f are the model's
+      `apply` and `frechet` (closed forms on a commuting frame or a cubic
+      family; f.apply / f.frechet on the general route);
+    - exp(a) and its derivatives are the model's flow exp(-A) and its
+      derivative at -p (scipy's expm and the Frechet kernel on the general
+      route);
+    - exp(-a) and its derivatives are the field's flow and its derivative
+      jet, by whichever route the field takes (LMatrixField.route).
+    The derivatives of a stack of directions not kept yet come from one
+    call of the model per function."""
 
     def __init__(self, field, rec):
         self._field = field
         self._rec = rec
+        self._model = field._models[0]
         self._limit = field.G.dim ** 2
         self.a = _read_only(rec["ad_big"])
         self.exp_neg = _read_only(rec["big"])
@@ -349,13 +357,23 @@ class _PointFlows:
         store = self._mats if beta is None else self._along(beta)
         return self._get(store, key, compute)
 
+    def _minus(self):
+        """The point -p as the model reads it: -p, its data and
+        A(-p) = -a, each a stack of one."""
+        def compute():
+            p, a = -self._rec["p"][None], -self.a[None]
+            return p, self._model.data(p, a), a
+        return self.memo("minus", compute)
+
     def exp(self):
-        """exp(a)."""
-        return self.memo("exp", lambda: scipy.linalg.expm(self.a))
+        """exp(a): the model's flow exp(-A) at -p."""
+        return self.memo(
+            "exp", lambda: self._model.exp_neg(*self._minus()[1:])[0])
 
     def apply(self, fn):
         """fn(a) for an AnalyticFunction fn."""
-        return self.memo(fn, lambda: fn.apply(self.a))
+        return self.memo(fn, lambda: self._model.apply(
+            fn, self._rec["data_big"][None], self.a[None])[0])
 
     def _along(self, beta):
         beta = np.asarray(beta, dtype=float)
@@ -367,40 +385,53 @@ class _PointFlows:
                 self._dirs[key] = entry
         return entry
 
+    def _per_direction(self, key, beta, compute):
+        """The entry key of direction beta, or their list for a stack of
+        directions; compute(alphas, das) gives the entries not kept yet, in
+        one call on the stacks of their directions and of ad(direction)."""
+        beta = np.asarray(beta, dtype=float)
+        stack = beta if beta.ndim == 2 else beta[None]
+        entries = [self._along(b) for b in stack]
+        todo = [i for i, e in enumerate(entries) if key not in e]
+        if todo:
+            out = compute(stack[todo],
+                          np.array([entries[i]["da"] for i in todo]))
+            for i, m in zip(todo, out):
+                self._get(entries[i], key, lambda m=m: m)
+        got = [e[key] for e in entries]
+        return got if beta.ndim == 2 else got[0]
+
     def frechet(self, fn, beta):
-        """D fn(a)[ad(beta)]."""
-        entry = self._along(beta)
-        return self._get(entry, fn, lambda: fn.frechet(self.a, entry["da"]))
+        """D fn(a)[ad(beta)] for an AnalyticFunction fn, along one
+        direction beta or a stack of them (a list)."""
+        return self._per_direction(fn, beta, lambda alphas, das: (
+            self._model.frechet(fn, self._rec["p"], self._rec["data_big"],
+                                self.a, alphas, das)))
 
     def exp_frechet(self, beta, sign=1):
-        """(exp(sign a), D exp(sign a)[sign ad(beta)]) for one direction
-        beta, or their list for a stack of directions, whose exp(+a) pairs
-        not kept yet come from one kernel call.  For sign -1 these are the
-        field's flow and its derivative from the field's jet."""
-        beta = np.asarray(beta, dtype=float)
-        if beta.ndim == 2:
-            todo = [e for e in map(self._along, beta) if ("exp", 1) not in e]
-            if sign > 0 and todo:
-                r, ds = linalg.expm_frechet(
-                    self.a, np.array([e["da"] for e in todo]))
-                for e, d in zip(todo, ds):
-                    self._get(e, ("exp", 1), lambda d=d: (r, d))
-            return [self.exp_frechet(b, sign) for b in beta]
-        entry = self._along(beta)
+        """D exp(sign a)[sign ad(beta)] along one direction beta or a stack
+        of them (a list).  For sign -1 it is the derivative of the field's
+        flow, from the field's jet; for sign 1 the derivative of the model's
+        flow at -p along -beta."""
         if sign < 0:
-            return self._get(entry, ("exp", -1), lambda: (
-                self.exp_neg, self._field._flow_derivative(self._rec, beta)))
-        return self._get(entry, ("exp", 1),
-                         lambda: linalg.expm_frechet(self.a, entry["da"]))
+            return self._per_direction(("exp", -1), beta, lambda alphas, das: [
+                self._field._flow_derivative(self._rec, b) for b in alphas])
+
+        def compute(alphas, das):
+            p, d, a = self._minus()
+            return self._model.exp_neg_derivative(p[0], d[0], a[0],
+                                                  self.exp(), -alphas, -das)
+        return self._per_direction(("exp", 1), beta, compute)
 
     def bundle(self, beta=None):
         """The matrices (SINH_REM, SINHC, SINH, exp) of a that the bundle
-        map applies, or with beta their Frechet derivatives along it."""
+        map applies, or with beta their Frechet derivatives along it (their
+        list for a stack of directions)."""
         fns = (linalg.SINH_REM, linalg.SINHC, linalg.SINH)
         if beta is None:
             return tuple(self.apply(fn) for fn in fns) + (self.exp(),)
-        return (tuple(self.frechet(fn, beta) for fn in fns)
-                + (self.exp_frechet(beta)[1],))
+        out = [self.frechet(fn, beta) for fn in fns] + [self.exp_frechet(beta)]
+        return list(zip(*out)) if np.ndim(beta) == 2 else tuple(out)
 
 
 class TrivializationMap:
@@ -421,11 +452,13 @@ class TrivializationMap:
     isomorphism phi_p with its leakage (built once per point), and per
     direction beta (keyed on beta's shape and bytes, at most G.dim**2
     directions) ad(beta) with the Frechet derivatives of those functions,
-    of exp(+-a) and of the phi_p matrix.  The derivative of exp(-a) is the
-    field's: it comes from the field's derivative jet over the base basis
-    directions (see _PointFlows), so it is never computed twice.
-    Each entry is computed on first use; its arrays are read-only, and
-    _phi_data hands out copies.
+    of exp(+-a) and of the phi_p matrix.  The functions of a and exp(a),
+    with their derivatives, come from the field's spectral model of ad_big
+    (closed forms on the model route, the eig route, scipy's expm and the
+    Frechet kernel on the general route); exp(-a) and its derivative are
+    the field's own flow and jet, so they are never computed twice (see
+    _PointFlows).  Each entry is computed on first use; its arrays are
+    read-only, and _phi_data hands out copies.
 
     flatness_residual, bracket_morphism_residual and
     psi_compatibility_residual take every pair of their sections at once:
@@ -479,9 +512,7 @@ class TrivializationMap:
         """The _PointFlows record of base point p, which must lie in the
         field's domain."""
         field = self.field
-        p = field._check_point(p)
-        field._require_domain(p)
-        rec = field._at(p)
+        rec = field._live_record(field._check_point(p))
         if "flows" not in rec:
             rec["flows"] = _PointFlows(field, rec)
         return rec["flows"]
@@ -525,7 +556,7 @@ class TrivializationMap:
         dxi[:, :k] = self.inj @ self._coads(beta).T
         dcols = np.vstack([field.derivative(p, beta) @ cols[n:]
                            + field.value(p) @ dxi, dxi])
-        dflow = flows.exp_frechet(beta, -1)[1] @ cols + flows.exp_neg @ dcols
+        dflow = flows.exp_frechet(beta, -1) @ cols + flows.exp_neg @ dcols
         return dflow[self._target]
 
     def _phi_data(self, p, beta=None):
@@ -675,8 +706,9 @@ class TrivializationMap:
         as one stack per basis direction."""
         flows = self._flows(p)
         eye = np.eye(self.k)
-        # the exp(+a) pairs of every basis direction, in one kernel call
-        flows.exp_frechet(eye)
+        # the Frechet matrices of every basis direction, one model call per
+        # function
+        flows.bundle(eye)
         z, eta, _, _ = self._push(flows.bundle(), a0, x0)
         jets = [self._push_derivative(flows, e, a0, x0, da, dx)
                 for e, da, dx in zip(eye, da0, dx0)]

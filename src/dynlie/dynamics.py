@@ -280,6 +280,14 @@ class PointRecordField(LMatrixField):
             self._last = (key, self._domain_records(p[None])[0])
         return self._last[1]
 
+    def _live_record(self, p):
+        """The record of the validated base point p, which must lie in the
+        domain (else OutOfDomain): one record lookup, where _require_domain
+        and _at would check the point and copy its report on the way."""
+        rec = self._at(p)
+        _raise_outside(rec["report"])
+        return rec
+
     def _domain_records(self, ps):
         """One record per point of the stack ps, with the spectral margin
         (see `in_domain`) and the matrices it is computed from: the small

@@ -381,6 +381,16 @@ class AnalyticFunction:
         rows = [e["w"] for e in self._eig(_check_stack(a))]
         return np.array(rows, dtype=complex).reshape(a.shape[:-1])
 
+    def check_spectrum(self, w):
+        """Raise SpectrumOnSingularSet when an eigenvalue in w (any shape)
+        lies within SINGULAR_SET_TOL of a singularity of the function."""
+        if self._singular_distance is not None:
+            dist = float(np.min(self._singular_distance(np.ravel(w))))
+            if dist < SINGULAR_SET_TOL:
+                raise SpectrumOnSingularSet(
+                    "%s: eigenvalue within %.3g of a singularity"
+                    % (self.name, dist))
+
     def _decompose(self, a):
         """Eigen data of each slice of the stack a: its memo entry with vinv
         and fw = f(w) added, or None when cond(V) is not below
@@ -394,13 +404,7 @@ class AnalyticFunction:
         new = list({id(e): e for e in entries if "fw" not in e}.values())
         if new:
             w = np.array([e["w"] for e in new], dtype=complex)
-            if self._singular_distance is not None:
-                d = self._singular_distance(w.ravel()).reshape(w.shape)
-                for dist in np.min(d, axis=1):
-                    if dist < SINGULAR_SET_TOL:
-                        raise SpectrumOnSingularSet(
-                            "%s: eigenvalue within %.3g of a singularity"
-                            % (self.name, dist))
+            self.check_spectrum(w)
             conds = _per_dtype(np.linalg.cond, [e["v"] for e in new])
             good = [i for i, c in enumerate(conds) if c < EIG_COND_LIMIT]
             fw = self.f(w[good].ravel()).reshape(len(good), w.shape[1])

@@ -30,11 +30,22 @@ same ratio M^-1 N = (TM)^-1 TN (the decoupling of Ascher, Mattheij &
 Russell, Numerical Solution of BVPs for ODEs, 1988, ch. 6, made exact by
 the projectors).  Its derivative is bounded as well (`graded_derivative`).
 
+Every model also evaluates any linalg.AnalyticFunction f of its family
+(`apply`, and `frechet` along a stack of family directions), which is how
+duality.TrivializationMap gets its functions of ad_big(p): V f(lambda(p))
+V^-1 and V f'(lambda(p)) V^-1 dA on a frame; f(0) I + c1(s) A + c2(s) A^2
+on a cubic family, with c1, c2 and their s-derivatives from f's Taylor
+coefficients where |s| < SERIES_S and from f, f' at +-sqrt(s) elsewhere
+(`interpolation_coeffs`).  The field's own F and flow keep their
+evaluators (`f`, `exp_neg` and their derivatives, the coefficient table's
+columns).
+
 A family that passes neither check takes the general model
 (`GeneralModel`, `GENERAL`), which has the same interface and evaluates
 each point numerically: one eig per matrix for the margin and F (kept by
 linalg.F_MEROMORPHIC for the apply that follows), scipy's expm for the
-flow and the Frechet kernels for the derivatives.
+flow, f.apply / f.frechet for any other f and the Frechet kernels for the
+derivatives.
 
 Every evaluator takes a stack of points and works slice by slice with
 elementwise operations and stacked products, so each slice is bitwise the
@@ -135,6 +146,50 @@ def _closed_row(x):
         return (math.nan,) * 6
 
 
+# columns of interpolation_coeffs: f(A) = f(0) I + c1 A + c2 A^2 when
+# A^3 = s A, and the s-derivatives of c1 and c2
+C1, C2, DC1, DC2 = range(4)
+
+
+def interpolation_coeffs(fn, s):
+    """c1, c2, c1', c2' of the AnalyticFunction fn at each s (m x 4,
+    columns C1, C2, DC1, DC2), so that fn(A) = fn(0) I + c1(s) A + c2(s) A^2
+    whenever A^3 = s A; each row depends on its s alone.
+
+    Where |s| < SERIES_S they are series in s from fn's Taylor coefficients
+    a_i: c1 = sum_j a_(2j+1) s^j and c2 = sum_j a_(2j+2) s^j (A^(2j+1) =
+    s^j A, A^(2j+2) = s^j A^2).  Elsewhere they are Sylvester's
+    interpolation through fn at the eigenvalues 0 and +-mu, mu = sqrt(s)
+    (imaginary for s < 0): c1 = (f(mu) - f(-mu))/(2 mu) and
+    c2 = (f(mu) + f(-mu) - 2 f(0))/(2 s), with their s-derivatives from f'
+    at +-mu.  Raises linalg.SpectrumOnSingularSet where +-mu lies on a
+    singularity of fn."""
+    s = np.asarray(s, dtype=float)
+    mu = np.sqrt(s.astype(complex))
+    fn.check_spectrum(np.concatenate([mu, -mu]))
+    out = np.empty(s.shape + (4,))
+    small = np.abs(s) < SERIES_S
+    if small.any():
+        a, t = fn.coeffs, 2 * SERIES_TERMS
+        j = np.arange(1, SERIES_TERMS + 1)
+        table = np.stack([a[1:t:2], a[2:t + 1:2], j * a[3:t + 2:2],
+                          j * a[4:t + 3:2]], axis=1)
+        out[small] = np.sum(s[small, None, None] ** _POWERS * table, axis=1)
+    if not small.all():
+        x, m = s[~small], mu[~small]
+        z = np.concatenate([m, -m])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fz, dz = fn.f(z), fn.df(z)
+            fp, fm = np.split(fz, 2)
+            dp, dm = np.split(dz, 2)
+            c1 = (fp - fm) / (2.0 * m)
+            c2 = (fp + fm - 2.0 * fn.coeffs[0]) / (2.0 * x)
+            out[~small] = np.stack(
+                [c1, c2, (0.5 * (dp + dm) - c1) / (2.0 * x),
+                 ((dp - dm) / (4.0 * m) - c2) / x], axis=1).real
+    return out
+
+
 def cubic_coeffs(s):
     """The coefficient table at each s (m x 7, columns S, G1, ..., DH):
     the Taylor series where |s| < SERIES_S, the closed forms elsewhere,
@@ -160,9 +215,9 @@ def cubic_coeffs(s):
 # A(p) for a frame, the coefficient table for a cubic family, A(p) itself
 # for the general model.  Per point, `margin` gives the spectral margin,
 # `exp_neg` the flow exp(-A), `f` the meromorphic F(A) and `systems` the
-# system whose ratio is M^-1 N; at one point, `exp_neg_derivative`,
-# `f_derivative` and `perp_derivative` differentiate them along a stack of
-# directions.
+# system whose ratio is M^-1 N, and `apply` any AnalyticFunction fn(A); at
+# one point, `exp_neg_derivative`, `f_derivative`, `perp_derivative` and
+# `frechet` differentiate them along a stack of directions.
 
 
 class _Model:
@@ -215,6 +270,12 @@ class GeneralModel(_Model):
 
     def f_derivative(self, p, d, a, alphas, das):
         return linalg.F_MEROMORPHIC.frechet(a, das)
+
+    def apply(self, fn, d, a):
+        return fn.apply(a)
+
+    def frechet(self, fn, p, d, a, alphas, das):
+        return fn.frechet(a, das)
 
 
 GENERAL = GeneralModel()
@@ -273,6 +334,22 @@ class FrameModel(_Model):
             return np.zeros(das.shape)
         return self._spectral(linalg.F_MEROMORPHIC.df(d)[None]) @ das
 
+    def apply(self, fn, d, a):
+        """fn(A(p)) = V fn(lambda(p)) V^-1 for the stack d (a the A(p))."""
+        if self.zero:
+            return fn.coeffs[0] * np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+        fn.check_spectrum(d)
+        return linalg.assert_finite(
+            self._spectral(fn.f(d.ravel()).reshape(d.shape)))
+
+    def frechet(self, fn, p, d, a, alphas, das):
+        """D fn(A(p))[dA] = V fn'(lambda(p)) V^-1 dA at one point along the
+        stack das, exact because every direction commutes with A."""
+        if self.zero:
+            return np.zeros(das.shape)
+        fn.check_spectrum(d)
+        return linalg.assert_finite(self._spectral(fn.df(d)[None]) @ das)
+
 
 class CubicModel(_Model):
     """A family with A(p)^3 = s(p) A(p), s(p) = p^T Q p."""
@@ -328,6 +405,24 @@ class CubicModel(_Model):
 
     def f_derivative(self, p, d, a, alphas, das):
         return d[DH] * self._ds(p, alphas)[:, None, None] * a + d[H] * das
+
+    def apply(self, fn, d, a):
+        """fn(A(p)) = fn(0) I + c1 A + c2 A^2 for the stack d (a the A(p)),
+        c1 and c2 from interpolation_coeffs."""
+        c = interpolation_coeffs(fn, d[:, S])
+        return linalg.assert_finite(
+            fn.coeffs[0] * np.eye(a.shape[-1]) + c[:, C1, None, None] * a
+            + c[:, C2, None, None] * (a @ a))
+
+    def frechet(self, fn, p, d, a, alphas, das):
+        """Derivatives of fn(A) at one point p (A = a) along the stack das of
+        family directions alphas: those of the interpolation form, with
+        ds = 2 alpha^T Q p."""
+        c = interpolation_coeffs(fn, d[None, S])[0]
+        ds = self._ds(p, alphas)[:, None, None]
+        return linalg.assert_finite(
+            c[DC1] * ds * a + c[C1] * das + c[DC2] * ds * (a @ a)
+            + c[C2] * (das @ a + a @ das))
 
     def systems(self, d, a, e, n):
         """[M N] where mu < GRADED_MU (or the bounded form does not exist:

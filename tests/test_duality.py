@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dynlie import catalog, duality, dynamics, lie, linalg, qbia, twist
+from dynlie import (catalog, duality, dynamics, lie, linalg, qbia, spectral,
+                    twist)
 
 TOL = 1e-10
 
@@ -442,29 +443,113 @@ def test_check_computes_each_flow_of_a_base_point_once(monkeypatch):
     assert len(calls) <= 10
 
 
+def _count_matrix_kernels(monkeypatch):
+    """Lists that record each later call of linalg.expm_frechet (its
+    matrix and direction bytes), np.linalg.eig and scipy.linalg.expm."""
+    calls = {"expm_frechet": [], "eig": [], "expm": []}
+
+    def counted(owner, name, record):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(record(*args))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(linalg, "expm_frechet", lambda a, e: (
+        a.tobytes(), [d.tobytes() for d in (e if e.ndim == 3 else [e])]))
+    counted(np.linalg, "eig", lambda a: a.shape)
+    counted(scipy.linalg, "expm", lambda a: a.shape)
+    return calls
+
+
 def test_check_shares_the_fields_frechet_pairs(monkeypatch):
-    # the derivative of phi_p reads the field's flow derivative from the
-    # field's jet, which the spectral model gives in closed form, so the
-    # kernel runs only for exp(+ad(p)) and no (matrix, direction) input of
-    # it repeats; computed apart, this check made 6 expm_frechet calls on
-    # 4 distinct inputs
+    # on the model route every matrix function of ad_big(p) comes from the
+    # field's spectral model: no Frechet kernel, eig or scipy expm runs in
+    # a check (before, an ev-sl3 check(samples=1) made one stacked kernel
+    # call for exp(+ad(p)), and 5 eig calls of the AnalyticFunctions)
+    for name in ("sl2-cartan", "symmetric-sl2", "ev-sl2-gamma",
+                 "su2-lagrangian", "ev-sl3"):
+        entry = catalog.get(name)
+        triv = duality.TrivializationMap(entry.G, entry.decomp)
+        assert triv.field.route in ("commuting", "cubic")
+        calls = _count_matrix_kernels(monkeypatch)
+        assert triv.check(samples=1)["passed"]
+        assert calls == {"expm_frechet": [], "eig": [], "expm": []}, name
+        monkeypatch.undo()
+    # on the general route the derivative of phi_p still reads the field's
+    # flow derivative from the field's jet (one stacked kernel call on
+    # -a), so the kernel runs once more, for exp(+a), in one stacked call
+    # over both base directions, and no (matrix, direction) input repeats;
+    # computed apart, this check made 6 expm_frechet calls on 4 distinct
+    # inputs
     entry = catalog.get("ev-sl3")
     triv = duality.TrivializationMap(entry.G, entry.decomp)
-    calls = []
-    orig = linalg.expm_frechet
-
-    def expm_frechet(a, e):
-        calls.append([a.tobytes() + d.tobytes()
-                      for d in (e if e.ndim == 3 else [e])])
-        return orig(a, e)
-
-    monkeypatch.setattr(linalg, "expm_frechet", expm_frechet)
+    triv.field._models = (spectral.GENERAL, spectral.GENERAL)
+    calls = _count_matrix_kernels(monkeypatch)["expm_frechet"]
     assert triv.check(samples=1)["passed"]
-    inputs = [key for call in calls for key in call]
-    # exp(+ad(p)) along both base directions in one call
-    assert triv.field.route == "commuting"
-    assert [len(call) for call in calls] == [2]
-    assert len(inputs) == len(set(inputs)) == 2
+    p = triv.field._last[1]["p"]
+    plus = triv.field._big_ad(p).tobytes()
+    assert [len(dirs) for a, dirs in calls if a == plus] == [2]
+    assert [len(dirs) for _, dirs in calls] == [2, 2]
+    inputs = [a + d for a, dirs in calls for d in dirs]
+    assert len(inputs) == len(set(inputs)) == 4
+
+
+def _flows_on_ray(name, r, route):
+    """The _PointFlows record at |p| = r on a seeded ray of the entry's
+    canonical field, on the model route or the general route, and a seeded
+    direction."""
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    if route == "general":
+        triv.field._models = (spectral.GENERAL, spectral.GENERAL)
+    rng = np.random.default_rng(41)
+    d = rng.standard_normal(triv.k)
+    return triv._flows(r * d / np.linalg.norm(d)), rng.standard_normal(triv.k)
+
+
+def _flows_outputs(flows, beta):
+    eye = np.eye(len(beta))
+    return [*flows.bundle(), *flows.bundle(beta),
+            flows.apply(linalg.TRIV_REM), flows.apply(linalg.INV_SINHC),
+            flows.exp(), *flows.exp_frechet(eye)]
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("name", catalog.names())
+def test_flows_of_the_model_route_match_the_general_route(name, r):
+    # the model's closed forms against the eig route of the
+    # AnalyticFunctions, scipy's expm and the Frechet kernel
+    model, beta = _flows_on_ray(name, r, "model")
+    general, _ = _flows_on_ray(name, r, "general")
+    assert general._model is spectral.GENERAL
+    got, want = _flows_outputs(model, beta), _flows_outputs(general, beta)
+    assert len(got) == len(want) == 11 + len(beta)
+    for x, y in zip(got, want):
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+def test_flows_of_the_general_route_are_the_direct_evaluations(name):
+    # the general model hands the trivialization exactly what the
+    # AnalyticFunctions, scipy's expm and the Frechet kernel give
+    flows, beta = _flows_on_ray(name, 1.0, "general")
+    a = np.array(flows.a)
+    field = flows._field
+    das = [field._big_ad(b) for b in (beta, *np.eye(len(beta)))]
+    fns = (linalg.SINH_REM, linalg.SINHC, linalg.SINH)
+    want = ([fn.apply(a) for fn in fns] + [scipy.linalg.expm(a)]
+            + [fn.frechet(a, das[0]) for fn in fns]
+            + [linalg.expm_frechet(a, das[0])[1],
+               linalg.TRIV_REM.apply(a), linalg.INV_SINHC.apply(a),
+               scipy.linalg.expm(a)]
+            + [linalg.expm_frechet(a, da)[1] for da in das[1:]])
+    got = _flows_outputs(flows, beta)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
 
 
 def _record_outputs(triv, p, seed):
@@ -516,7 +601,7 @@ def test_point_record_is_read_only_and_outputs_are_owned():
     beta = np.ones(triv.k)
     kept = [flows.a, flows.exp_neg, flows.exp(),
             flows.apply(linalg.SINHC), flows.frechet(linalg.SINH, beta),
-            *flows.exp_frechet(beta, -1)]
+            flows.exp_frechet(beta, -1), flows.exp_frechet(beta)]
     for m in kept:
         with pytest.raises(ValueError):
             m[0, 0] = 1.0

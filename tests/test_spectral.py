@@ -1,5 +1,7 @@
 """Tests for the closed-form spectral models of adjoint families."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -38,6 +40,53 @@ def test_cubic_coefficients_match_mpmath(s):
     assert got[spectral.S] == s
     for value, want in zip(got[1:], _coeffs_mp(s)):
         assert abs(value - want) <= 1e-13 * abs(want)
+
+
+# the AnalyticFunctions of the trivialization, with exp, by their mpmath
+# closed forms
+_EXP = linalg.AnalyticFunction(
+    "exp", [1.0 / math.factorial(k) for k in range(170)], np.inf, np.exp,
+    np.exp)
+_MP_FUNCTIONS = [
+    (linalg.SINH_REM, lambda z: (mp.sinh(z) - z) / z ** 2, 0),
+    (linalg.SINHC, lambda z: mp.sinh(z) / z, 1),
+    (linalg.SINH, mp.sinh, 0),
+    (linalg.TRIV_REM, lambda z: 1 / z - 1 / mp.sinh(z), 0),
+    (linalg.INV_SINHC, lambda z: z / mp.sinh(z), 1),
+    (_EXP, mp.exp, 1),
+]
+
+
+def _interpolation_mp(f, f0, s):
+    """c1, c2, c1', c2' of f at s != 0 in mpmath: Sylvester's
+    interpolation through f(0) and f(+-mu), mu = sqrt(s), and numerical
+    differentiation in s."""
+    def mu(x):
+        return mp.sqrt(x) if x >= 0 else mp.mpc(0, mp.sqrt(-x))
+
+    def c1(x):
+        return mp.re((f(mu(x)) - f(-mu(x))) / (2 * mu(x)))
+
+    def c2(x):
+        return mp.re((f(mu(x)) + f(-mu(x)) - 2 * f0) / (2 * x))
+
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        return [float(v) for v in (c1(s), c2(s), mp.diff(c1, s),
+                                   mp.diff(c2, s))]
+
+
+@pytest.mark.parametrize("s", [-30.0, -2.0, -1.0 - 1e-12, -1.0 + 1e-12, -0.3,
+                               1e-6, 0.4, 1.0 - 1e-12, 1.0 + 1e-12, 3.0,
+                               40.0, 600.0])
+def test_interpolation_coefficients_match_mpmath(s):
+    # the generic coefficients of every function the trivialization applies
+    # on a cubic family, on both sides of |s| = SERIES_S and both signs of
+    # s; a coefficient that vanishes by parity must come out exactly 0
+    for fn, f, f0 in _MP_FUNCTIONS:
+        got = spectral.interpolation_coeffs(fn, np.array([s]))[0]
+        for value, want in zip(got, _interpolation_mp(f, f0, s)):
+            assert abs(value - want) <= 1e-13 * abs(want), (fn, value, want)
 
 
 def _families(name):
