@@ -10,9 +10,13 @@ base-point dual algebra, and the gauge action of equivariant exponential maps.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import lie, linalg, qbia, spectral, twist
+# after the package's modules, so that linalg loads scipy first: with
+# this module loading it first, the trivialize benchmark's set-up in a
+# fresh process measured about 10 % slower (perfbench/run.py
+# --setup-only, medians over several checkouts of each order)
+import scipy.linalg
 
 SPECTRAL_MARGIN = 1e-6
 BLOCK_COND_LIMIT = 1e10
