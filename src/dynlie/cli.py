@@ -22,8 +22,9 @@ fixed inputs, seed, flags, and tool version the rendered report is byte
 identical.
 
 Exit codes: 0 all checks pass, 1 a residual fails, 2 parse or usage
-error, 3 domain violation (spectral margin, block conditioning, or a
-precondition of the dual construction).
+error (a spec or output path that cannot be opened included), 3 domain
+violation (spectral margin, block conditioning, or a precondition of the
+dual construction).
 """
 
 import argparse
@@ -462,6 +463,10 @@ def _parse_overrides(pairs):
             overrides[key] = float(val)
         except ValueError:
             raise SpecParseError("bad tolerance %r for %s" % (val, key))
+        # inf and nan would also reach verify --json as invalid JSON
+        if not (np.isfinite(overrides[key]) and overrides[key] >= 0.0):
+            raise SpecParseError("tolerance for %s must be a finite number "
+                                 ">= 0, got %r" % (key, val))
     return overrides
 
 
@@ -602,12 +607,16 @@ def main(argv=None):
                               for a in argv])
     if getattr(args, "samples", 1) < 1:
         parser.error("argument --samples: need at least one sample point")
+    # argparse hands "lcan SPEC -- --" a point of [] (CPython 3.11)
+    if not isinstance(getattr(args, "point", ""), str):
+        parser.error("argument point: expected one point")
     try:
         return args.func(args)
     except SpecParseError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a spec or output path that is missing, a directory or unreadable
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except catalog.UnknownEntry as exc:

@@ -318,13 +318,13 @@ class _PointFlows:
 
     Every matrix comes from the field's spectral model of ad_big
     (field._models[0]) and the record's data of p ("data_big"), so on the
-    model route a point pays no eig, expm or Frechet kernel call:
+    model route a point pays no eig, expm or expm_frechet call:
     - f(a) and D f(a)[ad(beta)] for an AnalyticFunction f are the model's
       `apply` and `frechet` (closed forms on a commuting frame or a cubic
       family; f.apply / f.frechet on the general route);
     - exp(a) and its derivatives are the model's flow exp(-A) and its
-      derivative at -p (scipy's expm and the Frechet kernel on the general
-      route);
+      derivative at -p (scipy's expm and linalg.expm_frechet on the
+      general route);
     - exp(-a) and its derivatives are the field's flow and its derivative
       jet, by whichever route the field takes (LMatrixField.route).
     The derivatives of a stack of directions not kept yet come from one
@@ -454,8 +454,8 @@ class TrivializationMap:
     directions) ad(beta) with the Frechet derivatives of those functions,
     of exp(+-a) and of the phi_p matrix.  The functions of a and exp(a),
     with their derivatives, come from the field's spectral model of ad_big
-    (closed forms on the model route, the eig route, scipy's expm and the
-    Frechet kernel on the general route); exp(-a) and its derivative are
+    (closed forms on the model route, the eig route, scipy's expm and
+    linalg.expm_frechet on the general route); exp(-a) and its derivative are
     the field's own flow and jet, so they are never computed twice (see
     _PointFlows).  Each entry is computed on first use; its arrays are
     read-only, and _phi_data hands out copies.

@@ -378,12 +378,12 @@ class CanonicalField(PointRecordField):
 
     On the model route ("commuting" or "cubic": both families' closed
     models pass their check) the margin, the flow, F and every derivative
-    are closed forms, with no eig, expm or Frechet kernel per point, and a
+    are closed forms, with no eig, expm or expm_frechet per point, and a
     cubic model reads M^-1 N and its jet through the bounded system of the
     flow where mu >= spectral.GRADED_MU.  Other fields take the general
-    route ("general"): one eig of the small double's adjoint, scipy's expm
-    of ad_big and the Frechet kernels.  The domain rule is the same on
-    both routes.
+    route ("general"): eig of the small double's adjoint, scipy's expm of
+    ad_big and scipy's expm_frechet along each direction.  The domain rule
+    is the same on both routes.
     """
 
     def __init__(self, G, decomp):
@@ -475,7 +475,7 @@ class CanonicalField(PointRecordField):
         slice is bitwise the call on that direction alone.
 
         Each family's model differentiates its own function along all the
-        directions in one call: the flow (the Frechet kernel on the general
+        directions in one call: the flow (linalg.expm_frechet on the general
         route, -dA exp(-A) on a commuting frame, the derivative of the
         Rodrigues form on a cubic family), F of the small double, and
         M^-1 N through the record's system (one solve; a bounded system
@@ -612,7 +612,7 @@ class GaugedField(DerivedField):
                 if want_d:
                     ds_val = jac @ alpha
                     dad_s = g.ad_matrix(ds_val)
-                    de_s = linalg.expm_frechet(ad_s, dad_s)[1]
+                    de_s = linalg.expm_frechet(ad_s, dad_s)
                     dg_s = linalg.EXPM1_OVER.frechet(ad_s, dad_s)
                     djac = f.jacobian_derivative(p, alpha)
                     ddmap = (ddmap + dpre @ g_s @ jac + pre @ dg_s @ jac

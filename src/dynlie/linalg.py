@@ -8,12 +8,14 @@ differences.  Each call takes one route: the eigendecomposition when the
 eigenvector matrix is well conditioned (cond(V) < EIG_COND_LIMIT), the
 Taylor series otherwise.  The series is that fallback and the reference
 the tests compare against; the two routes are not compared at run time.
+A call keeps nothing once it returns.  The Frechet derivative of exp
+itself (expm_frechet) is scipy's, one call per direction.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.linalg
 
 EPS = float(np.finfo(float).eps)
 CBRT_EPS = EPS ** (1.0 / 3.0)
@@ -307,12 +309,9 @@ class AnalyticFunction:
     complex evaluator used away from 0, and the scalar derivative (for the
     divided-difference matrices of the Frechet derivative).  `apply` takes a
     matrix or a stack of them, `frechet` one matrix with one direction or a
-    stack of them.  A call eigendecomposes each of its matrices at most
-    once, with one eig call for all of them, and not at all for a matrix
-    the memo holds: the memo keeps the matrices of the last call that
-    brought a new one.
-    Each matrix takes the eigen route when cond(V) < EIG_COND_LIMIT and the
-    series otherwise.
+    stack of them.  A call eigendecomposes its distinct matrices with one
+    eig call, and keeps nothing once it returns.  Each matrix takes the
+    eigen route when cond(V) < EIG_COND_LIMIT and the series otherwise.
     """
 
     def __init__(self, name, coeffs, radius, fz, dfz, singular_distance=None):
@@ -325,8 +324,6 @@ class AnalyticFunction:
         self._poly = self.coeffs[:SCALAR_SERIES_TERMS][::-1]
         dc = self.coeffs[1:] * np.arange(1, len(self.coeffs))
         self._dpoly = dc[:SCALAR_SERIES_TERMS][::-1]
-        self._memo = {}
-        self._series_memo = {}
 
     def __repr__(self):
         return "AnalyticFunction(%r)" % self.name
@@ -351,32 +348,25 @@ class AnalyticFunction:
             out[~small] = closed(z[~small])
         return out
 
-    def _eig(self, a):
-        """The memo entries {w, v} of the slices of the stack a, in order.
-
-        The slices the memo does not hold are decomposed by one eig call
-        and replace the memo, which keeps the held slices of a; an entry is
-        what np.linalg.eig returns for its slice alone, real when its
-        spectrum is.  A new slice drops the kept series results.
-        """
-        memo = self._memo
+    @staticmethod
+    def _eig(a):
+        """The eigen data {w, v} of the slices of the stack a, in order:
+        one eig call on its distinct slices, and one dict per distinct
+        slice.  An entry is what np.linalg.eig returns for its slice
+        alone, real when its spectrum is."""
         keys = [x.tobytes() for x in a]
-        todo = {key: x for key, x in zip(keys, a) if key not in memo}
-        if todo:
-            w, v = np.linalg.eig(np.array(list(todo.values())))
-            real = (~np.any(w.imag, axis=-1)).tolist()
-            kept = {key: memo[key] for key in keys if key in memo}
-            for key, wi, vi, r in zip(todo, w, v, real):
-                kept[key] = {"w": wi.real, "v": vi.real} if r else {
-                    "w": wi, "v": vi}
-            memo = self._memo = kept
-            self._series_memo = {}
-        return [memo[key] for key in keys]
+        distinct = dict(zip(keys, a))
+        w, v = np.linalg.eig(np.array(list(distinct.values())))
+        real = (~np.any(w.imag, axis=-1)).tolist()
+        for key, wi, vi, r in zip(distinct, w, v, real):
+            distinct[key] = {"w": wi.real, "v": vi.real} if r else {
+                "w": wi, "v": vi}
+        return [distinct[key] for key in keys]
 
     def eigvals(self, a):
         """Eigenvalues of a square matrix, or of each slice of a stack, as
-        complex rows: those of the eig call that apply and frechet take, so
-        an apply of the same matrices that follows decomposes nothing."""
+        complex rows: bitwise those that apply and frechet decompose the
+        same matrices into."""
         a = np.asarray(a, dtype=float)
         rows = [e["w"] for e in self._eig(_check_stack(a))]
         return np.array(rows, dtype=complex).reshape(a.shape[:-1])
@@ -392,45 +382,35 @@ class AnalyticFunction:
                     % (self.name, dist))
 
     def _decompose(self, a):
-        """Eigen data of each slice of the stack a: its memo entry with vinv
-        and fw = f(w) added, or None when cond(V) is not below
+        """Eigen data of each slice of the stack a: its `_eig` entry with
+        vinv and fw = f(w) added, or None when cond(V) is not below
         EIG_COND_LIMIT (the caller then takes the series).
 
-        The singular-set check runs on the eigenvalues of every new slice
+        The singular-set check runs on the eigenvalues of every slice
         before any route is chosen.  cond(V) and inv(V) take one call per
         eigenvector dtype, and f(w) one call for the whole stack.
         """
         entries = self._eig(a)
-        new = list({id(e): e for e in entries if "fw" not in e}.values())
-        if new:
-            w = np.array([e["w"] for e in new], dtype=complex)
-            self.check_spectrum(w)
-            conds = _per_dtype(np.linalg.cond, [e["v"] for e in new])
-            good = [i for i, c in enumerate(conds) if c < EIG_COND_LIMIT]
-            fw = self.f(w[good].ravel()).reshape(len(good), w.shape[1])
-            vinvs = _per_dtype(np.linalg.inv, [new[i]["v"] for i in good])
-            for e in new:
-                e["fw"] = None
-            for i, fw_i, vinv in zip(good, fw, vinvs):
-                new[i]["vinv"] = vinv
-                new[i]["fw"] = fw_i
-        return [None if e["fw"] is None else e for e in entries]
+        unique = _unique(entries)
+        w = np.array([e["w"] for e in unique], dtype=complex)
+        self.check_spectrum(w)
+        conds = _per_dtype(np.linalg.cond, [e["v"] for e in unique])
+        good = [i for i, c in enumerate(conds) if c < EIG_COND_LIMIT]
+        fw = self.f(w[good].ravel()).reshape(len(good), w.shape[1])
+        vinvs = _per_dtype(np.linalg.inv, [unique[i]["v"] for i in good])
+        for i, fw_i, vinv in zip(good, fw, vinvs):
+            unique[i]["fw"], unique[i]["vinv"] = fw_i, vinv
+        return [e if "fw" in e else None for e in entries]
 
     def _series(self, a):
-        """A copy of entire_series_apply(coeffs, a).  Up to a.size results
-        are kept until `_eig` sees a new matrix."""
-        memo = self._series_memo
-        out = memo.get(a.tobytes())
-        if out is None:
-            try:
-                out = entire_series_apply(self.coeffs, a, radius=self.radius)
-            except RadiusExceeded as exc:
-                raise EvaluationFailed(
-                    "%s: matrix is not reliably diagonalizable and the series "
-                    "radius check failed" % self.name) from exc
-            if len(memo) < a.size:
-                memo[a.tobytes()] = out
-        return out.copy()
+        """entire_series_apply(coeffs, a), with RadiusExceeded turned into
+        EvaluationFailed."""
+        try:
+            return entire_series_apply(self.coeffs, a, radius=self.radius)
+        except RadiusExceeded as exc:
+            raise EvaluationFailed(
+                "%s: matrix is not reliably diagonalizable and the series "
+                "radius check failed" % self.name) from exc
 
     @staticmethod
     def _realify(fa):
@@ -444,22 +424,20 @@ class AnalyticFunction:
     def apply(self, a):
         """f(a) for a square matrix, or f of each slice of a stack of them
         (m x N x N): eigen route per slice when cond(V) < EIG_COND_LIMIT,
-        else the series.  Each slice is bitwise f of that slice alone, and
-        the memo keeps it with the slice's eigen data."""
+        else the series.  Each slice is bitwise f of that slice alone."""
         a = np.asarray(a, dtype=float)
         stack = _check_stack(a)
         if not a.size:
             return np.zeros(a.shape)
         eigs = self._decompose(stack)
-        new = list({id(e): e for e in eigs
-                    if e is not None and "fa" not in e}.values())
-        if new:
-            v = np.array([e["v"] for e in new])
-            fw = np.array([e["fw"] for e in new])
-            vinv = np.array([e["vinv"] for e in new])
+        good = _unique(e for e in eigs if e is not None)
+        if good:
+            v = np.array([e["v"] for e in good])
+            fw = np.array([e["fw"] for e in good])
+            vinv = np.array([e["vinv"] for e in good])
             fa = (v * fw[:, None, :]) @ vinv
             self._realify(fa)
-            for e, fa_e in zip(new, fa):
+            for e, fa_e in zip(good, fa):
                 e["fa"] = fa_e
         if None in eigs:
             out = np.array([self._series(x) if e is None else e["fa"].real
@@ -490,10 +468,9 @@ class AnalyticFunction:
             return np.zeros(e.shape)
         eig = self._decompose(a[None])[0]
         if eig is not None:
-            if "dd" not in eig:
-                eig["dd"] = self._divided_differences(eig["w"], eig["fw"])
+            dd = self._divided_differences(eig["w"], eig["fw"])
             v, vinv = eig["v"], eig["vinv"]
-            out = v @ ((vinv @ e @ v) * eig["dd"]) @ vinv
+            out = v @ ((vinv @ e @ v) * dd) @ vinv
             return assert_finite(self._realify(out))
         n = a.shape[0]
         zero = np.zeros_like(a)
@@ -519,6 +496,11 @@ def _check_stack(a):
         raise NonSquare("expected a square matrix or a stack of them, got "
                         "shape %s" % (a.shape,))
     return a
+
+
+def _unique(entries):
+    """The distinct dicts among entries, in first-seen order."""
+    return list({id(e): e for e in entries}.values())
 
 
 def _per_dtype(fn, arrays):
@@ -578,99 +560,11 @@ TRIV_REM = AnalyticFunction(
     singular_distance=_dist_to_ipi_nonzero)
 
 
-# ---------------------------------------------------------------------------
-# Frechet derivative of the matrix exponential: the scaling-Pade-squaring
-# algorithm of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 30(4), 2009),
-# in scipy.linalg.expm_frechet's operation order, for a stack of directions.
-# ---------------------------------------------------------------------------
-
-# largest 1-norm of A at which the degree-m approximant needs no scaling
-# (backward error below 2^-53)
-PADE_ELL = {3: 1.08e-2, 5: 2.00e-1, 7: 7.83e-1, 9: 1.78e0, 13: 4.74e0}
-PADE_B = {
-    3: (120., 60., 12., 1.),
-    5: (30240., 15120., 3360., 420., 30., 1.),
-    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
-    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
-        2162160., 110880., 3960., 90., 1.),
-    13: (64764752532480000., 32382376266240000., 7771770303897600.,
-         1187353796428800., 129060195264000., 10559470521600.,
-         670442572800., 33522128640., 1323241920., 40840800., 960960.,
-         16380., 182., 1.),
-}
-
-
-def _series_sum(b, mats, first):
-    """b[first] mats[-1] + b[first - 2] mats[-2] + ..., summed left to
-    right over mats (the even powers, or their derivatives, from the
-    lowest up)."""
-    out = None
-    for j, m in zip(range(first, -1, -2), mats[::-1]):
-        out = b[j] * m if out is None else out + b[j] * m
-    return out
-
-
-def _pade_parts(a, e, m):
-    """U, V and their derivatives Lu, Lv (stacked along e) of the
-    degree-m Pade approximant of exp at a, for m <= 9."""
-    b = PADE_B[m]
-    ident = np.identity(a.shape[0])
-    pows = [ident, a @ a]
-    ders = [None, a @ e + e @ a]
-    if m >= 5:
-        pows.append(pows[1] @ pows[1])
-        ders.append(pows[1] @ ders[1] + ders[1] @ pows[1])
-    if m >= 7:
-        pows.append(pows[1] @ pows[2])
-        ders.append(pows[2] @ ders[1] + ders[2] @ pows[1])
-    if m >= 9:
-        pows.append(pows[2] @ pows[2])
-        ders.append(pows[2] @ ders[2] + ders[2] @ pows[2])
-    odd = _series_sum(b, pows, m)
-    u = a @ odd
-    v = _series_sum(b, pows, m - 1)
-    lu = a @ _series_sum(b, ders[1:], m) + e @ odd
-    lv = _series_sum(b, ders[1:], m - 1)
-    return u, v, lu, lv
-
-
-def _pade13_parts(a, e):
-    """U, V, Lu, Lv of the degree-13 approximant at the scaled a."""
-    b = PADE_B[13]
-    ident = np.identity(a.shape[0])
-    a2 = a @ a
-    m2 = a @ e + e @ a
-    a4 = a2 @ a2
-    m4 = a2 @ m2 + m2 @ a2
-    a6 = a2 @ a4
-    m6 = a4 @ m2 + m4 @ a2
-    w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
-    w2 = b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
-    z2 = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    w = a6 @ w1 + w2
-    u = a @ w
-    v = a6 @ z1 + z2
-    lw1 = b[13] * m6 + b[11] * m4 + b[9] * m2
-    lw2 = b[7] * m6 + b[5] * m4 + b[3] * m2
-    lz1 = b[12] * m6 + b[10] * m4 + b[8] * m2
-    lz2 = b[6] * m6 + b[4] * m4 + b[2] * m2
-    lw = a6 @ lw1 + m6 @ w1 + lw2
-    lu = a @ lw + e @ w
-    lv = a6 @ lz1 + m6 @ z1 + lz2
-    return u, v, lu, lv
-
-
 def expm_frechet(a, e):
-    """(exp(a), L) with L the Frechet derivative of exp at a along e, for
-    one direction e (N x N) or a stack of them (k x N x N, L stacked alike).
-
-    The algorithm and operation order are scipy.linalg.expm_frechet's
-    (SPS), with everything that depends on a alone (its powers, the Pade
-    U and V, the LU of V - U and the squarings of exp(a)) computed once
-    for all directions, the derivative parts as stacked products, and the
-    LU through LAPACK getrf / getrs directly.  Non-finite input raises
-    ValueError and a singular V - U raises EvaluationFailed.
+    """The Frechet derivative of exp at a along one direction e (N x N), or
+    along each slice of a stack of them (k x N x N, stacked alike): one
+    scipy.linalg.expm_frechet call per direction.  Non-finite input raises
+    ValueError and a non-finite result EvaluationFailed.
     """
     a = _check_square(np.asarray(a, dtype=float))
     e = np.asarray(e, dtype=float)
@@ -679,36 +573,16 @@ def expm_frechet(a, e):
                         % (e.shape, a.shape))
     if not (np.isfinite(a).all() and np.isfinite(e).all()):
         raise ValueError("expm_frechet: array must not contain infs or NaNs")
-    stack = e if e.ndim == 3 else e[None]
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    s = 0
-    for m in (3, 5, 7, 9):
-        if norm <= PADE_ELL[m]:
-            u, v, lu, lv = _pade_parts(a, stack, m)
-            break
-    else:
-        s = max(0, int(np.ceil(np.log2(norm / PADE_ELL[13]))))
-        u, v, lu, lv = _pade13_parts(a * 2.0 ** -s, stack * 2.0 ** -s)
-    fac, piv, info = lapack.dgetrf(-u + v)
-    if info > 0:
-        raise EvaluationFailed("expm_frechet: V - U of the Pade approximant "
-                               "is singular")
-    if info < 0:
-        raise ValueError("illegal value in argument %d of getrf" % -info)
-    r = _getrs(fac, piv, u + v)
-    rhs = lu + lv + (lu - lv) @ r
-    deriv = np.array([_getrs(fac, piv, x) for x in rhs])
-    for _ in range(s):
-        deriv = r @ deriv + deriv @ r
-        r = r @ r
-    return r, deriv if e.ndim == 3 else deriv[0]
-
-
-def _getrs(fac, piv, b):
-    x, info = lapack.dgetrs(fac, piv, b)
-    if info:
-        raise ValueError("illegal value in argument %d of getrs" % -info)
-    return x
+    try:
+        # looked up per call, so that a wrapper on scipy.linalg sees it
+        out = np.array([scipy.linalg.expm_frechet(a, x, compute_expm=False,
+                                                  check_finite=False)
+                        for x in (e if e.ndim == 3 else e[None])])
+    except (ValueError, OverflowError) as exc:
+        # scipy's LU solve refuses a derivative part that overflowed, and
+        # its scaling step a 1-norm of a that does
+        raise EvaluationFailed("expm_frechet: non-finite result") from exc
+    return assert_finite(out.reshape(e.shape))
 
 
 def offdiag_inverse_identity_residual(f, split):

@@ -42,10 +42,9 @@ columns).
 
 A family that passes neither check takes the general model
 (`GeneralModel`, `GENERAL`), which has the same interface and evaluates
-each point numerically: one eig per matrix for the margin and F (kept by
-linalg.F_MEROMORPHIC for the apply that follows), scipy's expm for the
-flow, f.apply / f.frechet for any other f and the Frechet kernels for the
-derivatives.
+each point numerically: linalg.F_MEROMORPHIC's eig for the margin and F,
+scipy's expm for the flow and linalg.expm_frechet (scipy's, per direction)
+for its derivative, and f.apply / f.frechet for any other f.
 
 Every evaluator takes a stack of points and works slice by slice with
 elementwise operations and stacked products, so each slice is bitwise the
@@ -243,9 +242,10 @@ class _Model:
 
 class GeneralModel(_Model):
     """A family with no closed form, evaluated point by point: its data
-    are the matrices A(p), the margin and F come from one eig per matrix
-    (linalg.F_MEROMORPHIC keeps it for the apply that follows), the flow
-    from scipy's expm and the derivatives from the Frechet kernels."""
+    are the matrices A(p), the margin and F come from the eig of
+    linalg.F_MEROMORPHIC (the margin reads bitwise the eigenvalues that F
+    is built from), the flow from scipy's expm and its derivative from
+    linalg.expm_frechet."""
 
     kind = "general"
 
@@ -263,7 +263,7 @@ class GeneralModel(_Model):
             return scipy.linalg.expm(-a)
 
     def exp_neg_derivative(self, p, d, a, e, alphas, das):
-        return linalg.expm_frechet(-a, -das)[1]
+        return linalg.expm_frechet(-a, -das)
 
     def f(self, d, a):
         return linalg.F_MEROMORPHIC.apply(a)

@@ -1,6 +1,7 @@
 """Tests for spec files, verification reports, and the command line."""
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -130,6 +131,19 @@ def test_verify_missing_file_exits_two(tmp_path):
     assert cli.main(["verify", str(tmp_path / "nope.spec")]) == 2
 
 
+def test_directory_paths_exit_two(tmp_path, capsys):
+    # a spec or output path that is a directory is an error line at exit
+    # 2, not a traceback at exit 1 (which means a failed residual)
+    path = tmp_path / "demo.spec"
+    path.write_text(GOOD_SPEC)
+    for argv in (["verify", str(tmp_path)], ["dual", str(path), str(tmp_path)],
+                 ["lcan", str(tmp_path), "0.1"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert "Traceback" not in captured.err
+
+
 def test_verify_tol_override(tmp_path, capsys):
     path = tmp_path / "demo.spec"
     path.write_text(GOOD_SPEC)
@@ -139,6 +153,18 @@ def test_verify_tol_override(tmp_path, capsys):
     assert code == 1
     code = cli.main(["verify", str(path), "--tol-override", "nope=1"])
     assert code == 2
+    # a tolerance must be a finite number >= 0: inf and nan would write
+    # invalid JSON, and nan would fail its row
+    for val in ("inf", "-inf", "nan", "-1e-8"):
+        code = cli.main(["verify", str(path), "--json", "--tol-override",
+                         "flow-cyclic=" + val])
+        captured = capsys.readouterr()
+        assert code == 2, val
+        assert captured.out == "" and "flow-cyclic" in captured.err, val
+    cli.main(["verify", str(path), "--json", "--tol-override",
+              "flow-cyclic=0"])
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert [row["tol"] for row in rows if row["name"] == "flow-cyclic"] == [0.0]
 
 
 def test_verify_twist_rows(tmp_path, capsys):
@@ -232,6 +258,11 @@ def test_lcan_wrong_point_length_exits_two(tmp_path, capsys):
     path = tmp_path / "demo.spec"
     path.write_text(GOOD_SPEC)
     assert cli.main(["lcan", str(path), "0.1,0.2"]) == 2
+    # "--" as the point reaches argparse's own usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lcan", str(path), "--", "--"])
+    assert exc.value.code == 2
+    assert "point" in capsys.readouterr().err
 
 
 def test_dual_writes_spec_that_verifies(tmp_path, capsys):
