@@ -247,7 +247,7 @@ class PointRecordField(LMatrixField):
         self._last = (None, None)
         self._basis_ads = None
         # (double, small double) spectral models of the adjoint families
-        self._models = (spectral.GENERAL, spectral.GENERAL)
+        self._models = spectral.GENERAL
 
     @property
     def route(self):
@@ -296,8 +296,8 @@ class PointRecordField(LMatrixField):
         """One record per point of the stack ps, with the spectral margin
         (see `in_domain`) and the matrices it is computed from: the small
         family's model gives every point its data ("data") and margin by
-        one stacked call, one eig on the general route (F_MEROMORPHIC keeps
-        it for the value) and closed forms on the model route."""
+        one stacked call, one eig on the general route (the data, which F
+        reads too) and closed forms on the model route."""
         recs = []
         small = self.small_double
         ads = small.d.ad_matrix(small.embed(xi=ps))

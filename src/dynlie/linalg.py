@@ -349,27 +349,18 @@ class AnalyticFunction:
         return out
 
     @staticmethod
-    def _eig(a):
-        """The eigen data {w, v} of the slices of the stack a, in order:
-        one eig call on its distinct slices, and one dict per distinct
-        slice.  An entry is what np.linalg.eig returns for its slice
-        alone, real when its spectrum is."""
-        keys = [x.tobytes() for x in a]
-        distinct = dict(zip(keys, a))
-        w, v = np.linalg.eig(np.array(list(distinct.values())))
-        real = (~np.any(w.imag, axis=-1)).tolist()
-        for key, wi, vi, r in zip(distinct, w, v, real):
-            distinct[key] = {"w": wi.real, "v": vi.real} if r else {
-                "w": wi, "v": vi}
+    def _eig(d):
+        """The eigen data {w, v} of each slice of the eigen_data stack d, in
+        order, one dict per distinct slice: real when its spectrum is."""
+        keys = [x.tobytes() for x in d]
+        real = (~np.any(d[:, 0].imag, axis=-1)).tolist()
+        parts = (np.ascontiguousarray(d.real) if any(real) else None, d)
+        distinct = {}
+        for i, key in enumerate(keys):
+            if key not in distinct:
+                x = parts[0 if real[i] else 1][i]
+                distinct[key] = {"w": x[0], "v": x[1:]}
         return [distinct[key] for key in keys]
-
-    def eigvals(self, a):
-        """Eigenvalues of a square matrix, or of each slice of a stack, as
-        complex rows: bitwise those that apply and frechet decompose the
-        same matrices into."""
-        a = np.asarray(a, dtype=float)
-        rows = [e["w"] for e in self._eig(_check_stack(a))]
-        return np.array(rows, dtype=complex).reshape(a.shape[:-1])
 
     def check_spectrum(self, w):
         """Raise SpectrumOnSingularSet when an eigenvalue in w (any shape)
@@ -381,16 +372,17 @@ class AnalyticFunction:
                     "%s: eigenvalue within %.3g of a singularity"
                     % (self.name, dist))
 
-    def _decompose(self, a):
+    def _decompose(self, a, eig=None):
         """Eigen data of each slice of the stack a: its `_eig` entry with
         vinv and fw = f(w) added, or None when cond(V) is not below
-        EIG_COND_LIMIT (the caller then takes the series).
+        EIG_COND_LIMIT (the caller then takes the series).  eig is
+        eigen_data(a) when the caller has it.
 
         The singular-set check runs on the eigenvalues of every slice
         before any route is chosen.  cond(V) and inv(V) take one call per
         eigenvector dtype, and f(w) one call for the whole stack.
         """
-        entries = self._eig(a)
+        entries = self._eig(eigen_data(a) if eig is None else eig)
         unique = _unique(entries)
         w = np.array([e["w"] for e in unique], dtype=complex)
         self.check_spectrum(w)
@@ -421,15 +413,19 @@ class AnalyticFunction:
             raise EvaluationFailed("unexpected imaginary part in real matrix function")
         return fa.real
 
-    def apply(self, a):
+    def apply(self, a, eig=None):
         """f(a) for a square matrix, or f of each slice of a stack of them
         (m x N x N): eigen route per slice when cond(V) < EIG_COND_LIMIT,
-        else the series.  Each slice is bitwise f of that slice alone."""
+        else the series.  Each slice is bitwise f of that slice alone.
+        eig is a's eigen data when the caller has it: eigen_data(a), or
+        eigen_data(a[None])[0] for a matrix; without it the call
+        decomposes a."""
         a = np.asarray(a, dtype=float)
         stack = _check_stack(a)
         if not a.size:
             return np.zeros(a.shape)
-        eigs = self._decompose(stack)
+        eigs = self._decompose(stack, eig if eig is None or a.ndim == 3
+                               else eig[None])
         good = _unique(e for e in eigs if e is not None)
         if good:
             v = np.array([e["v"] for e in good])
@@ -449,10 +445,11 @@ class AnalyticFunction:
             out = np.array([e["fa"] for e in eigs]).real
         return assert_finite(out.reshape(a.shape))
 
-    def frechet(self, a, e):
+    def frechet(self, a, e, eig=None):
         """Directional derivative D f(a)[e] along one direction e (N x N)
         or along each slice of a stack of them (k x N x N), exact up to
-        roundoff; each slice is bitwise the call on that slice alone.
+        roundoff; each slice is bitwise the call on that slice alone.  eig
+        is a's eigen data as in `apply`.
 
         Eigen route: Daleckii-Krein divided differences, one contraction
         for the whole stack.  Fallback: series evaluation on the
@@ -466,10 +463,10 @@ class AnalyticFunction:
                             % (e.shape, a.shape))
         if not a.size:
             return np.zeros(e.shape)
-        eig = self._decompose(a[None])[0]
-        if eig is not None:
-            dd = self._divided_differences(eig["w"], eig["fw"])
-            v, vinv = eig["v"], eig["vinv"]
+        dec = self._decompose(a[None], None if eig is None else eig[None])[0]
+        if dec is not None:
+            dd = self._divided_differences(dec["w"], dec["fw"])
+            v, vinv = dec["v"], dec["vinv"]
             out = v @ ((vinv @ e @ v) * dd) @ vinv
             return assert_finite(self._realify(out))
         n = a.shape[0]
@@ -486,6 +483,25 @@ class AnalyticFunction:
         mid = 0.5 * (w[:, None] + w[None, :])
         quot = np.where(close, 1.0, num / np.where(close, 1.0, dw))
         return np.where(close, self.df(mid.ravel()).reshape(mid.shape), quot)
+
+
+def eigen_data(a):
+    """The eigendecomposition of each slice of the stack a (m x N x N), as
+    one complex stack (m x N+1 x N): row 0 the eigenvalues and the rows
+    below the eigenvector matrix, as np.linalg.eig gives them for the slice
+    alone.  One eig call on the distinct slices."""
+    a = _check_stack(np.asarray(a, dtype=float))
+    n = a.shape[-1]
+    if not a.size:
+        return np.zeros((len(a), n + 1, n), dtype=complex)
+    keys = [x.tobytes() for x in a]
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    w, v = np.linalg.eig(a[list(first.values())])
+    slot = {key: j for j, key in enumerate(first)}
+    out = np.concatenate([w[:, None, :], v], axis=1).astype(complex)
+    return out[[slot[key] for key in keys]]
 
 
 def _check_stack(a):

@@ -40,11 +40,13 @@ coefficients where |s| < SERIES_S and from f, f' at +-sqrt(s) elsewhere
 evaluators (`f`, `exp_neg` and their derivatives, the coefficient table's
 columns).
 
-A family that passes neither check takes the general model
-(`GeneralModel`, `GENERAL`), which has the same interface and evaluates
-each point numerically: linalg.F_MEROMORPHIC's eig for the margin and F,
-scipy's expm for the flow and linalg.expm_frechet (scipy's, per direction)
-for its derivative, and f.apply / f.frechet for any other f.
+A family that passes neither check takes a general model
+(`GeneralModel`; `GENERAL` is the pair a field starts with), which has the
+same interface and evaluates each point numerically: scipy's expm for the
+flow and linalg.expm_frechet (scipy's, per direction) for its derivative,
+and the eig of A(p) for the margin, F and any other f.  The small double's
+general model carries that eig in each point's data, so one eig per pass
+serves its margin and F.
 
 Every evaluator takes a stack of points and works slice by slice with
 elementwise operations and stacked products, so each slice is bitwise the
@@ -211,8 +213,9 @@ def cubic_coeffs(s):
 # Every model takes the points through `data(ps, a)` (a the family's
 # matrices A(p) at the points ps), the per-point numbers the other
 # evaluators read (a stack; a record keeps its slice): the eigenvalues of
-# A(p) for a frame, the coefficient table for a cubic family, A(p) itself
-# for the general model.  Per point, `margin` gives the spectral margin,
+# A(p) for a frame, the coefficient table for a cubic family, and for a
+# general model the eigendecomposition of A(p) (linalg.eigen_data) or A(p)
+# itself.  Per point, `margin` gives the spectral margin,
 # `exp_neg` the flow exp(-A), `f` the meromorphic F(A) and `systems` the
 # system whose ratio is M^-1 N, and `apply` any AnalyticFunction fn(A); at
 # one point, `exp_neg_derivative`, `f_derivative`, `perp_derivative` and
@@ -241,20 +244,28 @@ class _Model:
 
 
 class GeneralModel(_Model):
-    """A family with no closed form, evaluated point by point: its data
-    are the matrices A(p), the margin and F come from the eig of
-    linalg.F_MEROMORPHIC (the margin reads bitwise the eigenvalues that F
-    is built from), the flow from scipy's expm and its derivative from
-    linalg.expm_frechet."""
+    """A family with no closed form, evaluated point by point: the flow
+    from scipy's expm and its derivative from linalg.expm_frechet, the
+    margin and every function f of the family (F among them) from the eig
+    of A(p).  A decomposed model's data are linalg.eigen_data of the
+    matrices A(p), one eig per pass that the margin and every f read (the
+    margin bitwise the eigenvalues F is built from); otherwise the data are
+    the matrices, and each f decomposes them on its call."""
 
     kind = "general"
 
+    def __init__(self, decomposed):
+        self.decomposed = decomposed
+
     def data(self, ps, a):
-        return a
+        return linalg.eigen_data(a) if self.decomposed else a
+
+    def _eig(self, d):
+        return d if self.decomposed else None
 
     def margin(self, d):
-        return np.min(linalg._dist_to_ipi_nonzero(
-            linalg.F_MEROMORPHIC.eigvals(d)), axis=-1)
+        w = (d if self.decomposed else linalg.eigen_data(d))[:, 0]
+        return np.min(linalg._dist_to_ipi_nonzero(w), axis=-1)
 
     def exp_neg(self, d, a):
         # an overflowed flow is refused by the domain rule, as on the
@@ -266,19 +277,21 @@ class GeneralModel(_Model):
         return linalg.expm_frechet(-a, -das)
 
     def f(self, d, a):
-        return linalg.F_MEROMORPHIC.apply(a)
+        return linalg.F_MEROMORPHIC.apply(a, self._eig(d))
 
     def f_derivative(self, p, d, a, alphas, das):
-        return linalg.F_MEROMORPHIC.frechet(a, das)
+        return linalg.F_MEROMORPHIC.frechet(a, das, self._eig(d))
 
     def apply(self, fn, d, a):
-        return fn.apply(a)
+        return fn.apply(a, self._eig(d))
 
     def frechet(self, fn, p, d, a, alphas, das):
-        return fn.frechet(a, das)
+        return fn.frechet(a, das, self._eig(d))
 
 
-GENERAL = GeneralModel()
+# the general models of a field's (double, small double) families: the
+# double's flow needs no eig, the small double's margin and F share one
+GENERAL = (GeneralModel(decomposed=False), GeneralModel(decomposed=True))
 
 
 class FrameModel(_Model):

@@ -486,7 +486,7 @@ def test_check_shares_the_fields_frechet_pairs(monkeypatch):
     # inputs
     entry = catalog.get("ev-sl3")
     triv = duality.TrivializationMap(entry.G, entry.decomp)
-    triv.field._models = (spectral.GENERAL, spectral.GENERAL)
+    triv.field._models = spectral.GENERAL
     calls = _count_matrix_kernels(monkeypatch)["expm_frechet"]
     assert triv.check(samples=1)["passed"]
     p = triv.field._last[1]["p"]
@@ -504,7 +504,7 @@ def _flows_on_ray(name, r, route):
     entry = catalog.get(name)
     triv = duality.TrivializationMap(entry.G, entry.decomp)
     if route == "general":
-        triv.field._models = (spectral.GENERAL, spectral.GENERAL)
+        triv.field._models = spectral.GENERAL
     rng = np.random.default_rng(41)
     d = rng.standard_normal(triv.k)
     return triv._flows(r * d / np.linalg.norm(d)), rng.standard_normal(triv.k)
@@ -524,7 +524,7 @@ def test_flows_of_the_model_route_match_the_general_route(name, r):
     # AnalyticFunctions, scipy's expm and linalg.expm_frechet
     model, beta = _flows_on_ray(name, r, "model")
     general, _ = _flows_on_ray(name, r, "general")
-    assert general._model is spectral.GENERAL
+    assert general._model is spectral.GENERAL[0]
     got, want = _flows_outputs(model, beta), _flows_outputs(general, beta)
     assert len(got) == len(want) == 11 + len(beta)
     for x, y in zip(got, want):

@@ -341,12 +341,19 @@ def test_stacked_apply_is_bitwise_each_slice_alone(fn, monkeypatch):
     out = fn.apply(stack)
     # one eig call on the distinct slices
     assert [m.shape for m in calls] == [(3, 4, 4)]
-    w = fn.eigvals(stack)
+    data = linalg.eigen_data(stack)
     assert [m.shape for m in calls] == [(3, 4, 4)] * 2
-    for x, fx, wx in zip(stack, out, w):
+    # the caller's eigen data stand in for the call's own eig
+    assert np.array_equal(fn.apply(stack, data), out)
+    e = random_matrix(rng, 4)
+    fn.frechet(stack[0], e, data[0])
+    assert len(calls) == 2
+    for x, fx, ex in zip(stack, out, data):
         assert np.array_equal(fx, fn.apply(x))
-        assert np.array_equal(wx, fn.eigvals(x))
-        assert np.array_equal(wx, np.linalg.eigvals(x))
+        assert np.array_equal(fx, fn.apply(x, ex))
+        assert np.array_equal(fn.frechet(x, e, ex), fn.frechet(x, e))
+        assert np.array_equal(ex, linalg.eigen_data(x)[0])
+        assert np.array_equal(ex[0], np.linalg.eigvals(x))
     assert fn.apply(np.zeros((2, 0, 0))).shape == (2, 0, 0)
     with pytest.raises(linalg.NonSquare):
         fn.apply(np.zeros((2, 3, 4)))

@@ -171,7 +171,7 @@ def test_an_indefinite_cubic_family_matches_the_general_route():
     model = dyn.canonical_field(G)
     # the general route, the reference
     general = dyn.canonical_field(G)
-    general._models = (spectral.GENERAL, spectral.GENERAL)
+    general._models = spectral.GENERAL
     assert model.route == "cubic"
     rng = np.random.default_rng(91)
     signs = set()
