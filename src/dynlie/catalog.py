@@ -104,7 +104,7 @@ class CatalogEntry:
 def _basis_change(c, P):
     """Structure constants in the basis whose columns are P, with entries
     below 1e-14 in magnitude set to zero."""
-    out = np.einsum("ai,bj,abm,km->ijk", P, P, c, np.linalg.inv(P))
+    out = linalg.contract3(c, P, np.linalg.inv(P))
     out[np.abs(out) < 1e-14] = 0.0
     return out
 

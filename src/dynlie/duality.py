@@ -127,9 +127,15 @@ def _op_map(decomp, n):
 
 def double_dual_check(G, decomp=None):
     """Componentwise residual between the twice-dualized structure and the
-    push-forward of the original along the subalgebra-fixing sign map."""
+    push-forward of the original along the subalgebra-fixing sign map.  A
+    caller that holds the dual already passes it to _roundtrip_residual
+    instead, which builds only the second dual."""
     decomp = _resolve_decomp(G, decomp)
-    star = dual_qbia(G, decomp)
+    return _roundtrip_residual(G, decomp, dual_qbia(G, decomp))
+
+
+def _roundtrip_residual(G, decomp, star):
+    """double_dual_check's residual, given star = dual_qbia(G, decomp)."""
     if star.decomp is None:
         raise PreconditionFailed("dual carries no reductive split")
     star2 = dual_qbia(star, star.decomp)
@@ -1046,7 +1052,7 @@ def symmetric_dual(g, sigma):
     mb = uu[:, :n - k]
     pchg = np.hstack([lb, mb])
     pinv = np.linalg.inv(pchg)
-    c2 = np.einsum("ai,bj,abm,km->ijk", pchg, pchg, g.c, pinv)
+    c2 = linalg.contract3(g.c, pchg, pinv)
     c2 = 0.5 * (c2 - c2.transpose(1, 0, 2))
     c2[np.abs(c2) < CHOP_TOL] = 0.0
     g2 = lie.LieAlgebraData(c2)

@@ -9,6 +9,8 @@ the generalized dynamical Yang-Baxter system (in two independent forms), the
 base-point dual algebra, and the gauge action of equivariant exponential maps.
 """
 
+import functools
+
 import numpy as np
 
 from . import lie, linalg, qbia, spectral, twist
@@ -111,9 +113,10 @@ class LMatrixField:
     lives in the coordinates dual to the chosen subalgebra; one subclass
     per kind, each built by its factory below.  `value`, `derivative`,
     `_probe` and `in_domain` check their arguments and call the kind's
-    _value, _derivative, _probe_stack and _report.  Every evaluation is
-    expected to be skew; skewness is part of what the residual reports
-    certify, so `value` returns the raw matrix.
+    _evaluate, _derivative and _reports; values and domain reports are
+    taken for a stack of base points, and a single point is the stack of
+    one.  Every evaluation is expected to be skew; skewness is part of what
+    the residual reports certify, so `value` returns the raw matrix.
     """
 
     def __init__(self, G, decomp=None):
@@ -158,10 +161,17 @@ class LMatrixField:
                              % self.base_dim)
         return p
 
+    def _check_points(self, ps):
+        ps = np.asarray(ps, dtype=float)
+        if ps.ndim != 2 or ps.shape[1] != self.base_dim:
+            raise ValueError("base points must have %d coordinates"
+                             % self.base_dim)
+        return ps
+
     # -- evaluation ---------------------------------------------------------
 
     def value(self, p):
-        return self._value(self._check_point(p))
+        return self._evaluate(self._check_point(p)[None], keep=True)[0]
 
     def derivative(self, p, alpha):
         """Exact directional derivative of the field at p along alpha."""
@@ -175,16 +185,13 @@ class LMatrixField:
     def _probe(self, q):
         """The values at a stack of base points q (m x k), or the value at
         one point, evaluated without reading or replacing a point record:
-        cdybe_residual's finite-difference probes, so that the record of
-        the point they straddle survives them.  A point outside the domain
-        raises value's OutOfDomain."""
+        the finite-difference probes of the flow residuals, so that the
+        records of the points they straddle survive them.  A point outside
+        the domain raises value's OutOfDomain."""
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
             return self._probe(self._check_point(q)[None])[0]
-        if q.ndim != 2 or q.shape[1] != self.base_dim:
-            raise ValueError("base points must have %d coordinates"
-                             % self.base_dim)
-        return self._probe_stack(q)
+        return self._evaluate(self._check_points(q), keep=False)
 
     def _require_domain(self, p):
         _raise_outside(in_domain(p, self))
@@ -198,10 +205,13 @@ class PolynomialField(LMatrixField):
         super().__init__(G, decomp)
         self.t0, self.t1, self.t2 = t0, t1, t2
 
-    def _report(self, p):
-        return {"in_domain": True, "spectral_margin": np.inf,
-                "block_condition": 1.0, "bounded_condition": NO_CONDITION,
-                "failing": None}
+    def _reports(self, ps):
+        return [{"in_domain": True, "spectral_margin": np.inf,
+                 "block_condition": 1.0, "bounded_condition": NO_CONDITION,
+                 "failing": None} for _ in ps]
+
+    def _evaluate(self, ps, keep):
+        return np.array([self._value(p) for p in ps])
 
     def _value(self, p):
         out = self.t0.copy()
@@ -220,31 +230,33 @@ class PolynomialField(LMatrixField):
             out += 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2)
         return out
 
-    def _probe_stack(self, q):
-        return np.array([self._value(point) for point in q])
-
 
 class PointRecordField(LMatrixField):
-    """A field evaluated through a record of the last base point it
-    evaluated, keyed on the point's shape and bytes: the domain report with
-    the matrices it was computed from, the value, and the derivative jet,
-    the stack of D_b = dl/dp_b along every base basis direction, computed
-    whole on first use.  derivative(p, alpha) is the sum of alpha_b D_b
-    over the nonzero alpha_b.  Callers receive copies; a new point
-    replaces the record, so alternating between points recomputes.
+    """A field evaluated through records of the base points it was last
+    asked about, one per point, keyed on the point's bytes: the domain
+    report with the matrices it was computed from, the value, and the
+    derivative jet, the stack of D_b = dl/dp_b along every base basis
+    direction, computed whole on first use.  derivative(p, alpha) is the sum
+    of alpha_b D_b over the nonzero alpha_b.  Callers receive copies.
 
-    Records come from one stacked pass over any number of points
-    (_domain_records, _closed_form_values) through a pair of spectral
-    models (see dynlie.spectral), one per adjoint family; _probe is one
-    pass that reads and replaces no record.  Each slice of a pass is
-    bitwise the pass over its point alone, on either route.  The pass here
-    gives the upper-right block of F of the small family, which is the
-    whole cocom field; CanonicalField extends it.
+    A request for a stack of points (in_domain, value and the flow residuals
+    take one; a single point is the stack of one) reads the kept records of
+    its points.  If some are missing, one stacked pass builds those
+    (_domain_records), and the request's records then replace the kept ones;
+    so flow_sweep's points, or sample_domain_points' last batch, are kept
+    together, and alternating between requests that miss recomputes.  The
+    values of the records that lack one come from one stacked call too
+    (_closed_form_values).  Both go through a pair of spectral models (see
+    dynlie.spectral), one per adjoint family; _probe is one pass that reads
+    and replaces no record.  Each slice of a pass is bitwise the pass over
+    its point alone, on either route.  The pass here gives the upper-right
+    block of F of the small family, which is the whole cocom field;
+    CanonicalField extends it.
     """
 
     def __init__(self, G, decomp=None):
         super().__init__(G, decomp)
-        self._last = (None, None)
+        self._records = {}
         self._basis_ads = None
         # (double, small double) spectral models of the adjoint families
         self._models = spectral.GENERAL
@@ -255,15 +267,23 @@ class PointRecordField(LMatrixField):
         (the model route of a canonical field), or "general"."""
         return self._models[0].kind
 
-    def _report(self, p):
-        return dict(self._at(p)["report"])
+    def _reports(self, ps):
+        return [dict(rec["report"]) for rec in self._recs(ps)]
 
-    def _value(self, p):
-        self._require_domain(p)
-        rec = self._at(p)
-        if rec["value"] is None:
-            rec["value"] = self._closed_form_values([rec])[0]
-        return rec["value"].copy()
+    def _evaluate(self, ps, keep):
+        """The values at the stack ps from the kept records (keep), the
+        records without a value getting theirs from one _closed_form_values
+        call, or from one pass whose records are not kept (the probes)."""
+        recs = self._recs(ps) if keep else self._domain_records(ps)
+        for rec in recs:
+            _raise_outside(rec["report"])
+        if not keep:
+            return self._closed_form_values(recs)
+        todo = [rec for rec in recs if rec["value"] is None]
+        if todo:
+            for rec, value in zip(todo, self._closed_form_values(todo)):
+                rec["value"] = value
+        return np.array([rec["value"] for rec in recs])
 
     def _derivative(self, p, alpha):
         self._require_domain(p)
@@ -271,18 +291,28 @@ class PointRecordField(LMatrixField):
         n = self.G.dim
         return _combine(alpha, lambda b: self._jet(rec)[0][b], (n, n))
 
-    def _probe_stack(self, q):
-        recs = self._domain_records(q)
-        for rec in recs:
-            _raise_outside(rec["report"])
-        return self._closed_form_values(recs)
-
     def _at(self, p):
         """The record of the validated base point p."""
-        key = (p.shape, p.tobytes())
-        if self._last[0] != key:
-            self._last = (key, self._domain_records(p[None])[0])
-        return self._last[1]
+        rec = self._records.get(p.tobytes())
+        return self._recs(p[None])[0] if rec is None else rec
+
+    def _recs(self, ps):
+        """The records of the validated stack of base points ps: the kept
+        ones, and for the others one _domain_records pass, after which the
+        request's records are the kept ones."""
+        # each point's key is its p.tobytes(), sliced from the stack's bytes
+        raw, step = ps.tobytes(), ps.shape[1] * ps.itemsize
+        keys = [raw[i * step:(i + 1) * step] for i in range(len(ps))]
+        kept = self._records
+        recs = [kept.get(key) for key in keys]
+        if None in recs:
+            missing = [i for i, rec in enumerate(recs) if rec is None]
+            fresh = self._domain_records(
+                ps if len(missing) == len(ps) else ps[missing])
+            for i, rec in zip(missing, fresh):
+                recs[i] = rec
+            self._records = dict(zip(keys, recs))
+        return recs
 
     def _live_record(self, p):
         """The record of the validated base point p, which must lie in the
@@ -519,8 +549,8 @@ class DerivedField(LMatrixField):
             return self.base.double
         return super().double
 
-    def _report(self, p):
-        return self.base._report(p)
+    def _reports(self, ps):
+        return self.base._reports(ps)
 
 
 class ShiftedField(DerivedField):
@@ -530,14 +560,11 @@ class ShiftedField(DerivedField):
         super().__init__(base, G)
         self.offset = offset
 
-    def _value(self, p):
-        return self.base.value(p) + self.offset
+    def _evaluate(self, ps, keep):
+        return self.base._evaluate(ps, keep) + self.offset
 
     def _derivative(self, p, alpha):
         return self.base.derivative(p, alpha)
-
-    def _probe_stack(self, q):
-        return self.base._probe(q) + self.offset
 
 
 class GaugedField(DerivedField):
@@ -553,17 +580,19 @@ class GaugedField(DerivedField):
         self.factors = factors
         self.potential = potential
 
-    def _report(self, p):
-        rep = super()._report(p)
-        if rep["in_domain"]:
-            try:
-                self._gauge_data(p)
-            except OutOfDomain:
-                rep["in_domain"], rep["failing"] = False, "gauge-flow"
-        return rep
+    def _reports(self, ps):
+        reps = super()._reports(ps)
+        for p, rep in zip(ps, reps):
+            if rep["in_domain"]:
+                try:
+                    self._gauge_data(p)
+                except OutOfDomain:
+                    rep["in_domain"], rep["failing"] = False, "gauge-flow"
+        return reps
 
-    def _value(self, p):
-        return self._gauged_value(p, self.base.value(p))
+    def _evaluate(self, ps, keep):
+        return np.array([self._gauged_value(p, lb) for p, lb
+                         in zip(ps, self.base._evaluate(ps, keep))])
 
     def _derivative(self, p, alpha):
         ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
@@ -575,10 +604,6 @@ class GaugedField(DerivedField):
             t = self.potential
             out = out + dad @ t @ ad_big.T + ad_big @ t @ dad.T
         return out
-
-    def _probe_stack(self, q):
-        return np.array([self._gauged_value(point, lb)
-                         for point, lb in zip(q, self.base._probe(q))])
 
     def _gauged_value(self, p, lb):
         """The gauged field at p from the base field's value lb there."""
@@ -803,31 +828,45 @@ def in_domain(p, field):
     below BLOCK_COND_LIMIT.  The report also gives bounded_condition, the
     condition of the bounded system TM through which a cubic model reads
     M^-1 N at a point in the domain (NaN where none is built); no
-    predicate reads it.  Each kind reports through its _report: a
-    polynomial field's domain is the whole base, a shifted field's is its
-    base's, and a gauged field's also fails ("gauge-flow") where its gauge
-    flow is not finite.  Raises ValueError unless p has the field's
-    base_dim coordinates.
+    predicate reads it.  Each kind reports through its _reports, on the
+    stack of one: a polynomial field's domain is the whole base, a shifted
+    field's is its base's, and a gauged field's also fails ("gauge-flow")
+    where its gauge flow is not finite.  Raises ValueError unless p has the
+    field's base_dim coordinates.
     """
-    return field._report(field._check_point(p))
+    return field._reports(field._check_point(p)[None])[0]
 
 
 def sample_domain_points(field, count, seed=0, scale=0.5):
-    """Seeded in-domain base points; the scale shrinks on rejection."""
+    """Seeded in-domain base points: p = s z for standard normal draws z,
+    kept where the field's domain holds, with the scale s shrunk by 0.7
+    after every tenth rejection (RuntimeError at the 501st).
+
+    The candidates are tested as stacks, one domain pass per stack: the
+    draws still needed, and after a shrink the rest of them at the new
+    scale.  The draws of a stack are bitwise those of drawing one at a
+    time, so the points are bitwise those of testing each candidate
+    alone; a field with point records keeps those of the last stack."""
     rng = np.random.default_rng(seed)
     pts = []
     s = scale
     tries = 0
+    zs = np.zeros((0, field.base_dim))
     while len(pts) < count:
-        p = s * rng.standard_normal(field.base_dim)
-        if in_domain(p, field)["in_domain"]:
-            pts.append(p)
-        else:
+        if not len(zs):
+            zs = rng.standard_normal((count - len(pts), field.base_dim))
+        ps = s * zs
+        for i, rep in enumerate(field._reports(ps)):
+            if rep["in_domain"]:
+                pts.append(ps[i])
+                continue
             tries += 1
+            if tries > 500:
+                raise RuntimeError("could not sample enough in-domain points")
             if tries % 10 == 0:
                 s *= 0.7
-        if tries > 500:
-            raise RuntimeError("could not sample enough in-domain points")
+                break
+        zs = zs[i + 1:]
     return pts
 
 
@@ -870,16 +909,55 @@ def cdybe_residual(field, p, samples=8, seed=0):
     those run as one stacked pass that goes around the point record
     (_probe), so the record of p serves every evaluation here and after;
     a probe outside the domain raises OutOfDomain.  `passed` holds the
-    cyclic, vector and skew residuals to FLOW_TOLS.
+    cyclic, vector and skew residuals to FLOW_TOLS.  This is the stack of
+    one of flow_sweep's pass.
     """
+    return _cdybe_reports(field, field._check_point(p)[None], samples,
+                          seed)[0]
+
+
+def _cdybe_reports(field, ps, samples=8, seed=0):
+    """cdybe_residual at each point of the validated stack ps: the values
+    by one pass over the points (which keeps their records, so that the
+    jets read there), all their 4k finite-difference probes by one
+    stacked pass, then the jet and the residuals point by point."""
+    lmats = field._evaluate(ps, keep=True)
+    fds = linalg.finite_diff(field._probe, ps)
+    pairs = None
+    if samples > 0:
+        pairs = _covector_pairs(samples, seed, field.G.dim)
+    return [_cdybe_report(field, p, lmat, fd, pairs)
+            for p, lmat, fd in zip(ps, lmats, fds)]
+
+
+@functools.lru_cache(maxsize=16)
+def _covector_pairs(samples, seed, n):
+    """The seeded covector pairs (xi_s, eta_s) of the vector form, drawn in
+    pair order, and the scale 1 + |xi_s| |eta_s| of each: a function of its
+    arguments alone, kept because every cdybe_residual call draws the same
+    ones (a fresh generator costs about as much as the bookkeeping of a
+    point's records).  The arrays are read-only."""
+    pairs = np.random.default_rng(seed).standard_normal((samples, 2, n))
+    # |x|^2 per row as a 1 x n by n x 1 product: the dot product that
+    # np.linalg.norm takes, so the scale is bitwise that of one pair
+    sq = (pairs[:, :, None, :] @ pairs[:, :, :, None])[:, :, 0, 0]
+    scalefac = 1.0 + np.sqrt(sq[:, 0]) * np.sqrt(sq[:, 1])
+    out = (pairs[:, 0], pairs[:, 1], scalefac)
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _cdybe_report(field, p, lmat, fd, pairs):
+    """The cdybe_residual report at p, from the value lmat and the finite
+    differences fd there and the sampled covector pairs (_covector_pairs,
+    or None)."""
     G = field.G
     n = G.dim
     eye = np.eye(field.base_dim)
-    lmat = field.value(p)
     dl = np.zeros((n, n, n))
     for i, e in zip(field.sub, eye):
         dl[i] = field.derivative(p, e)
-    fd = linalg.finite_diff(field._probe, p)
 
     term1 = dl.transpose(0, 2, 1)
     term2 = np.einsum('ai,bj,abk->ijk', lmat, lmat, G.g.c)
@@ -900,16 +978,10 @@ def cdybe_residual(field, p, samples=8, seed=0):
            + np.einsum('km,ijm->ijk', lmat, brk[:, :, n:]) - brk[:, :, :n])
     vector_residual = qbia._max_abs(vec)
     agreement = qbia._max_abs(vec - cyclic)
-    if samples > 0:
-        # sampled covector pairs (xi_s, eta_s), drawn in pair order
-        pairs = np.random.default_rng(seed).standard_normal((samples, 2, n))
-        xi, eta = pairs[:, 0], pairs[:, 1]
+    if pairs is not None:
+        xi, eta, scalefac = pairs
         v = np.einsum('ijk,si,sj->sk', vec, xi, eta)
         ref = np.einsum('ijk,si,sj->sk', cyclic, xi, eta)
-        # |x|^2 per row as a 1 x n by n x 1 product: the dot product that
-        # np.linalg.norm takes, so the scale is bitwise that of one pair
-        sq = (pairs[:, :, None, :] @ pairs[:, :, :, None])[:, :, 0, 0]
-        scalefac = 1.0 + np.sqrt(sq[:, 0]) * np.sqrt(sq[:, 1])
         vector_residual = max(vector_residual, float(np.max(
             np.max(np.abs(v), axis=1) / scalefac)))
         agreement = max(agreement, float(np.max(
@@ -950,13 +1022,20 @@ def equivariance_residual(field, p, z):
 def flow_sweep(field, points):
     """Largest value of each FLOW_TOLS residual over the base points: the
     cdybe_residual keys, and "equivariance" along each base direction.
-    An empty point list raises ValueError: it would certify nothing."""
+    An empty point list raises ValueError: it would certify nothing.
+
+    The points go through cdybe_residual's pass as one stack: one
+    evaluation pass for their values (and, on a field with point records,
+    one domain pass for the points not kept yet) and one pass for all
+    their finite-difference probes.  The jets and the residuals are taken
+    point by point, so each point's report is bitwise cdybe_residual's
+    there."""
     if len(points) == 0:
         raise ValueError("a flow sweep needs at least one base point")
+    ps = field._check_points(points)
     eye = np.eye(field.base_dim)
     worst = dict.fromkeys(FLOW_TOLS, 0.0)
-    for p in points:
-        rep = cdybe_residual(field, p)
+    for p, rep in zip(ps, _cdybe_reports(field, ps)):
         rep["equivariance"] = max(equivariance_residual(field, p, z)
                                   for z in eye)
         for key in worst:

@@ -16,15 +16,19 @@ REDUCTIVE_TOL = 1e-12
 class LieAlgebraData:
     """A Lie algebra given by its structure constants.
 
-    Antisymmetry of c must hold exactly as stored; the Jacobi identity is
-    verified to JACOBI_TOL on construction unless check=False (the double
-    construction deliberately builds candidates that may fail Jacobi).
+    c must be finite (else ValueError) and antisymmetric exactly as
+    stored; the Jacobi identity is verified to JACOBI_TOL on construction
+    unless check=False (the double construction deliberately builds
+    candidates that may fail Jacobi).
     """
 
     def __init__(self, c, basis_names=None, check=True):
         c = np.asarray(c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure tensor must have shape (n, n, n)")
+        # a NaN Jacobi residual would pass the check below
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants must be finite")
         if not np.array_equal(c, -np.transpose(c, (1, 0, 2))):
             raise ValueError("structure constants are not antisymmetric as stored")
         self.c = c

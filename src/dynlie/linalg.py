@@ -145,23 +145,36 @@ def antisymmetrize3(t):
     """Project a 3-tensor onto its totally antisymmetric part.
 
     The result is alternating exactly as stored (every entry is copied from
-    the representative with increasing indices), so exact round-trip
-    identities downstream are safe.  Input that is already exactly
-    alternating is returned unchanged.
+    the representative with increasing indices, by one fancy-indexed
+    assignment per permutation), so exact round-trip identities downstream
+    are safe.  Input that is already exactly alternating is returned
+    unchanged; that is decided on the two generators of the permutations,
+    the swap of the first two slots (sign -1) and the cycle (sign +1),
+    which is exact, as the test on all six is.
     """
     t = np.asarray(t, dtype=float)
-    if all(np.array_equal(np.transpose(t, p), s * t) for p, s in _PERM_SIGNS):
+    if (np.array_equal(np.transpose(t, (1, 0, 2)), -t)
+            and np.array_equal(np.transpose(t, (1, 2, 0)), t)):
         return t.copy()
     raw = sum(s * np.transpose(t, p) for p, s in _PERM_SIGNS) / 6.0
     out = np.zeros_like(raw)
-    n = t.shape[0]
-    for a in range(n):
-        for b in range(a + 1, n):
-            for k in range(b + 1, n):
-                v = raw[a, b, k]
-                out[a, b, k] = out[b, k, a] = out[k, a, b] = v
-                out[b, a, k] = out[a, k, b] = out[k, b, a] = -v
+    i = np.arange(t.shape[0])
+    a, b, k = np.nonzero((i[:, None, None] < i[None, :, None])
+                         & (i[None, :, None] < i[None, None, :]))
+    v = raw[a, b, k]
+    out[a, b, k] = out[b, k, a] = out[k, a, b] = v
+    out[b, a, k] = out[a, k, b] = out[k, b, a] = -v
     return out
+
+
+def contract3(t, p, q):
+    """out[i, j, k] = sum over a, b, m of p[a, i] p[b, j] t[a, b, m] q[k, m]:
+    the bracket-like 3-tensor t in another basis, contracted pairwise in
+    O(n^4) (over m, then b, then a) instead of one n^6 einsum.  For the
+    catalog's basis changes this order is bitwise the einsum."""
+    u = t @ np.asarray(q).T
+    u = np.einsum("bj,abk->ajk", p, u)
+    return np.einsum("ai,ajk->ijk", p, u)
 
 
 def entire_series_apply(coeffs, a, radius=np.inf):
@@ -650,21 +663,31 @@ def finite_diff(field, p, direction=None):
     direction e_b, each one Richardson step (4 D(h/2) - D(h)) / 3 on the
     central differences D of step h and h/2.  Its 4k probes go to field as
     one stack: first p + h e_b, p - h e_b for each b in order, then the
-    same at h/2.  Any DomainViolation raised by the evaluator (including
-    domain errors of dynamical fields, which subclass it) propagates.
+    same at h/2.  p may also be a stack of points (m x k): then each point
+    takes its own step, as it would alone, all 4mk probes go to field as
+    one stack, point after point, and the result is the stack of each
+    point's derivatives, bitwise those of the point alone.  Any
+    DomainViolation raised by the evaluator (including domain errors of
+    dynamical fields, which subclass it) propagates.
     """
     p = np.asarray(p, dtype=float)
-    step = CBRT_EPS * (1.0 + np.linalg.norm(p))
     if direction is None:
-        k = len(p)
-        # probes[j, b, s] = p + steps[j, s] e_b
-        steps = step * np.array([[1.0, -1.0], [0.5, -0.5]])
-        probes = p + steps[:, None, :, None] * np.eye(k)[:, None, :]
-        vals = np.asarray(field(probes.reshape(4 * k, k)), dtype=float)
-        vals = vals.reshape((2, k, 2) + vals.shape[1:])
-        d_h = (vals[0, :, 0] - vals[0, :, 1]) / (2.0 * step)
-        d_half = (vals[1, :, 0] - vals[1, :, 1]) / step
-        return (4.0 * d_half - d_h) / 3.0
+        ps = p if p.ndim == 2 else p[None]
+        m, k = ps.shape
+        # one norm per point, taken as for that point alone
+        steps = np.array([CBRT_EPS * (1.0 + np.linalg.norm(q)) for q in ps])
+        # probes[i, j, b, s] = ps[i] + offsets[i, j, s] e_b
+        offsets = steps[:, None, None] * np.array([[1.0, -1.0], [0.5, -0.5]])
+        probes = (ps[:, None, None, None, :]
+                  + offsets[:, :, None, :, None] * np.eye(k)[:, None, :])
+        vals = np.asarray(field(probes.reshape(4 * m * k, k)), dtype=float)
+        vals = vals.reshape((m, 2, k, 2) + vals.shape[1:])
+        steps = steps.reshape((m, 1) + (1,) * (vals.ndim - 4))
+        d_h = (vals[:, 0, :, 0] - vals[:, 0, :, 1]) / (2.0 * steps)
+        d_half = (vals[:, 1, :, 0] - vals[:, 1, :, 1]) / steps
+        out = (4.0 * d_half - d_h) / 3.0
+        return out if p.ndim == 2 else out[0]
+    step = CBRT_EPS * (1.0 + np.linalg.norm(p))
     direction = np.asarray(direction, dtype=float)
     fp = np.asarray(field(p + step * direction), dtype=float)
     fm = np.asarray(field(p - step * direction), dtype=float)

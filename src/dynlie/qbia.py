@@ -20,8 +20,8 @@ from .linalg import (
     BlockSplit,
     alternating_residual,
     antisymmetrize3,
+    contract3,
     injection,
-    skew_residual,
 )
 
 SKEW_TOL = 1e-12
@@ -48,7 +48,7 @@ class SingularMap(ValueError):
 
 def _max_abs(a):
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 class QuasiBialgebra:
@@ -60,8 +60,9 @@ class QuasiBialgebra:
     against the dual basis triple (a, b, k).
 
     Both tensors are stored in canonical form (slices exactly skew, phi
-    exactly alternating); inputs are only required to be within SKEW_TOL /
-    ALTERNATING_TOL of that.  With check=True the cocycle identity is
+    exactly alternating); inputs must be finite (else ValueError) and are
+    only required to be within SKEW_TOL / ALTERNATING_TOL of that.  With
+    check=True the cocycle identity is
     verified as well; check=False admits arbitrary candidates, which is what
     the double-vs-closed-form comparison needs.
     """
@@ -74,7 +75,10 @@ class QuasiBialgebra:
             raise ValueError("cocycle tensor must have shape (n, n, n)")
         if phi.shape != (n, n, n):
             raise ValueError("3-tensor must have shape (n, n, n)")
-        sk = max((skew_residual(varpi[i]) for i in range(n)), default=0.0)
+        # a NaN residual would pass the checks below
+        if not (np.all(np.isfinite(varpi)) and np.all(np.isfinite(phi))):
+            raise ValueError("cocycle tensor and 3-tensor must be finite")
+        sk = _max_abs(varpi + np.transpose(varpi, (0, 2, 1)))
         if sk > SKEW_TOL:
             raise ValueError("cocycle slices are not skew: residual %.3g" % sk)
         alt = alternating_residual(phi) if n else 0.0
@@ -277,17 +281,23 @@ def quasi_triple_extract(double, g_block, h_complement, basis_names=None):
     omega = bg.T @ q @ bh
     frame = bh @ np.linalg.inv(omega)   # pairs with bg columns to identity
     qf = q @ frame
-    br_gg = np.einsum("ia,jb,ijm->mab", bg, bg, d.c)
+
+    def brackets(x, y):
+        # [x_a, y_b] in the double's basis, br[m, a, b]: the three-operand
+        # einsum "ia,jb,ijm->mab" contracted pairwise, over j and then i
+        return np.einsum("ia,imb->mab", x, np.einsum("ijm,jb->imb", d.c, y))
+
+    br_gg = brackets(bg, bg)
     clo = _max_abs(np.einsum("ma,mij->aij", q @ bg, br_gg))
     if clo > LAGRANGIAN_TOL:
         raise NotLagrangian("base block closure residual %.3g" % clo)
 
     c_new = np.einsum("mk,mij->ijk", qf, br_gg)
     c_new = 0.5 * (c_new - c_new.transpose(1, 0, 2))
-    br_gh = np.einsum("ia,jb,ijm->mab", bg, frame, d.c)
+    br_gh = brackets(bg, frame)
     w_new = np.einsum("mk,mib->ikb", qf, br_gh)
     w_new = 0.5 * (w_new - w_new.transpose(0, 2, 1))
-    br_hh = np.einsum("ia,jb,ijm->mab", frame, frame, d.c)
+    br_hh = brackets(frame, frame)
     phi_new = antisymmetrize3(np.einsum("ma,mbk->abk", qf, br_hh))
 
     g_new = LieAlgebraData(c_new, basis_names=basis_names, check=False)
@@ -320,7 +330,8 @@ def transport(G, w, is_automorphism=False):
     Bracket, cocycle, and 3-tensor are all moved by w so that w becomes a
     certified morphism from G to the result (check_morphism passes).  With
     is_automorphism=True the map is required to preserve the bracket, which
-    is then reused unchanged.
+    is then reused unchanged.  Each tensor is contracted pairwise, in
+    O(n^4).
     """
     w = np.asarray(w, dtype=float)
     n = G.dim
@@ -337,13 +348,13 @@ def transport(G, w, is_automorphism=False):
             raise ValueError("map is not an automorphism: residual %.3g" % res)
         g_new = G.g
     else:
-        c_new = np.einsum("ai,bj,abm,km->ijk", winv, winv, c, w)
+        c_new = contract3(c, winv, w)
         c_new = 0.5 * (c_new - c_new.transpose(1, 0, 2))
         g_new = LieAlgebraData(c_new, basis_names=G.g.basis_names, check=False)
     mixed = np.einsum("ai,akb->ikb", winv, G.varpi)
-    w_new = np.einsum("ka,iab,mb->ikm", w, mixed, w)
+    w_new = w @ mixed @ w.T
     w_new = 0.5 * (w_new - w_new.transpose(0, 2, 1))
-    phi_new = antisymmetrize3(np.einsum("ia,jb,kc,abc->ijk", w, w, w, G.phi))
+    phi_new = antisymmetrize3(contract3(G.phi, w.T, w))
     return QuasiBialgebra(g_new, w_new, phi_new)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynlie import catalog, cli, dynamics, linalg, qbia
+from dynlie import catalog, cli, duality, dynamics, linalg, qbia
 
 GOOD_SPEC = """\
 dynlie-spec 1
@@ -280,6 +280,35 @@ def test_dual_writes_spec_that_verifies(tmp_path, capsys):
     assert star.decomp is not None
     rep = qbia.check_quasi_bialgebra(star.G)
     assert rep["passed"]
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "symmetric-sl2"])
+def test_dual_builds_each_dual_once(name, tmp_path, capsys, monkeypatch):
+    # the roundtrip row reads the dual the command wrote, so the command
+    # dualizes twice (the input, then that dual), and its row is
+    # double_dual_check's
+    entry = catalog.get(name)
+    path = tmp_path / "in.spec"
+    cli.AlgebraSpecFile(entry.G, entry.decomp, field_kind="canonical",
+                        name=name).save(str(path))
+    calls = []
+    orig = duality.dual_qbia
+
+    def counted(G, decomp=None):
+        calls.append(G)
+        return orig(G, decomp)
+
+    monkeypatch.setattr(duality, "dual_qbia", counted)
+    assert cli.main(["dual", str(path), str(tmp_path / "out.spec"),
+                     "--samples", "2", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 2
+    rows = json.loads(out.rpartition("wrote")[0])["checks"]
+    row = [r for r in rows if r["name"] == "double-dual-roundtrip"]
+    spec = cli.AlgebraSpecFile.load(str(path))
+    monkeypatch.undo()
+    assert [r["residual"] for r in row] == [
+        duality.double_dual_check(spec.G, spec.decomp)]
 
 
 def test_dual_without_split_exits_two(tmp_path, capsys):

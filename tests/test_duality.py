@@ -489,7 +489,7 @@ def test_check_shares_the_fields_frechet_pairs(monkeypatch):
     triv.field._models = spectral.GENERAL
     calls = _count_matrix_kernels(monkeypatch)["expm_frechet"]
     assert triv.check(samples=1)["passed"]
-    p = triv.field._last[1]["p"]
+    (p,) = [rec["p"] for rec in triv.field._records.values()]
     plus = triv.field._big_ad(p).tobytes()
     assert [len(dirs) for a, dirs in calls if a == plus] == [2]
     assert [len(dirs) for _, dirs in calls] == [2, 2]

@@ -338,6 +338,67 @@ def test_route_of_derived_and_polynomial_fields():
             field.route = "general"
 
 
+def sequential_sample(field, count, seed=0, scale=0.5):
+    """sample_domain_points as it tested its candidates one at a time."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    s = scale
+    tries = 0
+    while len(pts) < count:
+        p = s * rng.standard_normal(field.base_dim)
+        if dyn.in_domain(p, field)["in_domain"]:
+            pts.append(p)
+        else:
+            tries += 1
+            if tries % 10 == 0:
+                s *= 0.7
+        if tries > 500:
+            raise RuntimeError("could not sample enough in-domain points")
+    return pts, tries
+
+
+@pytest.mark.parametrize("name, count, seed, scale, rejected", [
+    ("sl2-cartan", 6, 7, 0.3, 0),
+    ("ev-sl3", 5, 0, 60.0, 4),
+    ("su2-lagrangian", 6, 1, 60.0, 11),
+    ("su2-lagrangian", 6, 0, 60.0, 23),
+    ("so3-identity", 4, 0, 60.0, 18)])
+def test_stacked_sampling_is_bitwise_the_sequential_one(
+        name, count, seed, scale, rejected, monkeypatch):
+    # with 11, 18 and 23 rejections the scale shrinks once or twice
+    # mid-stack, and the later draws are tested again at the new scale
+    want, tries = sequential_sample(field_by_name(name), count, seed, scale)
+    assert tries == rejected
+    field = field_by_name(name)
+    passes = count_calls(monkeypatch, dyn.CanonicalField, "_domain_records")
+    got = dyn.sample_domain_points(field, count, seed, scale)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+    # one domain pass per stack of candidates, not one per candidate: each
+    # rejection draws one more candidate, and each shrink tests at most
+    # count of them again
+    assert len(passes) <= 1 + rejected
+    tested = sum(len(points) for _, points in passes)
+    assert tested <= count + rejected + (rejected // 10) * count
+    if not rejected:
+        assert [len(points) for _, points in passes] == [count]
+
+
+def test_stacked_sampling_gives_up_as_the_sequential_one():
+    # a field whose domain holds nowhere: both raise after 500 rejections
+    G = invariant_structure()
+
+    class Nowhere(dyn.PolynomialField):
+        def _reports(self, ps):
+            return [dict(rep, in_domain=False)
+                    for rep in super()._reports(ps)]
+
+    field = Nowhere(G, cartan_split(G), np.zeros((3, 3)), None, None)
+    with pytest.raises(RuntimeError):
+        sequential_sample(field, 3)
+    with pytest.raises(RuntimeError):
+        dyn.sample_domain_points(field, 3)
+
+
 def test_sample_domain_points_deterministic():
     G = invariant_structure()
     f = dyn.cocom_field(G)
@@ -829,21 +890,67 @@ def test_vector_form_detects_perturbation():
     assert abs(rep["forms_agreement"] - agree_ref) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3"])
-def test_flow_sweep_is_the_per_point_maximum(name):
-    entry = catalog.get(name)
-    field = dyn.canonical_field(entry.G, entry.decomp)
-    points = dyn.sample_domain_points(field, 3, seed=7, scale=0.4)
+def derived_kinds():
+    """A polynomial, a shifted and a gauged field over the rank-one split of
+    the invariant sl2 structure."""
+    G = invariant_structure()
+    dec = cartan_split(G)
+    base = dyn.canonical_field(G, dec)
+    rng = np.random.default_rng(65)
+    return [dyn.polynomial_field(G, dec, coeff0=rskew(3, rng),
+                                 coeff1=rskew(3, rng)[None]),
+            dyn.shifted_field(base, rskew(3, rng)),
+            dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15))]
+
+
+def per_point_sweep(make_field, points):
+    """flow_sweep's result from cdybe_residual and equivariance_residual
+    at each point alone, on a fresh field per point."""
     want = dict.fromkeys(dyn.FLOW_TOLS, 0.0)
     for p in points:
+        field = make_field()
         rep = dyn.cdybe_residual(field, p)
         rep["equivariance"] = max(dyn.equivariance_residual(field, p, z)
                                   for z in np.eye(field.base_dim))
         for key in want:
             want[key] = max(want[key], rep[key])
-    assert dyn.flow_sweep(field, points) == want
+    return want
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_flow_sweep_is_the_per_point_maximum(name, monkeypatch):
+    # the stacked sweep is bitwise the per-point reports
+    entry = catalog.get(name)
+    make = lambda: dyn.canonical_field(entry.G, entry.decomp)
+    for count in (2, 3):
+        # sampled on another copy, so the swept field keeps no record
+        points = dyn.sample_domain_points(make(), count, seed=11, scale=0.8)
+        want = per_point_sweep(make, points)
+        field = make()
+        k = field.base_dim
+        passes = count_calls(monkeypatch, dyn.CanonicalField,
+                             "_domain_records")
+        values = count_calls(monkeypatch, dyn.CanonicalField,
+                             "_closed_form_values")
+        assert dyn.flow_sweep(field, points) == want
+        monkeypatch.undo()
+        # one domain pass and one value call for the points, then one
+        # pass for all their finite-difference probes
+        assert [len(ps) for _, ps in passes] == [count, 4 * k * count]
+        assert [len(recs) for _, recs in values] == [count, 4 * k * count]
+        assert list(field._records) == [p.tobytes() for p in points]
     with pytest.raises(ValueError):
-        dyn.flow_sweep(field, [])
+        dyn.flow_sweep(make(), [])
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_stacked_flow_sweep_of_derived_and_polynomial_fields(which):
+    points = dyn.sample_domain_points(derived_kinds()[which], 3, seed=12,
+                                      scale=0.6)
+    want = per_point_sweep(lambda: derived_kinds()[which], points)
+    assert dyn.flow_sweep(derived_kinds()[which], points) == want
+    assert dyn.flow_sweep(derived_kinds()[which], points[:2]) == (
+        per_point_sweep(lambda: derived_kinds()[which], points[:2]))
 
 
 def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
@@ -858,9 +965,11 @@ def test_flow_checks_leave_the_point_record_at_the_point(monkeypatch):
         dyn.equivariance_residual(field, p, z)
     assert [len(points) for _, points in passes] == [1, 4 * field.base_dim]
     assert np.array_equal(passes[0][1], [p])
-    rec = field._last[1]
+    assert list(field._records) == [p.tobytes()]
+    rec = field._records[p.tobytes()]
     assert dyn.in_domain(p, field)["in_domain"]
-    assert len(passes) == 2 and field._last[1] is rec
+    assert len(passes) == 2 and list(field._records) == [p.tobytes()]
+    assert field._records[p.tobytes()] is rec
 
 
 # -- the derivative jet of the point record -----------------------------------
@@ -987,9 +1096,13 @@ def test_sweep_op_builds_one_record_and_one_frechet_pair_per_direction(
     # equations, then equivariance along every base basis direction
     field = field_by_name(name)
     k = field.base_dim
+    # points sampled on another copy of the field, which keeps their
+    # records: a sweep op's field has not seen its point
+    points = dyn.sample_domain_points(field_by_name(name), 2, seed=8,
+                                      scale=1.0)
     passes = count_calls(monkeypatch, dyn.CanonicalField, "_domain_records")
     frechet = count_calls(monkeypatch, linalg, "expm_frechet")
-    for p in dyn.sample_domain_points(field, 2, seed=8, scale=1.0):
+    for p in points:
         del passes[:], frechet[:]
         assert dyn.in_domain(p, field)["in_domain"]
         assert dyn.cdybe_residual(field, p)["passed"]
@@ -1019,10 +1132,13 @@ def test_probe_equals_value_and_leaves_the_record():
         field.value(p)
         owner = getattr(field, "base", field)
         # every field here but the polynomial one evaluates through a record
-        kept = getattr(owner, "_last", None)
+        kept = getattr(owner, "_records", None)
         assert (kept is None) == isinstance(field, dyn.PolynomialField)
+        kept = dict(kept or {})
         probe = field._probe(q)
-        assert getattr(owner, "_last", None) is kept
+        after = getattr(owner, "_records", {})
+        assert list(after) == list(kept)
+        assert all(after[key] is rec for key, rec in kept.items())
         assert np.array_equal(probe, field.value(q))
 
 

@@ -71,6 +71,17 @@ def test_invariant_triple_tensor():
     assert alternating_residual(t) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("check", [True, False])
+def test_non_finite_structure_constants_are_refused(bad, check):
+    # with its mirror the tensor is antisymmetric as stored, and a NaN
+    # Jacobi residual would pass the tolerance test
+    c = lie.sl2_data().c.copy()
+    c[0, 1, 2], c[1, 0, 2] = bad, -bad
+    with pytest.raises(ValueError, match="finite"):
+        lie.LieAlgebraData(c, check=check)
+
+
 def test_antisymmetry_enforced():
     c = np.zeros((2, 2, 2))
     c[0, 1, 1] = 1.0  # missing the mirrored entry

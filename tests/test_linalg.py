@@ -269,6 +269,68 @@ def test_antisymmetrize3_projects_and_fixes():
     assert abs(np.tensordot(a, sym, axes=3)) < 1e-12
 
 
+def reference_antisymmetrize3(t):
+    """antisymmetrize3 as the six-permutation test and triple loop."""
+    t = np.asarray(t, dtype=float)
+    perms = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+             ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
+    if all(np.array_equal(np.transpose(t, p), s * t) for p, s in perms):
+        return t.copy()
+    raw = sum(s * np.transpose(t, p) for p, s in perms) / 6.0
+    out = np.zeros_like(raw)
+    n = t.shape[0]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k in range(b + 1, n):
+                v = raw[a, b, k]
+                out[a, b, k] = out[b, k, a] = out[k, a, b] = v
+                out[b, a, k] = out[a, k, b] = out[k, b, a] = -v
+    return out
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_antisymmetrize3_is_bitwise_the_triple_loop(n):
+    rng = np.random.default_rng(70 + n)
+    t = rng.standard_normal((n, n, n))
+    alt = reference_antisymmetrize3(t)
+    near = alt.copy()
+    if n >= 3:
+        near[0, 1, 2] += 1e-15
+    # alternating under the swap of the first two slots, not the cycle
+    swap = t - t.transpose(1, 0, 2)
+    for x in (t, alt, near, swap, -alt, 1e300 * alt):
+        got = linalg.antisymmetrize3(x)
+        assert got.tobytes() == reference_antisymmetrize3(x).tobytes()
+        assert got is not x
+    assert np.array_equal(linalg.antisymmetrize3(alt), alt)
+
+
+def test_pairwise_basis_change_matches_the_einsum():
+    rng = np.random.default_rng(72)
+    for n in (3, 8):
+        c = rng.standard_normal((n, n, n))
+        p = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        q = np.linalg.inv(p)
+        want = np.einsum("ai,bj,abm,km->ijk", p, p, c, q)
+        got = linalg.contract3(c, p, q)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stacked_finite_differences_are_bitwise_each_point_alone():
+    rng = np.random.default_rng(71)
+    mats = rng.standard_normal((3, 4, 4))
+
+    def field(q):
+        # a stacked evaluator: one 4 x 4 matrix per point
+        return np.sin(q @ mats.reshape(3, 16)).reshape(-1, 4, 4)
+
+    ps = 3.0 * rng.standard_normal((5, 3))
+    stacked = linalg.finite_diff(field, ps)
+    assert stacked.shape == (5, 3, 4, 4)
+    for p, got in zip(ps, stacked):
+        assert got.tobytes() == linalg.finite_diff(field, p).tobytes()
+
+
 def test_dexp_factor_finite_difference():
     # exp(x + s u) = exp(x) exp(s (factor @ u) + O(s^2)), so in the adjoint
     # representation expm(-ad_x) d/ds expm(ad_{x+su}) = ad(factor @ u)

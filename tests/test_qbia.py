@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dynlie import lie, linalg, qbia, twist
+from dynlie import catalog, lie, linalg, qbia, twist
 
 
 def invariant_phi(g, scale=0.25):
@@ -267,6 +267,86 @@ def test_transport_rejects_singular():
     w = np.zeros((3, 3))
     with pytest.raises(qbia.SingularMap):
         qbia.transport(G, w)
+
+
+def einsum_transport(G, w):
+    """transport's tensors as the one-einsum contractions (the reference
+    for the pairwise ones)."""
+    winv = np.linalg.inv(w)
+    c = np.einsum("ai,bj,abm,km->ijk", winv, winv, G.g.c, w)
+    mixed = np.einsum("ai,akb->ikb", winv, G.varpi)
+    varpi = np.einsum("ka,iab,mb->ikm", w, mixed, w)
+    phi = np.einsum("ia,jb,kc,abc->ijk", w, w, w, G.phi)
+    return (0.5 * (c - c.transpose(1, 0, 2)),
+            0.5 * (varpi - varpi.transpose(0, 2, 1)),
+            linalg.antisymmetrize3(phi))
+
+
+def close(got, want, rel=1e-14):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["sl2-twisted", "ev-sl3"])
+def test_pairwise_transport_matches_the_einsums(which):
+    rng = np.random.default_rng(73)
+    if which == "ev-sl3":
+        G = catalog.get("ev-sl3").G
+    else:
+        G = twist.apply_twist(cocommutative_sl2(), rskew(3, rng, 0.5))
+    n = G.dim
+    w = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    Gw = qbia.transport(G, w)
+    for got, want in zip((Gw.g.c, Gw.varpi, Gw.phi), einsum_transport(G, w)):
+        assert close(got, want)
+
+
+def test_pairwise_extraction_matches_the_einsums():
+    # the dual split of ev-sl3's double (16 x 8 blocks) and a graph
+    # complement, whose frame is not a coordinate selection
+    rng = np.random.default_rng(74)
+    entry = catalog.get("ev-sl3")
+    G, n = entry.G, entry.G.dim
+    d = qbia.build_double(G)
+    sub, comp = list(entry.decomp.sub), list(entry.decomp.comp)
+    t = rskew(n, rng, 0.3)
+    cases = [(sub + [n + b for b in comp], [n + z for z in sub] + comp),
+             (np.arange(n), np.vstack([t, np.eye(n)]))]
+    for g_block, h_block in cases:
+        got = qbia.quasi_triple_extract(d, g_block, h_block)
+        bg = qbia._column_basis(2 * n, g_block)
+        frame = qbia._column_basis(2 * n, h_block)
+        frame = frame @ np.linalg.inv(bg.T @ d.pairing @ frame)
+        qf = d.pairing @ frame
+        br = {key: np.einsum("ia,jb,ijm->mab", x, y, d.d.c)
+              for key, x, y in (("gg", bg, bg), ("gh", bg, frame),
+                                ("hh", frame, frame))}
+        c = np.einsum("mk,mij->ijk", qf, br["gg"])
+        w = np.einsum("mk,mib->ikb", qf, br["gh"])
+        phi = linalg.antisymmetrize3(np.einsum("ma,mbk->abk", qf, br["hh"]))
+        assert close(got.g.c, 0.5 * (c - c.transpose(1, 0, 2)))
+        assert close(got.varpi, 0.5 * (w - w.transpose(0, 2, 1)))
+        assert close(got.phi, phi)
+
+
+@pytest.mark.parametrize("slot, bad", [
+    ("varpi", np.nan), ("phi", np.nan), ("phi", np.inf), ("phi", -np.inf),
+    ("varpi", np.inf)])
+def test_non_finite_tensors_are_refused(slot, bad):
+    # NaN residuals would pass the skew and alternating tests, and inf in
+    # phi made alternating_residual warn; the error comes first now
+    G = cocommutative_sl2()
+    tensors = {"varpi": G.varpi.copy(), "phi": G.phi.copy()}
+    t = tensors[slot]
+    t[0, 1, 2] = bad
+    t[0, 2, 1] = -bad
+    if slot == "phi":
+        for i, j, k in ((1, 2, 0), (2, 0, 1)):
+            t[i, j, k] = bad
+        for i, j, k in ((1, 0, 2), (2, 1, 0)):
+            t[i, j, k] = -bad
+    with pytest.raises(ValueError, match="finite"):
+        qbia.QuasiBialgebra(G.g, tensors["varpi"], tensors["phi"],
+                            check=False)
 
 
 def test_check_morphism_identity_and_garbage():
