@@ -125,10 +125,10 @@ def build_abelian(n=2, k=1):
     field = dynamics.canonical_field(G, decomp)
     points = dynamics.sample_domain_points(field, 3, seed=SAMPLE_SEED)
     flat = max(float(np.max(np.abs(field.value(p)))) for p in points)
-    dbl = qbia.build_double(G)
     fixtures = [
         _fixture("field-vanishes", flat, 0.0, "identity"),
-        _fixture("double-jacobi", dbl.d.jacobi_residual(), 0.0, "identity"),
+        _fixture("double-jacobi", G.double.d.jacobi_residual(), 0.0,
+                 "identity"),
         _fixture("cdybe-sweep", _cdybe_sweep(field, points), 1e-14,
                  "residual-sweep"),
     ]
@@ -440,11 +440,12 @@ def build_EV(rank=1, Gamma=(), mu=None, C0=None):
     B = g.killing_form()
     phi = 0.25 * lie.invariant_triple_tensor(g, B)
     G0 = qbia.QuasiBialgebra(g, np.zeros((n, n, n)), phi)
-    Gr = twist.apply_twist(G0, rho)
+    w_r, phi_r = twist.twisted_tensors(G0, rho)
     if plain_cartan:
         # exact zeros where the twisted associator vanishes identically,
         # in place of the roundoff the twist formula leaves there
-        Gr.phi[~_ev_phi_support(k, roots, pair, gens)] = 0.0
+        phi_r[~_ev_phi_support(k, roots, pair, gens)] = 0.0
+    Gr = qbia.QuasiBialgebra(g, w_r, phi_r)
     crep = qbia.check_compatibility(Gr, decomp)
     fixtures = [
         _fixture("twist-is-canonical",

@@ -397,7 +397,7 @@ def build_report(spec, seed=0, samples=6, overrides=None):
             _tol(overrides, "mixed-obstruction"), "identity")
     rep.add("associator-obstruction", axioms["second_equation_residual"],
             _tol(overrides, "associator-obstruction"), "identity")
-    rep.add("double-jacobi", qbia.build_double(G).d.jacobi_residual(),
+    rep.add("double-jacobi", G.double.d.jacobi_residual(),
             _tol(overrides, "double-jacobi"), "identity")
 
     if spec.decomp is not None:

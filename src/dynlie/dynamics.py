@@ -133,7 +133,6 @@ class LMatrixField:
             self.sub_c = decomp.sub_algebra().c
         self.base_dim = len(self.sub)
         self.inj = linalg.injection(n, self.sub)
-        self._double = None
 
     def __repr__(self):
         return "%s(dim=%d, base_dim=%d)" % (type(self).__name__, self.G.dim,
@@ -147,12 +146,10 @@ class LMatrixField:
 
     @property
     def double(self):
-        """The double of G, built on first use.  (Not a cached_property:
-        its write through the instance __dict__ slows every attribute
-        read of the field about twofold on CPython 3.11.)"""
-        if self._double is None:
-            self._double = qbia.build_double(self.G)
-        return self._double
+        """The double of the field's structure G: G.double, which G builds
+        on first read and keeps, so every field of one structure reads the
+        same double."""
+        return self.G.double
 
     def _check_point(self, p):
         p = np.asarray(p, dtype=float)
@@ -195,6 +192,13 @@ class LMatrixField:
 
     def _require_domain(self, p):
         _raise_outside(in_domain(p, self))
+
+    def _value_and_jet(self, p):
+        """The value at p and the stack (k, n, n) of the derivatives along
+        the base basis directions e_b, as the algebroid bracket reads them
+        (duality._pair_brackets)."""
+        return self.value(p), np.stack([self.derivative(p, e)
+                                        for e in np.eye(self.base_dim)])
 
 
 class PolynomialField(LMatrixField):
@@ -322,6 +326,14 @@ class PointRecordField(LMatrixField):
         _raise_outside(rec["report"])
         return rec
 
+    def _value_and_jet(self, p):
+        """LMatrixField._value_and_jet from the point's record: its value
+        and a copy of its jet, which are bitwise `value` and the stack of
+        `derivative` along each e_b (_combine along e_b is 1.0 D_b)."""
+        p = self._check_point(p)
+        lmat = self._evaluate(p[None], keep=True)[0]
+        return lmat, self._jet(self._live_record(p))[0].copy()
+
     def _domain_records(self, ps):
         """One record per point of the stack ps, with the spectral margin
         (see `in_domain`) and the matrices it is computed from: the small
@@ -420,13 +432,26 @@ class CanonicalField(PointRecordField):
         super().__init__(G, decomp)
         n, k = G.dim, self.base_dim
         phi_sub = G.phi[np.ix_(self.sub, self.sub, self.sub)]
-        self.small_double = qbia.build_double(qbia.QuasiBialgebra(
-            decomp.sub_algebra(), np.zeros((k, k, k)), phi_sub))
+        self.small_double = qbia.QuasiBialgebra(
+            decomp.sub_algebra(), np.zeros((k, k, k)), phi_sub).double
         self.diag_comp = linalg.indicator_diag(n, self.comp)
         big, small = self._direction_ads(np.eye(k))
         models = (spectral.build(big), spectral.build(small))
         if None not in models:
             self._models = models
+        self._fiber_c = None
+
+    @property
+    def fiber_c(self):
+        """Structure constants of the dual algebra at the origin, where the
+        field vanishes (vertex_bracket at p = 0): the fiber algebra of
+        duality.TrivializationMap, built on first read and kept, read-only."""
+        if self._fiber_c is None:
+            k, n = self.base_dim, self.G.dim
+            c = vertex_bracket(np.zeros(k), self, np.zeros((n, n)))[1]
+            c.setflags(write=False)
+            self._fiber_c = c
+        return self._fiber_c
 
     def _big_ad(self, p):
         """ad_big(p), or the stack of them for a stack of points."""
@@ -532,8 +557,8 @@ class CanonicalField(PointRecordField):
 
 class DerivedField(LMatrixField):
     """A field made from another, its base (ShiftedField, GaugedField): on
-    the base's route and domain, and with the base's double unless its
-    structure G is another."""
+    the base's route and domain; its double is that of its structure G
+    (the base's, unless G is another)."""
 
     def __init__(self, base, G):
         super().__init__(G, base.decomp)
@@ -542,12 +567,6 @@ class DerivedField(LMatrixField):
     @property
     def route(self):
         return self.base.route
-
-    @property
-    def double(self):
-        if self.G is self.base.G:
-            return self.base.double
-        return super().double
 
     def _reports(self, ps):
         return self.base._reports(ps)
@@ -704,15 +723,29 @@ def canonical_field(G, decomp=None):
 
     The field takes the model route when the spectral models of both its
     adjoint families pass their checks, else the general route (see
-    `CanonicalField`)."""
+    `CanonicalField`).  decomp defaults to G's split, or to the full split
+    when G has none.
+
+    G keeps the last field built on it, with the split it was built for
+    (the decomp object after that default; None for the full split): a call
+    with the same split returns the kept field, and checks and builds
+    nothing; another split replaces it.  Sharing is safe because G is
+    immutable and every point record of a field is a pure function of its
+    point; it decides only which work is redone."""
     if decomp is None:
         decomp = G.decomp
-    if decomp is None:
-        decomp = lie.ReductiveDecomposition(G.g, list(range(G.dim)), [])
-    rep = qbia.check_compatibility(G, decomp)
+    kept = G._canonical
+    if kept is not None and kept[0] is decomp:
+        return kept[1]
+    split = decomp
+    if split is None:
+        split = lie.ReductiveDecomposition(G.g, list(range(G.dim)), [])
+    rep = qbia.check_compatibility(G, split)
     if not rep["canonical"]:
         raise NotCanonicalCompatible(str(rep))
-    return CanonicalField(G, decomp)
+    field = CanonicalField(G, split)
+    G._canonical = (decomp, field)
+    return field
 
 
 def shifted_field(base, offset, target=None):
@@ -880,7 +913,7 @@ def compatible_closed_form(G, decomp, p):
     complement's, both of the double's adjoint at the embedded point."""
     if qbia._max_abs(G.varpi) > SKEW_TOL:
         raise ValueError("closed form requires a vanishing cocycle")
-    d = qbia.build_double(G)
+    d = G.double
     n = G.dim
     sub = np.arange(n) if decomp is None else decomp.sub
     comp = np.arange(0) if decomp is None else decomp.comp
@@ -1162,7 +1195,7 @@ def vertex_dual(q0, field):
     dim = basis.shape[0]
     jac = lie.LieAlgebraData(cstar, check=False).jacobi_residual()
 
-    dtw = qbia.build_double(twist.apply_twist(G, l0))
+    dtw = twist.apply_twist(G, l0).double
     iso = qbia._max_abs(basis @ dtw.pairing @ basis.T)
     v = _bilinear(dtw.d.c, basis[:, None], basis[None])
     v = v.reshape(dim * dim, -1).T

@@ -19,11 +19,12 @@ class LieAlgebraData:
     c must be finite (else ValueError) and antisymmetric exactly as
     stored; the Jacobi identity is verified to JACOBI_TOL on construction
     unless check=False (the double construction deliberately builds
-    candidates that may fail Jacobi).
+    candidates that may fail Jacobi).  The algebra keeps a copy of c, and
+    c and the ad table are read-only, so the two cannot drift apart.
     """
 
     def __init__(self, c, basis_names=None, check=True):
-        c = np.asarray(c, dtype=float)
+        c = np.array(c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure tensor must have shape (n, n, n)")
         # a NaN Jacobi residual would pass the check below
@@ -40,6 +41,8 @@ class LieAlgebraData:
         self.basis_names = list(basis_names)
         # ad table: ad[i] is the matrix of ad_{e_i}, ad[i][k, j] = c[i, j, k]
         self.ad = np.transpose(c, (0, 2, 1)).copy()
+        c.setflags(write=False)
+        self.ad.setflags(write=False)
         if check:
             res = self.jacobi_residual()
             if res > JACOBI_TOL:

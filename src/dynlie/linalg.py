@@ -134,11 +134,19 @@ _PERM_SIGNS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
 
 
+# the permutations alternating_residual compares with: the identity gives
+# 0, and the two 3-cycles give the same differences up to sign, so one of
+# them is enough (the maximum is bitwise that over all six on finite input)
+_RESIDUAL_PERM_SIGNS = [((1, 2, 0), 1), ((0, 2, 1), -1), ((2, 1, 0), -1),
+                        ((1, 0, 2), -1)]
+
+
 def alternating_residual(t):
-    """How far a 3-tensor is from being totally antisymmetric."""
+    """How far a 3-tensor is from being totally antisymmetric: the largest
+    |t[sigma(i, j, k)] - sign(sigma) t[i, j, k]| over the permutations."""
     t = np.asarray(t)
     return float(max(np.max(np.abs(np.transpose(t, p) - s * t))
-                     for p, s in _PERM_SIGNS))
+                     for p, s in _RESIDUAL_PERM_SIGNS))
 
 
 def antisymmetrize3(t):

@@ -65,6 +65,13 @@ class QuasiBialgebra:
     check=True the cocycle identity is
     verified as well; check=False admits arbitrary candidates, which is what
     the double-vs-closed-form comparison needs.
+
+    A structure is immutable: varpi and phi (and the algebra's c) are
+    read-only, and the reductive split decomp is given at construction.
+    So it owns what is derived from it: its double (`double`, built on
+    first read), and the last canonical field that
+    dynamics.canonical_field built on it (kept in `_canonical`, with the
+    split it was built for).
     """
 
     def __init__(self, g, varpi, phi, decomp=None, check=True):
@@ -87,7 +94,12 @@ class QuasiBialgebra:
         self.g = g
         self.varpi = 0.5 * (varpi - np.transpose(varpi, (0, 2, 1)))
         self.phi = antisymmetrize3(phi)
+        self.varpi.setflags(write=False)
+        self.phi.setflags(write=False)
         self.decomp = decomp
+        self._double = None
+        # (split, field) of dynamics.canonical_field's last build on G
+        self._canonical = None
         if check:
             res = cocycle_identity_residual(g, self.varpi)
             if res > COCYCLE_TOL:
@@ -97,6 +109,16 @@ class QuasiBialgebra:
     @property
     def dim(self):
         return self.g.dim
+
+    @property
+    def double(self):
+        """The double of the structure (build_double), built on first read
+        and kept.  (Not a cached_property: its write through the instance
+        __dict__ slows every later attribute read about twofold on CPython
+        3.11.)"""
+        if self._double is None:
+            self._double = build_double(self)
+        return self._double
 
     def cocycle_map(self, x):
         """Skew matrix of the cocycle on the vector x (dual coords -> coords)."""
@@ -251,7 +273,8 @@ def _column_basis(dim, block):
     return np.asarray(block, dtype=float)
 
 
-def quasi_triple_extract(double, g_block, h_complement, basis_names=None):
+def quasi_triple_extract(double, g_block, h_complement, basis_names=None,
+                         decomp=None):
     """Quasi-bialgebra carried by a lagrangian block and isotropic complement.
 
     g_block and h_complement are index lists into the double's basis or
@@ -260,6 +283,7 @@ def quasi_triple_extract(double, g_block, h_complement, basis_names=None):
     resulting dual frame pairs to the identity; the bracket, cocycle, and
     3-tensor are then read off componentwise.  Extracting from
     build_double(G) with the dual block as complement returns G exactly.
+    The result carries the split decomp.
     """
     d = double.d
     q = double.pairing
@@ -301,12 +325,15 @@ def quasi_triple_extract(double, g_block, h_complement, basis_names=None):
     phi_new = antisymmetrize3(np.einsum("ma,mbk->abk", qf, br_hh))
 
     g_new = LieAlgebraData(c_new, basis_names=basis_names, check=False)
-    return QuasiBialgebra(g_new, w_new, phi_new)
+    return QuasiBialgebra(g_new, w_new, phi_new, decomp=decomp)
 
 
-def invert(G):
-    """Same bracket and 3-tensor, cocycle negated.  An involution."""
-    return QuasiBialgebra(G.g, -G.varpi, G.phi, decomp=G.decomp, check=False)
+def invert(G, decomp=None):
+    """Same bracket and 3-tensor, cocycle negated.  An involution.  The
+    result carries the split decomp, or G's split when decomp is None."""
+    return QuasiBialgebra(G.g, -G.varpi, G.phi,
+                          decomp=G.decomp if decomp is None else decomp,
+                          check=False)
 
 
 def check_J_iso(G):
@@ -315,8 +342,8 @@ def check_J_iso(G):
     The map fixing the base block and negating the dual block must send the
     double bracket of G to the double bracket of invert(G).
     """
-    c1 = build_double(G).d.c
-    c2 = build_double(invert(G)).d.c
+    c1 = G.double.d.c
+    c2 = invert(G).double.d.c
     n = G.dim
     s = np.concatenate([np.ones(n), -np.ones(n)])
     lhs = c1 * s[None, None, :]
@@ -379,8 +406,8 @@ def check_morphism(upsi, G1, G2):
     associator = _max_abs(np.einsum("ia,jb,kc,abc->ijk", psi, psi, psi, G1.phi)
                           - G2.phi)
 
-    d1 = build_double(G1)
-    d2 = build_double(G2)
+    d1 = G1.double
+    d2 = G2.double
     rng = np.random.default_rng(0)
     covectors = [np.eye(n2)[:, j] for j in range(n2)]
     covectors += [rng.standard_normal(n2) for _ in range(4)]

@@ -49,16 +49,24 @@ def twist_tensors(g, varpi, phi, t):
     return w_new, phi_new
 
 
+def twisted_tensors(G, t):
+    """The (cocycle, 3-tensor) pair that apply_twist builds its structure
+    from: twist_tensors for the validated skew t, with the 3-tensor made
+    exactly alternating.  A caller that edits the tensors builds the
+    structure from them itself, since a structure is immutable."""
+    t = _check_twist(t, G.dim)
+    w_new, phi_new = twist_tensors(G.g, G.varpi, G.phi, t)
+    return w_new, antisymmetrize3(phi_new)
+
+
 def apply_twist(G, t, check=True):
     """The structure obtained by moving the complement to the graph of t.
 
     Twisting by t then by u equals twisting by t + u; twisting by zero is
     the identity.
     """
-    t = _check_twist(t, G.dim)
-    w_new, phi_new = twist_tensors(G.g, G.varpi, G.phi, t)
-    return QuasiBialgebra(G.g, w_new, antisymmetrize3(phi_new),
-                          decomp=G.decomp, check=check)
+    w_new, phi_new = twisted_tensors(G, t)
+    return QuasiBialgebra(G.g, w_new, phi_new, decomp=G.decomp, check=check)
 
 
 def tau_map(t, double_twisted, double_original):

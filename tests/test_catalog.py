@@ -51,6 +51,33 @@ def test_every_entry_loads_with_passing_fixtures():
         assert rep["passed"], name
 
 
+def test_entry_structures_are_read_only():
+    for name in catalog.names():
+        G = catalog.get(name).G
+        for tensor in (G.g.c, G.varpi, G.phi):
+            with pytest.raises(ValueError):
+                tensor[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("rank, gamma", [(1, ()), (1, (0,)), (2, (0,))])
+def test_ev_associator_is_zeroed_before_the_structure_is_built(rank, gamma):
+    # the entry's tensors are bitwise those of twisting a structure and
+    # then zeroing the associator off its support in place
+    entry = catalog.build_EV(rank, gamma)
+    g, decomp, roots, pair, positive, simple = catalog._ev_root_data(rank)
+    n = g.dim
+    G0 = qbia.QuasiBialgebra(
+        g, np.zeros((n, n, n)),
+        0.25 * lie.invariant_triple_tensor(g, g.killing_form()))
+    twisted = twist.apply_twist(G0, np.array(entry.params["rho"]))
+    phi = twisted.phi.copy()
+    gens = [simple[i][0] for i in gamma]
+    phi[~catalog._ev_phi_support(decomp.dim_sub, roots, pair, gens)] = 0.0
+    assert np.array_equal(entry.G.g.c, g.c)
+    assert np.array_equal(entry.G.varpi, twisted.varpi)
+    assert np.array_equal(entry.G.phi, phi)
+
+
 def test_get_rebuilds_fresh_objects():
     first = catalog.get("abelian")
     first.fixtures.clear()

@@ -453,7 +453,8 @@ def test_cli_commands_never_import_scipy_special(tmp_path):
     # a fresh process, so that nothing imported by other tests counts;
     # scipy.linalg must stay imported, because perfbench/run.py's
     # import_times reads its cumulative time without a default until the
-    # benchmark learns to do without it (ROADMAP item 4)
+    # benchmark learns to do without it (the import blocker of the ROADMAP's
+    # benchmark item)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

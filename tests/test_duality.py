@@ -257,9 +257,12 @@ def test_psi_compatibility_constant_and_linear():
         const = dynamics.PolynomialMap(1, 3, coeff0=rng.standard_normal(3))
         linear = dynamics.PolynomialMap(
             1, 3, coeff1=rng.standard_normal((3, 1)))
-        for xmap in (const, linear):
-            worst = max(worst,
-                        triv.psi_compatibility_residual(p, xmap, alpha))
+        singles = [triv.psi_compatibility_residual(p, xmap, alpha)
+                   for xmap in (const, linear)]
+        # the list form brackets the lift with both sections in one pass
+        assert triv.psi_compatibility_residual(
+            p, [const, linear], alpha) == max(singles)
+        worst = max(worst, *singles)
     assert worst < 1e-9
 
 
@@ -605,11 +608,78 @@ def test_point_record_is_read_only_and_outputs_are_owned():
     for m in kept:
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
-    # the field's own evaluations never create the record's slot
-    field = dynamics.canonical_field(entry.G, entry.decomp)
+    # the field's own evaluations never create the record's slot (a field
+    # built apart: canonical_field would return the map's own field)
+    field = dynamics.CanonicalField(entry.G, entry.decomp)
     field.value(p)
     field.derivative(p, beta)
     assert "flows" not in field._at(p)
+
+
+# -- one structure, built once -------------------------------------------------
+
+TRIV_ENTRIES = ("sl2-cartan", "symmetric-sl2", "ev-sl2-gamma",
+                "su2-lagrangian", "ev-sl3")
+
+
+@pytest.mark.parametrize("name", TRIV_ENTRIES)
+def test_a_map_on_a_kept_field_checks_as_one_on_a_fresh_structure(name):
+    # every map of entry.G shares one field, whose point records persist
+    # from check to check: the reports are bitwise those of a map on a
+    # freshly built structure, also when a check repeats its points
+    entry = catalog.get(name)
+    for samples in (1, 2):
+        for seed in range(5):
+            fresh = catalog.get(name)
+            want = duality.TrivializationMap(fresh.G, fresh.decomp).check(
+                samples=samples, seed=seed)
+            for _ in range(2):
+                triv = duality.TrivializationMap(entry.G, entry.decomp)
+                assert triv.check(samples=samples, seed=seed) == want
+
+
+def test_a_second_map_on_a_structure_builds_nothing(monkeypatch):
+    entry = catalog.get("ev-sl3")
+    first = duality.TrivializationMap(entry.G, entry.decomp)
+    calls = []
+    for owner, attr in ((qbia, "build_double"),
+                        (qbia, "check_compatibility"),
+                        (dynamics, "vertex_bracket"),
+                        (dynamics.CanonicalField, "__init__")):
+        orig = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr,
+                            lambda *a, orig=orig, attr=attr:
+                            calls.append(attr) or orig(*a))
+    second = duality.TrivializationMap(entry.G, entry.decomp)
+    assert calls == []
+    assert second.field is first.field
+    assert second.double is entry.G.double is first.field.double
+    assert second.fiber_c is first.fiber_c
+    with pytest.raises(ValueError):
+        second.fiber_c[0, 0, 0] = 1.0
+
+
+def test_duals_carry_their_split_from_construction(monkeypatch):
+    # dual_qbia and symmetric_dual hand the split to the constructor, and
+    # never set it on a built structure
+    built = {}
+    orig = qbia.QuasiBialgebra.__init__
+
+    def spy(self, g, varpi, phi, decomp=None, check=True):
+        orig(self, g, varpi, phi, decomp, check)
+        built[id(self)] = decomp
+
+    monkeypatch.setattr(qbia.QuasiBialgebra, "__init__", spy)
+    G = invariant_structure()
+    star = duality.dual_qbia(G, cartan_split(G))
+    assert star.decomp is not None and star.decomp.algebra is star.g
+    assert built[id(star)] is star.decomp
+    g = lie.sl2_data()
+    sigma = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    rep = duality.symmetric_dual(g, sigma)
+    assert rep["structure"].decomp is rep["decomp"]
+    assert built[id(rep["structure"])] is rep["decomp"]
+    assert built[id(rep["dual"])] is rep["dual"].decomp is not None
 
 
 # -- checks with no sample points -------------------------------------------------

@@ -23,13 +23,17 @@ def invariant_structure(g=None):
 
 
 def field_by_name(name):
-    """The canonical field of a catalog entry, or of "sl3-invariant": the
-    invariant structure on sl3 over its full split, whose adjoint families
-    are neither commuting nor cubic, so it takes the general route."""
+    """A fresh canonical field of a catalog entry, or of "sl3-invariant":
+    the invariant structure on sl3 over its full split, whose adjoint
+    families are neither commuting nor cubic, so it takes the general
+    route.  A catalog entry's field is built apart (CanonicalField), with
+    no point records: canonical_field would return the field that the
+    entry's builder kept on its structure, with the records of its
+    fixture points."""
     if name == "sl3-invariant":
         return dyn.canonical_field(invariant_structure(catalog.sl3_chevalley()))
     entry = catalog.get(name)
-    return dyn.canonical_field(entry.G, entry.decomp)
+    return dyn.CanonicalField(entry.G, entry.decomp)
 
 
 def general_route(field):
@@ -211,6 +215,8 @@ def test_canonical_rejects_incompatible_structure():
     dec4 = lie.ReductiveDecomposition(g4, [0], [1, 2, 3])
     with pytest.raises(dyn.NotCanonicalCompatible):
         dyn.canonical_field(G4, dec4)
+    # a refused split keeps no field
+    assert G4._canonical is None
 
 
 # -- domain ------------------------------------------------------------------
@@ -324,7 +330,8 @@ def test_route_of_derived_and_polynomial_fields():
     base = dyn.canonical_field(G, cartan_split(G))
     t = rskew(3, np.random.default_rng(6))
     gauged = dyn.gauge_transform(base, equivariant_gauge(0.4, 0.15))
-    general = general_route(dyn.canonical_field(entry.G, entry.decomp))
+    # a field apart from the entry's kept one, which stays on its model
+    general = general_route(dyn.CanonicalField(entry.G, entry.decomp))
     for field, want in ((dyn.zero_field(G), None),
                         (dyn.constant_field(G, t), None),
                         (dyn.cocom_field(G), "general"),
@@ -654,7 +661,7 @@ def test_cdybe_residual_reads_one_double_per_field(monkeypatch):
         assert reps[1] == reps[0] and reps[2] == reps[0]
         # built on first use by the kinds that need it nowhere else
         assert len(builds) <= 1
-        assert field.double is field.double
+        assert field.double is field.G.double
         assert field.double.source is field.G
     assert fields[2].double.source is Gt
     # a derived field of the base's structure shares the base's double
@@ -921,7 +928,8 @@ def per_point_sweep(make_field, points):
 def test_flow_sweep_is_the_per_point_maximum(name, monkeypatch):
     # the stacked sweep is bitwise the per-point reports
     entry = catalog.get(name)
-    make = lambda: dyn.canonical_field(entry.G, entry.decomp)
+    # fields built apart: canonical_field returns the structure's kept one
+    make = lambda: dyn.CanonicalField(entry.G, entry.decomp)
     for count in (2, 3):
         # sampled on another copy, so the swept field keeps no record
         points = dyn.sample_domain_points(make(), count, seed=11, scale=0.8)
@@ -986,6 +994,45 @@ def count_calls(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+def test_canonical_field_is_kept_per_structure_and_split():
+    G = invariant_structure()
+    dec = cartan_split(G)
+    field = dyn.canonical_field(G, dec)
+    assert dyn.canonical_field(G, dec) is field
+    assert field.double is G.double
+    # another split, the full one here, replaces the kept field
+    full = dyn.canonical_field(G)
+    assert full is not field and full.base_dim == 3
+    assert dyn.canonical_field(G) is full
+    again = dyn.canonical_field(G, dec)
+    assert again is not field and again.base_dim == 1
+    # the key is the split object: equal indices in another object miss
+    assert dyn.canonical_field(G, cartan_split(G)) is not again
+    # decomp=None resolves to the structure's own split first
+    Gd = qbia.QuasiBialgebra(G.g, G.varpi, G.phi, decomp=dec)
+    assert dyn.canonical_field(Gd) is dyn.canonical_field(Gd, dec)
+    kept = dyn.canonical_field(Gd)
+    assert dyn.canonical_field(Gd, full.decomp) is not kept
+
+
+@pytest.mark.parametrize("name", ["ev-sl3", "su2-lagrangian", "sl2-cartan",
+                                  "sl3-invariant"])
+def test_value_and_jet_read_the_record_bitwise(name):
+    # the record's value and jet are bitwise value and the stack of
+    # derivative along each e_b, and they are copies
+    field = field_by_name(name)
+    k = field.base_dim
+    for p in dyn.sample_domain_points(field, 3, seed=5, scale=0.6):
+        lmat, dl = field._value_and_jet(p)
+        assert np.array_equal(lmat, field.value(p))
+        want = np.stack([field.derivative(p, e) for e in np.eye(k)])
+        assert np.array_equal(dl, want)
+        dl[...] = np.nan
+        assert np.array_equal(field._value_and_jet(p)[1], want)
+    with pytest.raises(dyn.OutOfDomain):
+        field._value_and_jet(np.full(k, 1e3))
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -63,6 +63,19 @@ def test_zero_vector_gives_zero_maps():
     assert np.array_equal(g.ad_matrix(np.zeros(3)), np.zeros((3, 3)))
 
 
+def test_algebra_keeps_a_read_only_copy_of_its_constants():
+    # a later write to the caller's array changes neither bracket nor ad
+    c = lie.sl2_data().c.copy()
+    g = lie.LieAlgebraData(c, ["h", "e", "f"])
+    c[0, 1, 1] = 5.0
+    h, e = np.eye(3)[:2]
+    assert np.array_equal(g.bracket(h, e), [0.0, 2.0, 0.0])
+    assert np.array_equal(g.ad_matrix(h) @ e, g.bracket(h, e))
+    for table in (g.c, g.ad):
+        with pytest.raises(ValueError):
+            table[0, 1, 1] = 5.0
+
+
 def test_invariant_triple_tensor():
     g = lie.sl2_data()
     t = lie.invariant_triple_tensor(g, g.killing_form())

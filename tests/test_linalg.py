@@ -256,6 +256,23 @@ def test_d_ad_power_vs_finite_difference():
         assert err < tol
 
 
+def test_alternating_residual_is_the_six_permutation_maximum():
+    # four permutations give bitwise the value over all six on finite
+    # input: the identity gives 0, and the two 3-cycles give the same
+    # differences up to sign
+    six = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
+    rng = np.random.default_rng(19)
+    for n in range(1, 9):
+        t = rng.standard_normal((n, n, n))
+        alt = linalg.antisymmetrize3(t)
+        near = alt + 1e-13 * rng.standard_normal((n, n, n))
+        for x in (t, alt, near, 1e8 * t):
+            want = float(max(np.max(np.abs(np.transpose(x, p) - s * x))
+                             for p, s in six))
+            assert linalg.alternating_residual(x) == want
+
+
 def test_antisymmetrize3_projects_and_fixes():
     rng = np.random.default_rng(18)
     t = rng.standard_normal((4, 4, 4))

@@ -8,9 +8,9 @@ the oracle's largest entry, the value within VALUE_TOL and the jet within
 JET_TOL.  On the cubic entries the field reads M^-1 N through the bounded
 system of its spectral model, which holds both bounds out to the edge.  The
 commuting entries still solve M^-1 N directly, which loses digits with
-cond(M): their half-edge jets miss JET_TOL (ROADMAP item 9, the bounded
-system for commuting frames, is not built), and those points are kept as
-strict expected failures.
+cond(M): their half-edge jets miss JET_TOL (the graded frames of the
+ROADMAP, a bounded system for commuting frames, are not built), and those
+points are kept as strict expected failures.
 """
 
 import functools
@@ -31,7 +31,8 @@ RAY_SEEDS = {"su2-lagrangian": 80, "so3-identity": 81, "ev-sl3": 82,
 EDGE_CAP = 64.0
 MISSES_JET = pytest.mark.xfail(
     strict=True, reason="M^-1 N by a plain solve loses digits with cond(M); "
-    "the bounded system of ROADMAP item 9 is built for cubic entries only")
+    "the bounded system (the ROADMAP's graded frames) is built for cubic "
+    "entries only")
 
 
 @functools.lru_cache(maxsize=None)

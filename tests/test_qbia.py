@@ -161,6 +161,40 @@ def test_constructor_validates_inputs():
 # extraction
 
 
+def test_structure_is_read_only_and_keeps_its_double(monkeypatch):
+    g = lie.sl2_data()
+    phi = lie.invariant_triple_tensor(g, g.killing_form())
+    G = qbia.QuasiBialgebra(g, np.zeros((3, 3, 3)), phi)
+    for tensor in (G.varpi, G.phi, G.g.c):
+        with pytest.raises(ValueError):
+            tensor[0, 1, 2] = 1.0
+    # phi stays alternating as stored
+    assert linalg.alternating_residual(G.phi) == 0.0
+    builds = []
+    orig = qbia.build_double
+    monkeypatch.setattr(qbia, "build_double",
+                        lambda H: builds.append(H) or orig(H))
+    assert G.double is G.double and G.double.source is G
+    assert builds == [G]
+    # the module function builds a new double, equal to the kept one
+    assert np.array_equal(orig(G).d.c, G.double.d.c)
+
+
+def test_invert_and_extract_take_the_split_at_construction():
+    g = lie.sl2_data()
+    phi = lie.invariant_triple_tensor(g, g.killing_form())
+    dec = lie.ReductiveDecomposition(g, [0], [1, 2])
+    G = qbia.QuasiBialgebra(g, np.zeros((3, 3, 3)), phi, decomp=dec)
+    assert qbia.invert(G).decomp is dec
+    other = lie.ReductiveDecomposition(g, [0, 1, 2], [])
+    assert qbia.invert(G, decomp=other).decomp is other
+    back = qbia.quasi_triple_extract(G.double, [0, 1, 2], [3, 4, 5],
+                                     decomp=dec)
+    assert back.decomp is dec
+    assert qbia.quasi_triple_extract(G.double, [0, 1, 2],
+                                     [3, 4, 5]).decomp is None
+
+
 def test_round_trip_extraction_exact():
     rng = np.random.default_rng(4)
     G = twist.apply_twist(cocommutative_sl2(), rskew(3, rng))

@@ -167,10 +167,13 @@ def test_an_indefinite_cubic_family_matches_the_general_route():
     g = lie.sl2_data()
     binv = np.linalg.inv(g.killing_form())
     phi = 0.25 * np.einsum("ja,kb,abi->ijk", binv, binv, g.c)
-    G = qbia.QuasiBialgebra(g, np.zeros((3, 3, 3)), linalg.antisymmetrize3(phi))
-    model = dyn.canonical_field(G)
-    # the general route, the reference
-    general = dyn.canonical_field(G)
+    phi = linalg.antisymmetrize3(phi)
+    model = dyn.canonical_field(
+        qbia.QuasiBialgebra(g, np.zeros((3, 3, 3)), phi))
+    # the general route, the reference, on a second copy of the structure
+    # (canonical_field keeps one field per structure)
+    general = dyn.canonical_field(
+        qbia.QuasiBialgebra(g, np.zeros((3, 3, 3)), phi))
     general._models = spectral.GENERAL
     assert model.route == "cubic"
     rng = np.random.default_rng(91)
