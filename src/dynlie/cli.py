@@ -361,7 +361,11 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        return json.dumps({"meta": self.meta, "checks": self.rows,
+        # JSON has no inf or nan: an overflowed residual is null, and its
+        # row fails
+        rows = [r if np.isfinite(r["residual"]) else dict(r, residual=None)
+                for r in self.rows]
+        return json.dumps({"meta": self.meta, "checks": rows,
                            "passed": self.passed},
                           indent=2, sort_keys=True) + "\n"
 

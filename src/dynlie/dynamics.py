@@ -240,8 +240,11 @@ class PointRecordField(LMatrixField):
     asked about, one per point, keyed on the point's bytes: the domain
     report with the matrices it was computed from, the value, and the
     derivative jet, the stack of D_b = dl/dp_b along every base basis
-    direction, computed whole on first use.  derivative(p, alpha) is the sum
-    of alpha_b D_b over the nonzero alpha_b.  Callers receive copies.
+    direction, computed whole on first use by one model call with the
+    basis ads (_basis_ads, the small double's ad of each e_b; CanonicalField
+    puts ad_big's before it), which the field builds once at construction.
+    derivative(p, alpha) is the sum of alpha_b D_b over the nonzero alpha_b.
+    Callers receive copies.
 
     A request for a stack of points (in_domain, value and the flow residuals
     take one; a single point is the stack of one) reads the kept records of
@@ -261,7 +264,8 @@ class PointRecordField(LMatrixField):
     def __init__(self, G, decomp=None):
         super().__init__(G, decomp)
         self._records = {}
-        self._basis_ads = None
+        # _family_ads along the base basis, along which every jet is taken
+        self._basis_ads = self._family_ads(np.eye(self.base_dim))
         # (double, small double) spectral models of the adjoint families
         self._models = spectral.GENERAL
 
@@ -364,13 +368,14 @@ class PointRecordField(LMatrixField):
                               np.stack([rec["ad"] for rec in recs]))
         return r[:, :k, k:]
 
-    def _closed_form_derivative(self, rec, alphas):
+    def _closed_form_derivative(self, rec, alphas, das):
         """The derivatives of _closed_form_values along each direction of
-        the stack alphas (m x k), by one call of the model, and None (no
-        flow); each slice is bitwise the call on that direction alone."""
+        the stack alphas (m x k), whose _family_ads are das, by one call of
+        the model, and None (no flow); each slice is bitwise the call on
+        that direction alone."""
         k = self.base_dim
         dl = self._models[1].f_derivative(rec["p"], rec["data"], rec["ad"],
-                                          alphas, self._direction_ads(alphas))
+                                          alphas, das)
         return dl[:, :k, k:], None
 
     def _family_ads(self, alphas):
@@ -379,24 +384,12 @@ class PointRecordField(LMatrixField):
         small = self.small_double
         return small.d.ad_matrix(small.embed(xi=alphas))
 
-    def _direction_ads(self, alphas):
-        """_family_ads along the stacked base directions alphas, which
-        _closed_form_derivative differentiates; those of the base basis
-        are built once per field."""
-        basis = np.array_equal(alphas, np.eye(self.base_dim))
-        if basis and self._basis_ads is not None:
-            return self._basis_ads
-        ads = self._family_ads(alphas)
-        if basis:
-            self._basis_ads = ads
-        return ads
-
     def _jet(self, rec):
         """The record's derivative jet: _closed_form_derivative along every
         base basis direction, computed whole on first use."""
         if rec["jet"] is None:
             rec["jet"] = self._closed_form_derivative(
-                rec, np.eye(self.base_dim))
+                rec, np.eye(self.base_dim), self._basis_ads)
         return rec["jet"]
 
 
@@ -429,14 +422,14 @@ class CanonicalField(PointRecordField):
     """
 
     def __init__(self, G, decomp):
-        super().__init__(G, decomp)
-        n, k = G.dim, self.base_dim
-        phi_sub = G.phi[np.ix_(self.sub, self.sub, self.sub)]
+        # set before the base class builds the basis ads, which read it
+        sub, k = np.asarray(decomp.sub), decomp.dim_sub
         self.small_double = qbia.QuasiBialgebra(
-            decomp.sub_algebra(), np.zeros((k, k, k)), phi_sub).double
-        self.diag_comp = linalg.indicator_diag(n, self.comp)
-        big, small = self._direction_ads(np.eye(k))
-        models = (spectral.build(big), spectral.build(small))
+            decomp.sub_algebra(), np.zeros((k, k, k)),
+            G.phi[np.ix_(sub, sub, sub)]).double
+        super().__init__(G, decomp)
+        self.diag_comp = linalg.indicator_diag(G.dim, self.comp)
+        models = tuple(spectral.build(ads) for ads in self._basis_ads)
         if None not in models:
             self._models = models
         self._fiber_c = None
@@ -523,11 +516,12 @@ class CanonicalField(PointRecordField):
     def _family_ads(self, alphas):
         return self._big_ad(alphas), super()._family_ads(alphas)
 
-    def _closed_form_derivative(self, rec, alphas):
+    def _closed_form_derivative(self, rec, alphas, das):
         """Derivatives of the value along each direction of the stack
-        alphas (m x k), as a stack, and the stack of derivatives of the
-        flow expm(-ad_big(p)) along them that they are computed from; each
-        slice is bitwise the call on that direction alone.
+        alphas (m x k), whose _family_ads are das, as a stack, and the stack
+        of derivatives of the flow expm(-ad_big(p)) along them that they are
+        computed from; each slice is bitwise the call on that direction
+        alone.
 
         Each family's model differentiates its own function along all the
         directions in one call: the flow (linalg.expm_frechet on the general
@@ -537,7 +531,7 @@ class CanonicalField(PointRecordField):
         differentiates through spectral.graded_derivative)."""
         k = self.base_dim
         big_model, small_model = self._models
-        da_big, da_small = self._direction_ads(alphas)
+        da_big, da_small = das
         dbig = big_model.exp_neg_derivative(
             rec["p"], rec["data_big"], rec["ad_big"], rec["big"], alphas,
             da_big)
@@ -547,12 +541,6 @@ class CanonicalField(PointRecordField):
         dperp = big_model.perp_derivative(rec["system"], perp,
                                           self.diag_comp, da_big, dbig)
         return self.inj @ dr[:, :k, k:] @ self.inj.T - dperp, dbig
-
-    def _flow_derivative(self, rec, beta):
-        """Derivative of the flow expm(-ad_big(p)) along beta, from the
-        flow derivatives of the record's jet."""
-        return _combine(beta, lambda b: self._jet(rec)[1][b],
-                        rec["big"].shape)
 
 
 class DerivedField(LMatrixField):

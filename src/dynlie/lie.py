@@ -45,7 +45,7 @@ class LieAlgebraData:
         self.ad.setflags(write=False)
         if check:
             res = self.jacobi_residual()
-            if res > JACOBI_TOL:
+            if not res <= JACOBI_TOL:
                 raise ValueError("Jacobi residual %.3g exceeds %.1g" % (res, JACOBI_TOL))
 
     def bracket(self, x, y):

@@ -102,7 +102,7 @@ class QuasiBialgebra:
         self._canonical = None
         if check:
             res = cocycle_identity_residual(g, self.varpi)
-            if res > COCYCLE_TOL:
+            if not res <= COCYCLE_TOL:
                 raise ValueError("cocycle identity residual %.3g exceeds %.1g"
                                  % (res, COCYCLE_TOL))
 
@@ -201,10 +201,10 @@ class DoubleAlgebra:
         if _max_abs(self.pairing - self.pairing.T) > 0.0:
             raise ValueError("pairing must be symmetric as stored")
         res = self.pairing_invariance_residual()
-        if res > STRUCT_TOL:
+        if not res <= STRUCT_TOL:
             raise ValueError("pairing invariance residual %.3g" % res)
         iso, clo = self.lagrangian_residuals()
-        if max(iso, clo) > LAGRANGIAN_TOL:
+        if not (iso <= LAGRANGIAN_TOL and clo <= LAGRANGIAN_TOL):
             raise ValueError("base block is not lagrangian: %.3g / %.3g"
                              % (iso, clo))
 
@@ -294,10 +294,10 @@ def quasi_triple_extract(double, g_block, h_complement, basis_names=None,
     if 2 * n != dim2 or bh.shape[1] != n:
         raise ValueError("each block must span half of the double")
     iso_g = _max_abs(bg.T @ q @ bg)
-    if iso_g > LAGRANGIAN_TOL:
+    if not iso_g <= LAGRANGIAN_TOL:
         raise NotLagrangian("base block isotropy residual %.3g" % iso_g)
     iso_h = _max_abs(bh.T @ q @ bh)
-    if iso_h > LAGRANGIAN_TOL:
+    if not iso_h <= LAGRANGIAN_TOL:
         raise NotIsotropicComplement("complement isotropy residual %.3g" % iso_h)
     if np.linalg.cond(np.hstack([bg, bh])) > COND_LIMIT:
         raise NotIsotropicComplement("complement is not transverse")
@@ -313,7 +313,7 @@ def quasi_triple_extract(double, g_block, h_complement, basis_names=None,
 
     br_gg = brackets(bg, bg)
     clo = _max_abs(np.einsum("ma,mij->aij", q @ bg, br_gg))
-    if clo > LAGRANGIAN_TOL:
+    if not clo <= LAGRANGIAN_TOL:
         raise NotLagrangian("base block closure residual %.3g" % clo)
 
     c_new = np.einsum("mk,mij->ijk", qf, br_gg)
@@ -371,7 +371,7 @@ def transport(G, w, is_automorphism=False):
     if is_automorphism:
         res = _max_abs(np.einsum("km,ijm->ijk", w, c)
                        - np.einsum("ai,bj,abk->ijk", w, w, c))
-        if res > MORPHISM_TOL:
+        if not res <= MORPHISM_TOL:
             raise ValueError("map is not an automorphism: residual %.3g" % res)
         g_new = G.g
     else:

@@ -216,7 +216,7 @@ def test_criterion_06_gauge_action_preserves_the_system():
 def test_criterion_07_trivialization_is_an_algebroid_morphism():
     entry = catalog.get("sl2-cartan")
     triv = duality.TrivializationMap(entry.G, entry.decomp)
-    rep = triv.check(samples=6, seed=SEED, linear_sections=3)
+    rep = triv.check(samples=6, seed=SEED)
     ok = (rep["anchor_residual"] == 0.0
           and rep["bracket_residual"] <= 1e-8
           and rep["roundtrip_residual"] <= 1e-10

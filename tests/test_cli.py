@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,31 @@ def test_verify_flags_broken_jacobi(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "jacobi" in out and "FAIL" in out
+
+
+def test_verify_json_writes_an_overflowed_residual_as_null(tmp_path, capsys):
+    # the Jacobi products of these finite constants overflow to NaN: the
+    # row fails, its residual reads nan in text and null in JSON (which has
+    # no NaN), and every finite row is as before
+    path = tmp_path / "huge.spec"
+    path.write_text("dynlie-spec 1\ndim 2\nc 0 1 1 1e200\n")
+    with np.errstate(all="ignore"):
+        assert cli.main(["verify", str(path)]) == 1
+        text = capsys.readouterr().out
+        assert cli.main(["verify", str(path), "--json"]) == 1
+        out = capsys.readouterr().out
+
+    def no_constant(name):
+        raise AssertionError("not JSON: %s" % name)
+
+    payload = json.loads(out, parse_constant=no_constant)
+    rows = {r["name"]: r for r in payload["checks"]}
+    assert not payload["passed"]
+    for name in ("jacobi", "double-jacobi"):
+        assert rows[name]["residual"] is None and not rows[name]["passed"]
+        assert re.search(r"^%s +nan <= .* FAIL " % name, text, re.M)
+    finite = [r for r in payload["checks"] if r["residual"] is not None]
+    assert finite and all(np.isfinite(r["residual"]) for r in finite)
 
 
 def test_verify_parse_error_exits_two(tmp_path, capsys):

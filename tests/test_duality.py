@@ -500,17 +500,22 @@ def test_check_shares_the_fields_frechet_pairs(monkeypatch):
     assert len(inputs) == len(set(inputs)) == 4
 
 
-def _flows_on_ray(name, r, route):
-    """The _PointFlows record at |p| = r on a seeded ray of the entry's
-    canonical field, on the model route or the general route, and a seeded
-    direction."""
+def _map_on_ray(name, r, route):
+    """A map of the entry on the model route or the general route, the
+    point at |p| = r on a seeded ray, and a seeded direction."""
     entry = catalog.get(name)
     triv = duality.TrivializationMap(entry.G, entry.decomp)
     if route == "general":
         triv.field._models = spectral.GENERAL
     rng = np.random.default_rng(41)
     d = rng.standard_normal(triv.k)
-    return triv._flows(r * d / np.linalg.norm(d)), rng.standard_normal(triv.k)
+    return triv, r * d / np.linalg.norm(d), rng.standard_normal(triv.k)
+
+
+def _flows_on_ray(name, r, route):
+    """The _PointFlows record at _map_on_ray's point, and its direction."""
+    triv, p, beta = _map_on_ray(name, r, route)
+    return triv._flows(p), beta
 
 
 def _flows_outputs(flows, beta):
@@ -537,22 +542,79 @@ def test_flows_of_the_model_route_match_the_general_route(name, r):
 @pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
 def test_flows_of_the_general_route_are_the_direct_evaluations(name):
     # the general model hands the trivialization exactly what the
-    # AnalyticFunctions, scipy's expm and linalg.expm_frechet give
+    # AnalyticFunctions, scipy's expm and linalg.expm_frechet give along
+    # each basis direction e_b, and along beta their contraction
     flows, beta = _flows_on_ray(name, 1.0, "general")
     a = np.array(flows.a)
-    field = flows._field
-    das = [field._big_ad(b) for b in (beta, *np.eye(len(beta)))]
+    eye = np.eye(len(beta))
+    das = [flows._field._big_ad(e) for e in eye]
     fns = (linalg.SINH_REM, linalg.SINHC, linalg.SINH)
+    dfs = [[fn.frechet(a, da) for da in das] for fn in fns]
+    dexp = [linalg.expm_frechet(a, da) for da in das]
+
+    def along(jet):
+        return dynamics._combine(beta, lambda b: jet[b], a.shape)
+
     want = ([fn.apply(a) for fn in fns] + [scipy.linalg.expm(a)]
-            + [fn.frechet(a, das[0]) for fn in fns]
-            + [linalg.expm_frechet(a, das[0]),
-               linalg.TRIV_REM.apply(a), linalg.INV_SINHC.apply(a),
-               scipy.linalg.expm(a)]
-            + [linalg.expm_frechet(a, da) for da in das[1:]])
-    got = _flows_outputs(flows, beta)
+            + [along(jet) for jet in dfs]
+            + [along(dexp), linalg.TRIV_REM.apply(a),
+               linalg.INV_SINHC.apply(a), scipy.linalg.expm(a)]
+            + dexp + [d for jet in dfs for d in jet])
+    got = (_flows_outputs(flows, beta)
+           + [d for fn in fns for d in flows.frechet(fn, eye)])
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("route", ["model", "general"])
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+def test_derivatives_at_a_point_are_contractions_of_one_jet(
+        name, route, monkeypatch):
+    # the first derivative requests at a point build every jet whole, one
+    # model call per function; a derivative along any other direction is
+    # the contraction of the jets and calls no model
+    triv, p, beta = _map_on_ray(name, 1.0, route)
+    flows = triv._flows(p)
+    flows.bundle(beta)
+    triv._phi_data(p, beta)
+    calls = []
+    for model in triv.field._models:
+        for attr in ("frechet", "exp_neg_derivative", "f_derivative"):
+            orig = getattr(model, attr)
+            monkeypatch.setattr(model, attr, lambda *a, orig=orig, attr=attr:
+                                calls.append(attr) or orig(*a))
+    rng = np.random.default_rng(42)
+    betas = rng.standard_normal((5, triv.k))
+    for b in betas:
+        flows.bundle(b)
+        flows.exp_frechet(b, -1)
+        triv._phi_data(p, b)
+    flows.bundle(betas)
+    assert calls == []
+
+
+@pytest.mark.parametrize("route", ["model", "general"])
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
+def test_derivatives_along_beta_combine_the_basis_derivatives(name, route):
+    # bitwise: the derivative along beta is dynamics._combine of the
+    # derivatives along the basis directions
+    triv, p, beta = _map_on_ray(name, 1.0, route)
+    flows = triv._flows(p)
+    eye = np.eye(triv.k)
+
+    def along(basis):
+        return dynamics._combine(beta, lambda b: basis[b], basis[0].shape)
+
+    basis = flows.bundle(eye)
+    got = flows.bundle(beta)
+    assert len(got) == 4
+    for i, m in enumerate(got):
+        assert np.array_equal(m, along([row[i] for row in basis]))
+    assert np.array_equal(flows.exp_frechet(beta, -1),
+                          along(flows.exp_frechet(eye, -1)))
+    assert np.array_equal(triv._phi_data(p, beta)[2],
+                          along([triv._phi_data(p, e)[2] for e in eye]))
 
 
 def _record_outputs(triv, p, seed):
@@ -602,12 +664,26 @@ def test_point_record_is_read_only_and_outputs_are_owned():
         assert np.array_equal(x, y)
     flows = triv._flows(p)
     beta = np.ones(triv.k)
-    kept = [flows.a, flows.exp_neg, flows.exp(),
-            flows.apply(linalg.SINHC), flows.frechet(linalg.SINH, beta),
-            flows.exp_frechet(beta, -1), flows.exp_frechet(beta)]
+
+    def derivatives():
+        return [flows.frechet(linalg.SINH, beta), flows.exp_frechet(beta, -1),
+                flows.exp_frechet(beta), triv._phi_data(p, beta)[2]]
+
+    # a derivative is a contraction of a kept jet: an owned array, whose
+    # writes never reach the record
+    before = [np.copy(m) for m in derivatives()]
+    for m in derivatives():
+        m[...] = np.nan
+    for x, y in zip(before, derivatives()):
+        assert np.array_equal(x, y)
+    kept = [flows.a, flows.exp_neg, flows.exp(), flows.apply(linalg.SINHC)]
+    kept += [m for out in flows._mats.values()
+             for m in (out if isinstance(out, tuple) else (out,))
+             if isinstance(m, np.ndarray)]
+    assert len(kept) > 10
     for m in kept:
         with pytest.raises(ValueError):
-            m[0, 0] = 1.0
+            m[(0,) * m.ndim] = 1.0
     # the field's own evaluations never create the record's slot (a field
     # built apart: canonical_field would return the map's own field)
     field = dynamics.CanonicalField(entry.G, entry.decomp)
@@ -911,7 +987,7 @@ def test_phi_data_matches_the_column_by_column_construction(name):
     mat, leak, dmat = triv._phi_data(p, beta)
     assert _close(mat, (em @ cols)[rows])
     assert _close(dmat, (dem @ cols + em @ dcols)[rows])
-    assert leak <= duality.MEMBERSHIP_TOL
+    assert leak <= duality.TRIV_TOLS["membership_residual"]
     # the record answers again with the same arrays, as owned copies
     again = triv._phi_data(p, beta)
     assert np.array_equal(again[0], mat) and np.array_equal(again[2], dmat)

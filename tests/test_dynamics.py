@@ -1054,10 +1054,12 @@ def test_derivative_is_linear_in_the_basis_jet(name, monkeypatch):
         for e in np.eye(k):
             assert np.array_equal(field.derivative(p, e),
                                   field._closed_form_derivative(
-                                      rec, e[None])[0][0])
+                                      rec, e[None],
+                                      field._family_ads(e[None]))[0][0])
         for _ in range(3):
             alpha = rng.standard_normal(k)
-            direct = field._closed_form_derivative(rec, alpha[None])[0][0]
+            direct = field._closed_form_derivative(
+                rec, alpha[None], field._family_ads(alpha[None]))[0][0]
             err = np.max(np.abs(field.derivative(p, alpha) - direct))
             assert err <= 1e-13 * (1.0 + np.max(np.abs(direct)))
         with pytest.raises(ValueError):
@@ -1073,9 +1075,11 @@ def test_stacked_jet_is_bitwise_each_direction_alone(name, route):
         field._require_domain(p)
         rec = field._at(p)
         alphas = np.vstack([np.eye(k), rng.standard_normal((2, k))])
-        dls, dbigs = field._closed_form_derivative(rec, alphas)
+        dls, dbigs = field._closed_form_derivative(
+            rec, alphas, field._family_ads(alphas))
         for i, alpha in enumerate(alphas):
-            dl, dbig = field._closed_form_derivative(rec, alpha[None])
+            dl, dbig = field._closed_form_derivative(
+                rec, alpha[None], field._family_ads(alpha[None]))
             assert np.array_equal(dls[i], dl[0])
             assert np.array_equal(dbigs[i], dbig[0])
         # the record's jet is the pass over the base basis

@@ -95,6 +95,21 @@ def test_non_finite_structure_constants_are_refused(bad, check):
         lie.LieAlgebraData(c, check=check)
 
 
+def test_jacobi_residual_that_overflows_is_refused():
+    # finite constants whose Jacobi products overflow give a NaN residual,
+    # which a `res > tol` test would let through
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((3, 3, 3))
+    c = c - c.transpose(1, 0, 2)
+    with pytest.raises(ValueError, match="Jacobi"):
+        lie.LieAlgebraData(c)
+    with np.errstate(all="ignore"):
+        assert np.isnan(lie.LieAlgebraData(1e200 * c,
+                                           check=False).jacobi_residual())
+        with pytest.raises(ValueError, match="Jacobi residual nan"):
+            lie.LieAlgebraData(1e200 * c)
+
+
 def test_antisymmetry_enforced():
     c = np.zeros((2, 2, 2))
     c[0, 1, 1] = 1.0  # missing the mirrored entry

@@ -496,3 +496,18 @@ def test_double_residuals_match_the_three_operand_contractions():
             np.einsum("ia,jb,ijm->abm", b, b, dbl.d.c)[:, :, dbl.n:])
         assert dbl.pairing_invariance_residual() == inv, name
         assert dbl.lagrangian_residuals() == (iso, clo), name
+
+
+def test_cocycle_residual_that_overflows_is_refused():
+    # a finite cocycle whose identity products overflow gives a NaN
+    # residual, which a `res > tol` test would let through
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 1], c[1, 0, 1] = 1e160, -1e160
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((2, 2, 2))
+    w = w - w.transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        g = lie.LieAlgebraData(c, check=False)
+        assert np.isnan(qbia.cocycle_identity_residual(g, 1e160 * w))
+        with pytest.raises(ValueError, match="cocycle identity residual nan"):
+            qbia.QuasiBialgebra(g, 1e160 * w, np.zeros((2, 2, 2)))

@@ -100,7 +100,7 @@ def _families(name):
     else:
         entry = catalog.get(name)
         field = dyn.canonical_field(entry.G, entry.decomp)
-    return field, field._direction_ads(np.eye(field.base_dim))
+    return field, field._basis_ads
 
 
 @pytest.mark.parametrize("name,kinds", [
