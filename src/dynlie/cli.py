@@ -2,7 +2,8 @@
 
 The file format is line oriented.  Comments start with '#', blank lines
 are skipped, and the first effective line must be the header
-``dynlie-spec 1``.  Keys:
+``dynlie-spec 1``, with nothing after the version.  Keys (an indexed key
+may repeat, the others may appear once):
 
 * ``name <label>``                optional display name
 * ``dim <n>``                     required before any indexed entry
@@ -130,7 +131,7 @@ class AlgebraSpecFile:
             tok = line.split()
             key = tok[0]
             if not saw_header:
-                if key != HEADER:
+                if key != HEADER or len(tok) > 2:
                     raise SpecParseError(
                         "expected header '%s %d'" % (HEADER, SPEC_VERSION),
                         lineno)
@@ -155,6 +156,8 @@ class AlgebraSpecFile:
                 if n == 0:
                     raise SpecParseError("dim must be positive", lineno)
             elif key == "basis":
+                if basis is not None:
+                    raise SpecParseError("duplicate basis", lineno)
                 if n is None:
                     raise SpecParseError("dim must come before basis",
                                          lineno)

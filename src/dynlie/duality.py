@@ -16,11 +16,11 @@ trivialization_T / T_inverse the bundle map and its inverse.  The bracket
 formula exists once, as a kernel over every pair of S sections at a base
 point (_pair_brackets); nu_bracket is its two-section case.  The map's
 flatness, bracket-morphism and vertical-compatibility residuals bracket all
-pairs in one pass: each section is evaluated once and differentiated once
-along each base basis direction, and the derivative along another
-section's anchor is the contraction of those (exact, since every exact
-section derivative is linear in the direction).  Sections pushed through
-the map get their jets from the trivial sections' jets as stacked rows.
+pairs in one pass: each section is evaluated once and gives its jet along
+the base basis directions once, and the derivative along another section's
+anchor is the contraction of that (exact, since every exact section
+derivative is linear in the direction).  Sections pushed through the map
+get their jets from the trivial sections' jets as stacked rows.
 The trivializations of a structure and of its dual agree up to explicit
 signs; duality_theorem_check measures that identity.  symmetric_dual runs
 the whole construction for the complexification double of a semisimple
@@ -159,25 +159,34 @@ class AlgebroidSection:
     """Section of a two-component bundle over base points.
 
     Wraps a value callable returning a pair of vectors and (optionally) a
-    directional-derivative callable; without the latter, derivatives fall
-    back to a central difference of the value, both vectors from the same
-    two evaluations.
+    jet callable returning their derivatives along the base basis
+    directions, stacks (k, a), (k, b); derivative(p, beta) is the jet's
+    dynamics._combine.  Without a jet callable, a derivative is a central
+    difference of the value, both vectors from the same two evaluations,
+    and the jet the stack of those along each e_b.
     """
 
-    def __init__(self, value_fn, derivative_fn=None):
+    def __init__(self, value_fn, jet_fn=None):
         self._value = value_fn
-        self._derivative = derivative_fn
+        self._jet = jet_fn
 
     def value(self, p):
         a, b = self._value(np.asarray(p, dtype=float))
         return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
 
+    def jet(self, p):
+        p = np.asarray(p, dtype=float)
+        if self._jet is None:
+            ders = [self.derivative(p, e) for e in np.eye(len(p))]
+            return tuple(np.array(d) for d in zip(*ders))
+        a, b = self._jet(p)
+        return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
     def derivative(self, p, beta):
         p = np.asarray(p, dtype=float)
         beta = np.asarray(beta, dtype=float)
-        if self._derivative is not None:
-            a, b = self._derivative(p, beta)
-            return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if self._jet is not None:
+            return tuple(dynamics._combine(beta, d) for d in self.jet(p))
         split = []
 
         def joined(q):
@@ -190,23 +199,25 @@ class AlgebroidSection:
 
 
 def polynomial_section(first, second):
-    """Section from two polynomial maps; evaluation and derivatives exact."""
+    """Section from two polynomial maps; evaluation and jet exact (the
+    transposed Jacobians)."""
     def val(p):
         return first.value(p), second.value(p)
 
-    def der(p, beta):
-        return first.jacobian(p) @ beta, second.jacobian(p) @ beta
+    def jet(p):
+        return first.jacobian(p).T, second.jacobian(p).T
 
-    return AlgebroidSection(val, der)
+    return AlgebroidSection(val, jet)
 
 
 def constant_section(first, second):
+    """Constant section with a zero jet; every call hands out new arrays."""
     first = np.asarray(first, dtype=float).copy()
     second = np.asarray(second, dtype=float).copy()
-    zf = np.zeros_like(first)
-    zs = np.zeros_like(second)
-    return AlgebroidSection(lambda p: (first, second),
-                            lambda p, beta: (zf, zs))
+    return AlgebroidSection(
+        lambda p: (first.copy(), second.copy()),
+        lambda p: (np.zeros((len(p), len(first))),
+                   np.zeros((len(p), len(second)))))
 
 
 def nu_anchor(s, p, field):
@@ -232,13 +243,13 @@ def _pair_brackets(field, p, z, xi, dz, dxi):
     shapes (S, S, k) and (S, S, n).  First component: derivatives of each
     subalgebra part along the other's anchor image, minus the subalgebra
     bracket, plus the pairing of the covector parts through the field's
-    base derivative (the field's value and jet at p: _value_and_jet).
+    base derivative (the field's value and jet at p).
     Second component: derivatives of the covector parts plus coadjoint
     terms of the subalgebra parts and of the field images, plus the
     cocycle pairing.
     """
     G = field.G
-    lmat, dl = field._value_and_jet(p)
+    lmat, dl = field.value(p), field.jet(p)
     grad = np.einsum("aij,xi,yj->xya", dl, xi, xi)
     zout = (dz - dz.transpose(1, 0, 2)
             - np.einsum("xa,yb,abm->xym", z, z, field.sub_c) + grad)
@@ -285,15 +296,15 @@ def nu_bracket(s1, s2, field):
     return AlgebroidSection(val)
 
 
-def _jets(p, sections, k):
-    """Values (S, a), (S, b) of the sections at p and their derivatives
-    (k, S, a), (k, S, b) along the k base basis directions: each section is
-    evaluated once and differentiated once per direction."""
+def _jets(p, sections):
+    """Values (S, a), (S, b) of the sections at p and their jets (k, S, a),
+    (k, S, b) along the k base basis directions: one value and one jet call
+    per section."""
     vals = [s.value(p) for s in sections]
-    ders = [[s.derivative(p, e) for s in sections] for e in np.eye(k)]
+    jets = [s.jet(p) for s in sections]
     return (np.stack([v[0] for v in vals]), np.stack([v[1] for v in vals]),
-            np.array([[d[0] for d in row] for row in ders]),
-            np.array([[d[1] for d in row] for row in ders]))
+            np.stack([j[0] for j in jets], axis=1),
+            np.stack([j[1] for j in jets], axis=1))
 
 
 def _along(directions, jet):
@@ -321,25 +332,13 @@ def _read_only(m):
     return m
 
 
-def _contract(beta, jet):
-    """The derivative along beta from a jet (k, ...) of derivatives along
-    the base basis directions: the sum of beta_b jet[b] over the nonzero
-    beta_b (dynamics._combine; along e_b it is bitwise jet[b]), an owned
-    array; or their list for a stack of directions."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim == 2:
-        return [_contract(b, jet) for b in beta]
-    return dynamics._combine(beta, jet.__getitem__, jet.shape[1:])
-
-
 class _PointFlows:
     """What the trivialization computes from one base point p of a canonical
     field (see TrivializationMap): matrix functions of a = ad(p) and the
     fiber isomorphism at p, and the jets of their Frechet derivatives along
     the base basis directions e_b.  Each entry is computed on first use; its
-    arrays are read-only.  A derivative along beta is the contraction of
-    the jet (_contract): D f(a)[ad(beta)] is linear in beta, so this is
-    exact, and along e_b it is bitwise the jet's slice.
+    arrays are read-only.  Only jets are computed: D f(a)[ad(beta)] is
+    linear in beta, so a derivative along beta is the jet's contraction.
 
     Every matrix comes from the field's spectral model of ad_big
     (field._models[0]) and the record's data of p ("data_big"), so on the
@@ -351,9 +350,13 @@ class _PointFlows:
     - exp(a) and its jet are the model's flow exp(-A) and one derivative
       call at -p along every -e_b (scipy's expm and linalg.expm_frechet on
       the general route);
-    - exp(-a) and its jet are the field's flow and the flow part of its jet
-      (field._jet), by whichever route the field takes (LMatrixField.route).
+    - exp(-a) and its jet are the field's flow and the flow part of the
+      record's jet (field._jet), by whichever route the field takes
+      (LMatrixField.route).
     """
+
+    # the functions of a that the bundle map applies besides exp(a)
+    FNS = (linalg.SINH_REM, linalg.SINHC, linalg.SINH)
 
     def __init__(self, field, rec):
         self._field = field
@@ -393,38 +396,31 @@ class _PointFlows:
         return self.memo(fn, lambda: self._model.apply(
             fn, self._rec["data_big"][None], self.a[None])[0])
 
-    def frechet(self, fn, beta):
-        """D fn(a)[ad(beta)] for an AnalyticFunction fn, along one
-        direction beta or a stack of them (a list)."""
-        return _contract(beta, self.memo(("jet", fn), lambda: (
-            self._model.frechet(fn, self._rec["p"], self._rec["data_big"],
-                                self.a, self._eye,
-                                self._field._basis_ads[0]))))
+    def exp_neg_jet(self):
+        """The jet of exp(-a), the field's flow: the flow part of the
+        record's jet (field._jet)."""
+        return self._field._jet(self._rec)[1]
 
-    def exp_frechet(self, beta, sign=1):
-        """D exp(sign a)[sign ad(beta)] along one direction beta or a stack
-        of them (a list).  For sign -1 it is the derivative of the field's
-        flow, from the field's jet; for sign 1 the derivative of the model's
-        flow at -p along -beta."""
-        if sign < 0:
-            return _contract(beta, self._field._jet(self._rec)[1])
-
-        def compute():
-            p, d, a = self._minus()
-            return self._model.exp_neg_derivative(
-                p[0], d[0], a[0], self.exp(), -self._eye,
-                -self._field._basis_ads[0])
-        return _contract(beta, self.memo(("jet", "exp"), compute))
-
-    def bundle(self, beta=None):
+    def bundle(self):
         """The matrices (SINH_REM, SINHC, SINH, exp) of a that the bundle
-        map applies, or with beta their Frechet derivatives along it (their
-        list for a stack of directions)."""
-        fns = (linalg.SINH_REM, linalg.SINHC, linalg.SINH)
-        if beta is None:
-            return tuple(self.apply(fn) for fn in fns) + (self.exp(),)
-        out = [self.frechet(fn, beta) for fn in fns] + [self.exp_frechet(beta)]
-        return list(zip(*out)) if np.ndim(beta) == 2 else tuple(out)
+        map applies."""
+        return tuple(self.apply(fn) for fn in self.FNS) + (self.exp(),)
+
+    def bundle_jet(self):
+        """The jets (k, N, N) of the bundle matrices along the base basis
+        directions: one model `frechet` call per function with the field's
+        basis ads, and for exp(a) one derivative of the model's flow at -p
+        along every -e_b."""
+        def compute():
+            rec, das = self._rec, self._field._basis_ads[0]
+            jets = [self._model.frechet(fn, rec["p"], rec["data_big"],
+                                        self.a, self._eye, das)
+                    for fn in self.FNS]
+            p, d, a = self._minus()
+            jets.append(self._model.exp_neg_derivative(
+                p[0], d[0], a[0], self.exp(), -self._eye, -das))
+            return tuple(jets)
+        return self.memo("bundle jet", compute)
 
 
 class TrivializationMap:
@@ -443,28 +439,26 @@ class TrivializationMap:
     another point comes in.  It holds exp(a) and exp(-a) (the field's
     flow), f(a) for each analytic function used, the matrix of the fiber
     isomorphism phi_p with its leakage, and the jets of the Frechet
-    derivatives of those functions, of exp(a) and of the phi_p matrix
-    along the k base basis directions, each built whole by its first
-    derivative request.  A derivative along beta is the contraction of a
-    jet (_contract).  The functions of a and exp(a), with their jets, come
-    from the field's spectral model of ad_big (closed forms on the model
-    route, the eig route, scipy's expm and linalg.expm_frechet on the
-    general route); exp(-a) and its jet are the field's own flow and jet,
-    so they are never computed twice (see _PointFlows).  Each entry is
-    computed on first use; its arrays are read-only, and _phi_data and the
-    contractions hand out owned arrays.
+    derivatives of the bundle matrices (bundle_jet) and of the phi_p matrix
+    (_phi_jet) along the k base basis directions, each built whole.  The
+    functions of a and exp(a), with their jets, come from the field's
+    spectral model of ad_big (closed forms on the model route, the eig
+    route, scipy's expm and linalg.expm_frechet on the general route);
+    exp(-a) and its jet are the field's own flow and jet, so they are never
+    computed twice (see _PointFlows).  Each entry is computed on first use;
+    its arrays are read-only, and _phi_data and the sections hand out owned
+    arrays.
 
     flatness_residual, bracket_morphism_residual and
     psi_compatibility_residual take every pair of their sections at once:
-    the sections are evaluated once and differentiated along the k base
-    basis directions only, each derivative a slice of the point's jets,
-    which serve every pair.  The mapped sections of the first two are never
-    evaluated one by one: the jets of the trivial-bundle sections (the
-    lifts are the images of the constant sections (e_a, 0)) go through the
-    map as stacked rows, the values in one pass and the derivatives in one
-    pass per basis direction (Frechet matrices of the bundle map on the
-    values plus the bundle map on the derivatives).  The right side of the
-    bracket morphism goes through the map as one stack of rows too.
+    each section is evaluated once and hands out its jet once, which serves
+    every pair.  The mapped sections of the first two are never evaluated
+    one by one: the jets of the trivial-bundle sections (the lifts are the
+    images of the constant sections (e_a, 0)) go through the map as stacked
+    rows, the values in one pass and the jets in one pass per basis
+    direction (_push_jet: Frechet matrices of the bundle map on the values
+    plus the bundle map on the derivatives).  The right side of the bracket
+    morphism goes through the map as one stack of rows too.
 
     The fiber algebra (fiber_c) is the dual algebra at the origin, where
     the field vanishes; it comes from the bracket formula alone
@@ -547,32 +541,34 @@ class TrivializationMap:
         flow = flows.exp_neg @ cols
         return cols, flow[self._target], qbia._max_abs(flow[self._off_target])
 
-    def _phi_derivative(self, p, beta, flows, cols):
-        """Derivative along beta of the matrix of _phi_matrix."""
-        n, k = self.n, self.k
-        field = self.field
-        dxi = np.zeros((n, n))
-        dxi[:, :k] = self.inj @ self._coads(beta).T
-        dcols = np.vstack([field.derivative(p, beta) @ cols[n:]
-                           + field.value(p) @ dxi, dxi])
-        dflow = flows.exp_frechet(beta, -1) @ cols + flows.exp_neg @ dcols
-        return dflow[self._target]
-
-    def _phi_data(self, p, beta=None):
-        """Matrix of the fiber isomorphism onto the zero fiber, the leakage
-        outside the target block, and optionally the exact derivative along
-        beta.  The matrix and its jet along the base basis directions are
-        kept in the point's record; the matrix is returned as a copy, the
-        derivative as the jet's contraction along beta (_contract)."""
+    def _phi_data(self, p):
+        """Matrix of the fiber isomorphism onto the zero fiber, as a copy,
+        and the leakage outside the target block; kept in the point's
+        record."""
         flows = self._flows(p)
         p = np.asarray(p, dtype=float)
-        cols, mat, leak = flows.memo("phi",
-                                     lambda: self._phi_matrix(p, flows))
-        if beta is None:
-            return mat.copy(), leak, None
-        jet = flows.memo("phi jet", lambda: np.stack([
-            self._phi_derivative(p, e, flows, cols) for e in np.eye(self.k)]))
-        return mat.copy(), leak, _contract(beta, jet)
+        _, mat, leak = flows.memo("phi", lambda: self._phi_matrix(p, flows))
+        return mat.copy(), leak
+
+    def _phi_jet(self, p):
+        """The jet of the _phi_data matrix, read-only and kept in the
+        point's record: from the field's value and jet at p, each read
+        once, and the jet of its flow exp(-a)."""
+        flows = self._flows(p)
+        cols = flows.memo("phi", lambda: self._phi_matrix(p, flows))[0]
+
+        def compute():
+            n, k = self.n, self.k
+            lmat, dl = self.field.value(p), self.field.jet(p)
+            out = []
+            for e, dlb, dflow in zip(np.eye(k), dl, flows.exp_neg_jet()):
+                dxi = np.zeros((n, n))
+                dxi[:, :k] = self.inj @ self._coads(e).T
+                dcols = np.vstack([dlb @ cols[n:] + lmat @ dxi, dxi])
+                dflow = dflow @ cols + flows.exp_neg @ dcols
+                out.append(dflow[self._target])
+            return np.stack(out)
+        return flows.memo("phi jet", compute)
 
     def fiber_element(self, p, v):
         """Algebroid element over p with the given fiber-basis coordinates:
@@ -586,22 +582,23 @@ class TrivializationMap:
         """Anchor-kernel section whose zero-fiber image is minus the given
         polynomial fiber map."""
         def val(p):
-            mat, _, _ = self._phi_data(p)
+            mat, _ = self._phi_data(p)
             return self.fiber_element(p, -np.linalg.solve(mat, xmap.value(p)))
 
-        def der(p, beta):
-            mat, _, dmat = self._phi_data(p, beta)
-            x = xmap.value(p)
-            dx = xmap.jacobian(p) @ beta
-            v = -np.linalg.solve(mat, x)
-            dv = -np.linalg.solve(mat, dx + dmat @ v)
-            coads = self._coads(p)
-            dcoads = np.einsum("abm,m->ab", self.field.sub_c, beta)
-            deta = (self.inj @ (dv[:self.k] @ coads + v[:self.k] @ dcoads)
-                    + self.compinj @ dv[self.k:])
-            return dv[:self.k], deta
+        def jet(p):
+            k, eye = self.k, np.eye(self.k)
+            mat, _ = self._phi_data(p)
+            v = -np.linalg.solve(mat, xmap.value(p))
+            jac, coads = xmap.jacobian(p), self._coads(p)
+            # a solve per direction: a solve of all of them at once need
+            # not round as the lone solves do
+            dv = np.array([-np.linalg.solve(mat, jac @ e + dmat @ v)
+                           for e, dmat in zip(eye, self._phi_jet(p))])
+            deta = [self.inj @ (d[:k] @ coads + v[:k] @ self._coads(e))
+                    + self.compinj @ d[k:] for e, d in zip(eye, dv)]
+            return dv[:, :k], np.array(deta)
 
-        return AlgebroidSection(val, der)
+        return AlgebroidSection(val, jet)
 
     # -- the bundle map and its inverse --------------------------------------
 
@@ -639,13 +636,18 @@ class TrivializationMap:
         flow = (ex @ xie).T
         return v1[..., :n][..., self.sub], v2[..., n:] - flow[..., n:], v1, v2
 
-    def _push_derivative(self, flows, beta, a0, x0, da0, dx0):
-        """Derivative along beta of the image of a trivial-bundle section
-        with values (a0, x0) and derivatives (da0, dx0) along beta, on one
-        argument pair or on stacked rows."""
-        z1, eta1, _, _ = self._push(flows.bundle(beta), a0, x0)
-        z2, eta2, _, _ = self._push(flows.bundle(), da0, dx0)
-        return z1 + z2, eta1 + eta2
+    def _push_jet(self, flows, a0, x0, da0, dx0):
+        """Jet of the image of trivial-bundle sections with values (a0, x0)
+        and jets (da0, dx0): along each e_b, the bundle map's Frechet
+        matrices on the values plus the bundle map on the derivatives."""
+        mats = flows.bundle()
+        dz, deta = [], []
+        for dmats, da, dx in zip(zip(*flows.bundle_jet()), da0, dx0):
+            z1, eta1, _, _ = self._push(dmats, a0, x0)
+            z2, eta2, _, _ = self._push(mats, da, dx)
+            dz.append(z1 + z2)
+            deta.append(eta1 + eta2)
+        return np.array(dz), np.array(deta)
 
     def T_inverse(self, p, z, eta):
         """Base covector direction and zero-fiber value reproducing the
@@ -676,42 +678,37 @@ class TrivializationMap:
         return alpha, x0, leak
 
     def compose_section(self, section):
-        """Push a trivial-bundle section through the map, with exact
-        derivatives (the section must provide exact derivatives itself)."""
+        """Push a trivial-bundle section through the map, with an exact jet
+        (the section must provide an exact jet itself)."""
         def val(p):
             a0, x0 = section.value(p)
             return self.trivialization_T(p, a0, x0)
 
-        def der(p, beta):
-            flows = self._flows(p)
-            return self._push_derivative(flows, beta, *section.value(p),
-                                         *section.derivative(p, beta))
+        def jet(p):
+            return self._push_jet(self._flows(p), *section.value(p),
+                                  *section.jet(p))
 
-        return AlgebroidSection(val, der)
+        return AlgebroidSection(val, jet)
 
     # -- residual services ---------------------------------------------------
 
     def _section_brackets(self, p, sections):
         """Algebroid brackets [s_i, s_j] of every pair of the sections at p,
         shapes (S, S, k) and (S, S, n).  Each section is evaluated once and
-        differentiated once along each base basis direction; the derivative
-        along another section's anchor is the contraction of those."""
-        return _jet_brackets(self.field, p, *_jets(p, sections, self.k))
+        hands out its jet once; the derivative along another section's
+        anchor is the contraction of that."""
+        return _jet_brackets(self.field, p, *_jets(p, sections))
 
     def _mapped_brackets(self, p, a0, x0, da0, dx0):
         """Brackets [T s_i, T s_j] of every pair of trivial-bundle sections
         pushed through the map, from the sections' values a0 (S, k), x0
-        (S, n) and basis-direction derivatives da0 (k, S, k), dx0 (k, S, n):
-        the values go through the map as one stack of rows, the derivatives
-        as one stack per basis direction."""
+        (S, n) and jets da0 (k, S, k), dx0 (k, S, n): the values go through
+        the map as one stack of rows, the jets as one stack per basis
+        direction (_push_jet)."""
         flows = self._flows(p)
-        eye = np.eye(self.k)
         z, eta, _, _ = self._push(flows.bundle(), a0, x0)
-        jets = [self._push_derivative(flows, e, a0, x0, da, dx)
-                for e, da, dx in zip(eye, da0, dx0)]
         return _jet_brackets(self.field, p, z, eta,
-                             np.array([dz for dz, _ in jets]),
-                             np.array([deta for _, deta in jets]))
+                             *self._push_jet(flows, a0, x0, da0, dx0))
 
     def flatness_residual(self, p):
         """Largest bracket component over all pairs of basis horizontal
@@ -739,7 +736,7 @@ class TrivializationMap:
         zb, xb = self._section_brackets(
             p, [self.theta_section(alpha)]
             + [self.vertical_section(x) for x in xmaps])
-        mat, _, _ = self._phi_data(p)
+        mat, _ = self._phi_data(p)
         worst = 0.0
         for j, x in enumerate(xmaps, start=1):
             want = self.fiber_element(
@@ -752,18 +749,18 @@ class TrivializationMap:
         """Largest residual of the map as a bracket morphism over every pair
         of the given trivial-bundle sections at p.
 
-        The sections are evaluated once and differentiated once along each
-        base basis direction.  The left side brackets their images in the
-        algebroid, every pair in one pass, with the images' jets pushed
-        through the map from those (_mapped_brackets).  The right side is
+        The sections are evaluated once and hand out their jets once.  The
+        left side brackets their images in the algebroid, every pair in one
+        pass, with the images' jets pushed through the map from those
+        (_mapped_brackets).  The right side is
         the trivial bundle's bracket of each pair, built from the same jets:
         the vector-field bracket of the base parts, and the base derivatives
         of the fiber parts plus the fiber algebra bracket fiber_c.  All pairs
         then go through the map as stacked rows.  The sections must provide
-        exact derivatives.
+        exact jets.
         """
         p = np.asarray(p, dtype=float)
-        a0, x0, da0, dx0 = _jets(p, sections, self.k)
+        a0, x0, da0, dx0 = _jets(p, sections)
         zl, xl = self._mapped_brackets(p, a0, x0, da0, dx0)
         base = _along(a0, da0)
         fiber = _along(a0, dx0)
@@ -856,7 +853,7 @@ def phi_p_iso(p, triv):
     p = np.asarray(p, dtype=float)
     flows = triv._flows(p)
     n, k = triv.n, triv.k
-    mat, leak, _ = triv._phi_data(p)
+    mat, leak = triv._phi_data(p)
     closed = np.zeros_like(mat)
     iv = flows.apply(linalg.INV_SINHC)
     for idx in range(k):

@@ -98,25 +98,27 @@ def _raise_outside(rep):
                              rep["block_condition"]))
 
 
-def _combine(alpha, basis_value, shape):
-    """Sum of alpha_b * basis_value(b) over the nonzero alpha_b, in order
-    of b; zeros of the given shape for alpha = 0."""
+def _combine(alpha, jet):
+    """The derivative along alpha from a jet (k, ...) along the base basis:
+    sum of alpha_b * jet[b] over the nonzero alpha_b, in order of b (owned;
+    bitwise jet[b] along e_b); zeros of a slice's shape for alpha = 0."""
     out = None
     for b in np.flatnonzero(alpha):
-        term = alpha[b] * basis_value(b)
+        term = alpha[b] * jet[b]
         out = term if out is None else out + term
-    return np.zeros(shape) if out is None else out
+    return np.zeros(jet.shape[1:]) if out is None else out
 
 
 class LMatrixField:
     """A field of linear maps from covectors to vectors over a base that
     lives in the coordinates dual to the chosen subalgebra; one subclass
-    per kind, each built by its factory below.  `value`, `derivative`,
-    `_probe` and `in_domain` check their arguments and call the kind's
-    _evaluate, _derivative and _reports; values and domain reports are
-    taken for a stack of base points, and a single point is the stack of
-    one.  Every evaluation is expected to be skew; skewness is part of what
-    the residual reports certify, so `value` returns the raw matrix.
+    per kind, each built by its factory below.  `value`, `jet`, `_probe`
+    and `in_domain` check their arguments and call the kind's _evaluate,
+    _jet_at and _reports; values and domain reports are taken for a stack
+    of base points, and a single point is the stack of one.  `derivative`
+    is the jet's contraction.  Every evaluation is expected to be skew;
+    skewness is part of what the residual reports certify, so `value`
+    returns the raw matrix.
     """
 
     def __init__(self, G, decomp=None):
@@ -170,14 +172,23 @@ class LMatrixField:
     def value(self, p):
         return self._evaluate(self._check_point(p)[None], keep=True)[0]
 
+    def jet(self, p):
+        """The derivatives at p along the base basis directions e_b, an
+        owned stack (k, n, n); OutOfDomain outside the domain."""
+        return self._jet_at(self._check_point(p))
+
     def derivative(self, p, alpha):
-        """Exact directional derivative of the field at p along alpha."""
+        """Exact directional derivative of the field at p along alpha: the
+        jet's _combine (along alpha = 0 zeros, with no jet computed)."""
         p = self._check_point(p)
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (self.base_dim,):
             raise ValueError("direction must have %d coordinates"
                              % self.base_dim)
-        return self._derivative(p, alpha)
+        self._require_domain(p)
+        if not alpha.any():
+            return np.zeros((self.G.dim,) * 2)
+        return _combine(alpha, self._jet_at(p))
 
     def _probe(self, q):
         """The values at a stack of base points q (m x k), or the value at
@@ -192,13 +203,6 @@ class LMatrixField:
 
     def _require_domain(self, p):
         _raise_outside(in_domain(p, self))
-
-    def _value_and_jet(self, p):
-        """The value at p and the stack (k, n, n) of the derivatives along
-        the base basis directions e_b, as the algebroid bracket reads them
-        (duality._pair_brackets)."""
-        return self.value(p), np.stack([self.derivative(p, e)
-                                        for e in np.eye(self.base_dim)])
 
 
 class PolynomialField(LMatrixField):
@@ -225,13 +229,13 @@ class PolynomialField(LMatrixField):
             out += np.einsum('a,b,abij->ij', p, p, self.t2)
         return out
 
-    def _derivative(self, p, alpha):
+    def _jet_at(self, p):
         n = self.G.dim
-        out = np.zeros((n, n))
+        out = np.zeros((self.base_dim, n, n))
         if self.t1 is not None:
-            out += np.einsum('a,aij->ij', alpha, self.t1)
+            out += self.t1
         if self.t2 is not None:
-            out += 2.0 * np.einsum('a,b,abij->ij', alpha, p, self.t2)
+            out += 2.0 * np.einsum('b,abij->aij', p, self.t2)
         return out
 
 
@@ -243,8 +247,8 @@ class PointRecordField(LMatrixField):
     direction, computed whole on first use by one model call with the
     basis ads (_basis_ads, the small double's ad of each e_b; CanonicalField
     puts ad_big's before it), which the field builds once at construction.
-    derivative(p, alpha) is the sum of alpha_b D_b over the nonzero alpha_b.
-    Callers receive copies.
+    jet(p) is a copy of the stack of D_b, and derivative(p, alpha) the sum
+    of alpha_b D_b over the nonzero alpha_b.  Callers receive copies.
 
     A request for a stack of points (in_domain, value and the flow residuals
     take one; a single point is the stack of one) reads the kept records of
@@ -293,11 +297,8 @@ class PointRecordField(LMatrixField):
                 rec["value"] = value
         return np.array([rec["value"] for rec in recs])
 
-    def _derivative(self, p, alpha):
-        self._require_domain(p)
-        rec = self._at(p)
-        n = self.G.dim
-        return _combine(alpha, lambda b: self._jet(rec)[0][b], (n, n))
+    def _jet_at(self, p):
+        return self._jet(self._live_record(p))[0].copy()
 
     def _at(self, p):
         """The record of the validated base point p."""
@@ -329,14 +330,6 @@ class PointRecordField(LMatrixField):
         rec = self._at(p)
         _raise_outside(rec["report"])
         return rec
-
-    def _value_and_jet(self, p):
-        """LMatrixField._value_and_jet from the point's record: its value
-        and a copy of its jet, which are bitwise `value` and the stack of
-        `derivative` along each e_b (_combine along e_b is 1.0 D_b)."""
-        p = self._check_point(p)
-        lmat = self._evaluate(p[None], keep=True)[0]
-        return lmat, self._jet(self._live_record(p))[0].copy()
 
     def _domain_records(self, ps):
         """One record per point of the stack ps, with the spectral margin
@@ -570,8 +563,8 @@ class ShiftedField(DerivedField):
     def _evaluate(self, ps, keep):
         return self.base._evaluate(ps, keep) + self.offset
 
-    def _derivative(self, p, alpha):
-        return self.base.derivative(p, alpha)
+    def _jet_at(self, p):
+        return self.base._jet_at(p)
 
 
 class GaugedField(DerivedField):
@@ -601,15 +594,15 @@ class GaugedField(DerivedField):
         return np.array([self._gauged_value(p, lb) for p, lb
                          in zip(ps, self.base._evaluate(ps, keep))])
 
-    def _derivative(self, p, alpha):
-        ad_big, theta, dad, dtheta = self._gauge_data(p, alpha)
+    def _jet_at(self, p):
+        ad_big, _, dad, dtheta = self._gauge_data(p, jet=True)
         lb = self.base.value(p)
-        dlb = self.base.derivative(p, alpha)
-        out = (dad @ lb @ ad_big.T + ad_big @ dlb @ ad_big.T
-               + ad_big @ lb @ dad.T + dtheta)
+        dad_t = dad.transpose(0, 2, 1)
+        out = (dad @ lb @ ad_big.T + ad_big @ self.base._jet_at(p) @ ad_big.T
+               + ad_big @ lb @ dad_t + dtheta)
         if self.potential is not None:
             t = self.potential
-            out = out + dad @ t @ ad_big.T + ad_big @ t @ dad.T
+            out = out + dad @ t @ ad_big.T + ad_big @ t @ dad_t
         return out
 
     def _gauged_value(self, p, lb):
@@ -621,18 +614,19 @@ class GaugedField(DerivedField):
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _gauge_data(self, p, alpha=None):
+    def _gauge_data(self, p, jet=False):
         """Adjoint flow of the gauge product e^{S_1}..e^{S_m} at p, the
-        exact-cocycle block theta, and (optionally) their derivatives.
-        Raises OutOfDomain where they are not finite; numpy's overflow
-        warnings on the way there are silenced."""
+        exact-cocycle block theta, and (with jet) their derivatives along
+        the base basis directions as stacks (k, n, n), each factor's
+        Frechet derivatives taken along all of them by one call.  Raises
+        OutOfDomain where they are not finite; numpy's overflow warnings on
+        the way there are silenced."""
         g = self.G.g
-        n = self.G.dim
-        want_d = alpha is not None
+        n, k = self.G.dim, self.base_dim
         pre = np.eye(n)
-        dpre = np.zeros((n, n))
-        dmap = np.zeros((n, self.base_dim))
-        ddmap = np.zeros((n, self.base_dim))
+        dpre = np.zeros((k, n, n))
+        dmap = np.zeros((n, k))
+        ddmap = np.zeros((k, n, k))
         try:
             for f in self.factors:
                 s_val = f.value(p)
@@ -641,12 +635,13 @@ class GaugedField(DerivedField):
                 g_s = linalg.EXPM1_OVER.apply(ad_s)
                 jac = f.jacobian(p)
                 dmap = dmap + pre @ g_s @ jac
-                if want_d:
-                    ds_val = jac @ alpha
-                    dad_s = g.ad_matrix(ds_val)
+                if jet:
+                    # the derivative of S along e_b is column b of jac
+                    dad_s = g.ad_matrix(jac.T)
                     de_s = linalg.expm_frechet(ad_s, dad_s)
                     dg_s = linalg.EXPM1_OVER.frechet(ad_s, dad_s)
-                    djac = f.jacobian_derivative(p, alpha)
+                    djac = np.stack([f.jacobian_derivative(p, e)
+                                     for e in np.eye(k)])
                     ddmap = (ddmap + dpre @ g_s @ jac + pre @ dg_s @ jac
                              + pre @ g_s @ djac)
                     dpre = dpre @ e_s + pre @ de_s
@@ -656,9 +651,10 @@ class GaugedField(DerivedField):
         istar = self.inj.T
         theta = dmap @ istar @ pre.T - self.inj @ dmap.T
         out = (pre, theta, None, None)
-        if want_d:
+        if jet:
             out = (pre, theta, dpre, ddmap @ istar @ pre.T
-                   + dmap @ istar @ dpre.T - self.inj @ ddmap.T)
+                   + dmap @ istar @ dpre.transpose(0, 2, 1)
+                   - self.inj @ ddmap.transpose(0, 2, 1))
         if not all(np.isfinite(x).all() for x in out if x is not None):
             raise OutOfDomain("point outside domain: gauge-flow (the gauge"
                               " flow is not finite)")
@@ -681,7 +677,8 @@ def polynomial_field(G, decomp, coeff0=None, coeff1=None, coeff2=None):
     """Jet field l_p = T0 + p_a T1[a] + p_a p_b T2[a,b], all slices skew.
 
     A coefficient that is not given is not evaluated, so a field without
-    T1 and T2 is exactly constant at every base point.
+    T1 and T2 is exactly constant at every base point.  A slice whose skew
+    residual is not within SKEW_TOL (a NaN one included) raises ValueError.
     """
     n = G.dim
     t0 = np.zeros((n, n)) if coeff0 is None else np.array(coeff0, float)
@@ -691,7 +688,7 @@ def polynomial_field(G, decomp, coeff0=None, coeff1=None, coeff2=None):
         if part is None:
             continue
         for m in np.atleast_3d(part).reshape(-1, n, n):
-            if linalg.skew_residual(m) > SKEW_TOL:
+            if not linalg.skew_residual(m) <= SKEW_TOL:
                 raise ValueError("polynomial coefficients must be skew")
     return PolynomialField(
         G, decomp, t0, t1,
@@ -738,9 +735,11 @@ def canonical_field(G, decomp=None):
 
 def shifted_field(base, offset, target=None):
     """base + constant offset, measured against `target` (defaults to the
-    base's own structure).  Used for the twist-shift correspondence."""
+    base's own structure).  Used for the twist-shift correspondence.  An
+    offset whose skew residual is not within SKEW_TOL (a NaN one included)
+    raises ValueError."""
     offset = np.asarray(offset, dtype=float)
-    if linalg.skew_residual(offset) > SKEW_TOL:
+    if not linalg.skew_residual(offset) <= SKEW_TOL:
         raise ValueError("offset must be skew")
     return ShiftedField(base, offset.copy(),
                         target if target is not None else base.G)
@@ -923,9 +922,9 @@ def cdybe_residual(field, p, samples=8, seed=0):
     The cyclic form is assembled as a full 3-tensor against the structure's
     associator; the vector form, bilinear in its two covectors, is built
     apart from it on every basis pair from the double's structure tensor.
-    The directional derivatives use the exact evaluators (for the cocom
-    and canonical kinds, the basis entries of the point record's jet) and
-    are cross-checked against Richardson-extrapolated central differences
+    The directional derivatives are the field's exact jet (field.jet; for
+    the cocom and canonical kinds, a copy of the point record's) and are
+    cross-checked against Richardson-extrapolated central differences
     (linalg.finite_diff along every base direction).  All 4k probes of
     those run as one stacked pass that goes around the point record
     (_probe), so the record of p serves every evaluation here and after;
@@ -975,10 +974,8 @@ def _cdybe_report(field, p, lmat, fd, pairs):
     or None)."""
     G = field.G
     n = G.dim
-    eye = np.eye(field.base_dim)
     dl = np.zeros((n, n, n))
-    for i, e in zip(field.sub, eye):
-        dl[i] = field.derivative(p, e)
+    dl[field.sub] = field.jet(p)
 
     term1 = dl.transpose(0, 2, 1)
     term2 = np.einsum('ai,bj,abk->ijk', lmat, lmat, G.g.c)

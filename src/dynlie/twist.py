@@ -29,7 +29,7 @@ def _check_twist(t, n):
     if t.shape != (n, n):
         raise NotSkew("twist must be %d x %d, got %s" % (n, n, (t.shape,)))
     res = skew_residual(t)
-    if res > SKEW_TOL:
+    if not res <= SKEW_TOL:
         raise NotSkew("twist skew residual %.3g exceeds %.1g" % (res, SKEW_TOL))
     return 0.5 * (t - t.T)
 

@@ -64,6 +64,9 @@ def test_parse_fills_signed_permutations():
     ("dynlie-spec 1\ndim 2\nc 0 1 0 abc\n", "not a number"),
     ("dynlie-spec 1\ndim 2\nfield wavy\n", "field must be"),
     ("dynlie-spec 1\ndim 2\ndim 2\n", "duplicate"),
+    ("dynlie-spec 1\ndim 3\nbasis a b c\nbasis x y z\n",
+     "line 4: duplicate basis"),
+    ("dynlie-spec 1 junk\ndim 2\n", "line 1: expected header"),
 ])
 def test_parse_diagnostics(text, fragment):
     with pytest.raises(cli.SpecParseError) as exc:

@@ -519,10 +519,12 @@ def _flows_on_ray(name, r, route):
 
 
 def _flows_outputs(flows, beta):
-    eye = np.eye(len(beta))
-    return [*flows.bundle(), *flows.bundle(beta),
+    """The bundle matrices, their derivatives along beta (contractions of
+    their jets), two more functions of a, exp(a) and its jet's slices."""
+    jets = flows.bundle_jet()
+    return [*flows.bundle(), *(dynamics._combine(beta, jet) for jet in jets),
             flows.apply(linalg.TRIV_REM), flows.apply(linalg.INV_SINHC),
-            flows.exp(), *flows.exp_frechet(eye)]
+            flows.exp(), *jets[3]]
 
 
 @pytest.mark.parametrize("r", [0.1, 1.0, 5.0])
@@ -553,7 +555,7 @@ def test_flows_of_the_general_route_are_the_direct_evaluations(name):
     dexp = [linalg.expm_frechet(a, da) for da in das]
 
     def along(jet):
-        return dynamics._combine(beta, lambda b: jet[b], a.shape)
+        return dynamics._combine(beta, np.array(jet))
 
     want = ([fn.apply(a) for fn in fns] + [scipy.linalg.expm(a)]
             + [along(jet) for jet in dfs]
@@ -561,7 +563,7 @@ def test_flows_of_the_general_route_are_the_direct_evaluations(name):
                linalg.INV_SINHC.apply(a), scipy.linalg.expm(a)]
             + dexp + [d for jet in dfs for d in jet])
     got = (_flows_outputs(flows, beta)
-           + [d for fn in fns for d in flows.frechet(fn, eye)])
+           + [d for jet in flows.bundle_jet()[:3] for d in jet])
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
@@ -571,13 +573,18 @@ def test_flows_of_the_general_route_are_the_direct_evaluations(name):
 @pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
 def test_derivatives_at_a_point_are_contractions_of_one_jet(
         name, route, monkeypatch):
-    # the first derivative requests at a point build every jet whole, one
-    # model call per function; a derivative along any other direction is
-    # the contraction of the jets and calls no model
+    # the first jet requests at a point build every jet whole, one model
+    # call per function, and keep it; every derivative after that, of the
+    # field or of a section along any direction, is a contraction of the
+    # kept jets and calls no model
     triv, p, beta = _map_on_ray(name, 1.0, route)
+    k, n = triv.k, triv.n
     flows = triv._flows(p)
-    flows.bundle(beta)
-    triv._phi_data(p, beta)
+    jets = flows.bundle_jet()
+    phi_jet = triv._phi_jet(p)
+    assert flows.bundle_jet() is jets and triv._phi_jet(p) is phi_jet
+    assert [jet.shape for jet in jets] == [(k, 2 * n, 2 * n)] * 4
+    assert phi_jet.shape == (k, n, n)
     calls = []
     for model in triv.field._models:
         for attr in ("frechet", "exp_neg_derivative", "f_derivative"):
@@ -585,36 +592,42 @@ def test_derivatives_at_a_point_are_contractions_of_one_jet(
             monkeypatch.setattr(model, attr, lambda *a, orig=orig, attr=attr:
                                 calls.append(attr) or orig(*a))
     rng = np.random.default_rng(42)
-    betas = rng.standard_normal((5, triv.k))
-    for b in betas:
-        flows.bundle(b)
-        flows.exp_frechet(b, -1)
-        triv._phi_data(p, b)
-    flows.bundle(betas)
+    xmap = dynamics.PolynomialMap(k, n, coeff0=rng.standard_normal(n),
+                                  coeff1=rng.standard_normal((n, k)))
+    sections = [triv.theta_section(beta),
+                triv.compose_section(rand_section(rng, k, n)),
+                triv.vertical_section(xmap)]
+    for b in rng.standard_normal((5, k)):
+        triv.field.derivative(p, b)
+        for section in sections:
+            section.derivative(p, b)
+    for section in sections:
+        section.jet(p)
     assert calls == []
 
 
 @pytest.mark.parametrize("route", ["model", "general"])
 @pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3", "su2-lagrangian"])
 def test_derivatives_along_beta_combine_the_basis_derivatives(name, route):
-    # bitwise: the derivative along beta is dynamics._combine of the
-    # derivatives along the basis directions
+    # bitwise: a mapped section's derivative along beta is dynamics._combine
+    # of its jet, whose row b is the bundle map's Frechet matrices along
+    # e_b on the section's value plus the bundle map on its derivative
+    # along e_b
     triv, p, beta = _map_on_ray(name, 1.0, route)
     flows = triv._flows(p)
-    eye = np.eye(triv.k)
-
-    def along(basis):
-        return dynamics._combine(beta, lambda b: basis[b], basis[0].shape)
-
-    basis = flows.bundle(eye)
-    got = flows.bundle(beta)
-    assert len(got) == 4
-    for i, m in enumerate(got):
-        assert np.array_equal(m, along([row[i] for row in basis]))
-    assert np.array_equal(flows.exp_frechet(beta, -1),
-                          along(flows.exp_frechet(eye, -1)))
-    assert np.array_equal(triv._phi_data(p, beta)[2],
-                          along([triv._phi_data(p, e)[2] for e in eye]))
+    section = rand_section(np.random.default_rng(44), triv.k, triv.n)
+    mapped = triv.compose_section(section)
+    dz, deta = mapped.jet(p)
+    got = mapped.derivative(p, beta)
+    assert np.array_equal(got[0], dynamics._combine(beta, dz))
+    assert np.array_equal(got[1], dynamics._combine(beta, deta))
+    a0, x0 = section.value(p)
+    jets = flows.bundle_jet()
+    for b, e in enumerate(np.eye(triv.k)):
+        z1, eta1, _, _ = triv._push([jet[b] for jet in jets], a0, x0)
+        z2, eta2, _, _ = triv._push(flows.bundle(), *section.derivative(p, e))
+        assert np.array_equal(dz[b], z1 + z2)
+        assert np.array_equal(deta[b], eta1 + eta2)
 
 
 def _record_outputs(triv, p, seed):
@@ -631,7 +644,7 @@ def _record_outputs(triv, p, seed):
             *triv.theta_connection(p, alpha),
             *triv.theta_section(alpha).derivative(p, beta),
             *triv.compose_section(section).derivative(p, beta),
-            *triv._phi_data(p, beta), *triv._phi_data(p),
+            *triv._phi_data(p), dynamics._combine(beta, triv._phi_jet(p)),
             iso["matrix"], iso["closed_form_residual"],
             iso["membership_residual"], iso["intertwining_residual"]]
 
@@ -663,14 +676,19 @@ def test_point_record_is_read_only_and_outputs_are_owned():
     for x, y in zip(before, after):
         assert np.array_equal(x, y)
     flows = triv._flows(p)
-    beta = np.ones(triv.k)
+    k, n = triv.k, triv.n
+    beta = np.ones(k)
+    xmap = dynamics.PolynomialMap(k, n, coeff1=np.ones((n, k)))
+    sections = [triv.theta_section(beta), triv.vertical_section(xmap)]
 
     def derivatives():
-        return [flows.frechet(linalg.SINH, beta), flows.exp_frechet(beta, -1),
-                flows.exp_frechet(beta), triv._phi_data(p, beta)[2]]
+        out = [triv.field.jet(p), triv.field.derivative(p, beta)]
+        for section in sections:
+            out += [*section.jet(p), *section.derivative(p, beta)]
+        return out
 
-    # a derivative is a contraction of a kept jet: an owned array, whose
-    # writes never reach the record
+    # a jet handed out is a copy, and a derivative a contraction of a kept
+    # jet: owned arrays, whose writes never reach the record
     before = [np.copy(m) for m in derivatives()]
     for m in derivatives():
         m[...] = np.nan
@@ -880,48 +898,48 @@ def test_bracket_residual_sees_a_wrong_fiber_bracket(name):
     assert not rep["passed"]
 
 
+def _count_section_calls(monkeypatch, name):
+    """The AlgebroidSection jet and derivative calls of one check(samples=1)
+    of the entry's map, as a dict."""
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    calls = {"jet": 0, "derivative": 0}
+    for attr in calls:
+        orig = getattr(duality.AlgebroidSection, attr)
+
+        def counted(self, *args, attr=attr, orig=orig):
+            calls[attr] += 1
+            return orig(self, *args)
+
+        monkeypatch.setattr(duality.AlgebroidSection, attr, counted)
+    assert triv.check(samples=1)["passed"]
+    return calls
+
+
 def test_check_differentiates_each_section_along_basis_directions(
         monkeypatch):
     # the per-pair brackets differentiated both sections of every pair
     # along the other's anchor: 474 derivative calls on ev-sl3 for one
-    # point; along the base basis directions once per section it is 86
-    entry = catalog.get("ev-sl3")
-    triv = duality.TrivializationMap(entry.G, entry.decomp)
-    calls = []
-    orig = duality.AlgebroidSection.derivative
-
-    def derivative(self, p, beta):
-        calls.append(1)
-        return orig(self, p, beta)
-
-    monkeypatch.setattr(duality.AlgebroidSection, "derivative", derivative)
-    assert triv.check(samples=1)["passed"]
-    assert len(calls) <= 158
+    # point.  Now no section is differentiated along a direction: each
+    # hands out its jet along the base basis directions once, and the
+    # brackets contract it
+    assert _count_section_calls(monkeypatch, "ev-sl3") == {"jet": 17,
+                                                           "derivative": 0}
 
 
 # -- stacked section jets and the per-point fiber isomorphism -------------------
 
 
-def _count_section_derivatives(monkeypatch, name):
-    entry = catalog.get(name)
-    triv = duality.TrivializationMap(entry.G, entry.decomp)
-    calls = []
-    orig = duality.AlgebroidSection.derivative
-
-    def derivative(self, p, beta):
-        calls.append(1)
-        return orig(self, p, beta)
-
-    monkeypatch.setattr(duality.AlgebroidSection, "derivative", derivative)
-    assert triv.check(samples=1)["passed"]
-    return len(calls)
-
-
 def test_check_pushes_the_section_jets_through_the_map_stacked(monkeypatch):
     # composing every trivial section with the map differentiated it once
     # through the composite and once inside it: 86 derivative calls on
-    # ev-sl3 for one point; the bound is half of 86
-    assert _count_section_derivatives(monkeypatch, "ev-sl3") <= 43
+    # ev-sl3 for one point.  Now one jet call per section: the k + n + 3
+    # bracket-morphism sections (k = 2, n = 8), the lift and the two
+    # vertical sections of the compatibility residual, and the constant
+    # section inside the lift; the mapped sections' jets are pushed through
+    # the map as stacked rows
+    assert _count_section_calls(monkeypatch, "ev-sl3") == {"jet": 17,
+                                                           "derivative": 0}
 
 
 @pytest.mark.parametrize("samples", [1, 2])
@@ -984,14 +1002,18 @@ def test_phi_data_matches_the_column_by_column_construction(name):
     em = scipy.linalg.expm(-field._big_ad(p))
     dem = scipy.linalg.expm_frechet(-field._big_ad(p),
                                     -field._big_ad(beta))[1]
-    mat, leak, dmat = triv._phi_data(p, beta)
+    mat, leak = triv._phi_data(p)
+    dmat = dynamics._combine(beta, triv._phi_jet(p))
     assert _close(mat, (em @ cols)[rows])
     assert _close(dmat, (dem @ cols + em @ dcols)[rows])
     assert leak <= duality.TRIV_TOLS["membership_residual"]
-    # the record answers again with the same arrays, as owned copies
-    again = triv._phi_data(p, beta)
-    assert np.array_equal(again[0], mat) and np.array_equal(again[2], dmat)
+    # the record answers again with the same matrix, as an owned copy, and
+    # keeps the jet whole and read-only
+    again = triv._phi_data(p)
+    assert np.array_equal(again[0], mat)
     assert again[0] is not mat and again[0].flags.writeable
+    jet = triv._phi_jet(p)
+    assert jet is triv._phi_jet(p) and not jet.flags.writeable
 
 
 def test_central_difference_fallback_evaluates_the_section_twice():
@@ -1011,3 +1033,66 @@ def test_central_difference_fallback_evaluates_the_section_twice():
     ref_b = linalg.finite_diff(lambda q: section.value(q)[1], p, beta)
     assert np.array_equal(da, ref_a) and np.array_equal(db, ref_b)
     assert da.shape == (1,) and db.shape == (2,)
+
+
+def test_constant_section_outputs_are_owned():
+    # its value once handed out the section's own arrays, and its
+    # derivative one shared zero array, so writes changed later calls
+    section = duality.constant_section([1.0], [2, 3, 4])
+    p, beta = np.zeros(1), np.ones(1)
+    for out in (section.value(p), section.derivative(p, beta),
+                section.jet(p)):
+        out[0][...] = 9.0
+        out[1][...] = 7.0
+    z, xi = section.value(p)
+    assert np.array_equal(z, [1.0]) and np.array_equal(xi, [2.0, 3.0, 4.0])
+    dz, dxi = section.derivative(p, beta)
+    assert np.array_equal(dz, np.zeros(1)) and np.array_equal(dxi, np.zeros(3))
+    jz, jxi = section.jet(p)
+    assert np.array_equal(jz, np.zeros((1, 1)))
+    assert np.array_equal(jxi, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("name", ["sl2-cartan", "ev-sl3"])
+def test_every_section_kind_differentiates_by_contracting_its_jet(name):
+    # a section with a jet differentiates along beta by its contraction,
+    # bitwise dynamics._combine, and along e_b bitwise the jet's slice.  A
+    # section without one (nu_bracket's) takes central differences: its
+    # jet stacks them along each e_b, so along e_b it is bitwise the jet's
+    # slice too, and along beta the difference along beta, which the
+    # contraction matches to the accuracy of the difference
+    entry = catalog.get(name)
+    triv = duality.TrivializationMap(entry.G, entry.decomp)
+    k, n = triv.k, triv.n
+    rng = np.random.default_rng(45)
+    p = dynamics.sample_domain_points(triv.field, 1, seed=45, scale=0.4)[0]
+    poly = rand_section(rng, k, n)
+    theta = triv.theta_section(rng.standard_normal(k))
+    xmap = dynamics.PolynomialMap(k, n, coeff0=rng.standard_normal(n),
+                                  coeff1=rng.standard_normal((n, k)))
+    sections = {
+        "constant": duality.constant_section(rng.standard_normal(k),
+                                             rng.standard_normal(n)),
+        "polynomial": poly,
+        "compose": triv.compose_section(poly),
+        "theta": theta,
+        "vertical": triv.vertical_section(xmap),
+        "finite-difference": duality.nu_bracket(poly, theta, triv.field),
+    }
+    betas = rng.standard_normal((3, k))
+    for kind, section in sections.items():
+        dz, dxi = section.jet(p)
+        assert dz.shape == (k, k) and dxi.shape == (k, n), kind
+        for b, e in enumerate(np.eye(k)):
+            got = section.derivative(p, e)
+            assert np.array_equal(got[0], dz[b]), kind
+            assert np.array_equal(got[1], dxi[b]), kind
+        for beta in betas:
+            got = section.derivative(p, beta)
+            want = (dynamics._combine(beta, dz), dynamics._combine(beta, dxi))
+            for x, y in zip(got, want):
+                if kind == "finite-difference":
+                    scale = 1.0 + qbia._max_abs(y)
+                    assert qbia._max_abs(x - y) <= 1e-7 * scale, kind
+                else:
+                    assert np.array_equal(x, y), kind

@@ -104,6 +104,19 @@ def test_zero_and_constant_fields():
         dyn.constant_field(G, np.eye(3))
 
 
+def test_nan_coefficients_and_offsets_are_refused():
+    # a NaN skew residual is no skew residual within SKEW_TOL
+    G = invariant_structure()
+    nan = np.full((3, 3), np.nan)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="skew"):
+            dyn.polynomial_field(G, None, coeff0=nan)
+        with pytest.raises(ValueError, match="skew"):
+            dyn.polynomial_field(G, None, coeff1=np.stack([nan] * 3))
+        with pytest.raises(ValueError, match="skew"):
+            dyn.shifted_field(dyn.zero_field(G), nan)
+
+
 def test_polynomial_field_evaluation_and_derivative():
     G = invariant_structure()
     dec = cartan_split(G)
@@ -278,12 +291,20 @@ def test_overflowing_flow_is_reported_out_of_domain(name, norm, route):
 
 def field_of_kind(kind):
     """A field of each kind over the rank-one split of the invariant sl2
-    structure ("zero" is the polynomial kind)."""
+    structure ("zero" and "polynomial" are the polynomial kind, the latter
+    with all three coefficients, over the full split)."""
     G = invariant_structure()
     if kind == "zero":
         return dyn.zero_field(G)
     if kind == "cocom":
         return dyn.cocom_field(G)
+    if kind == "polynomial":
+        rng = np.random.default_rng(4)
+        return dyn.polynomial_field(
+            G, None, coeff0=rskew(3, rng),
+            coeff1=np.stack([rskew(3, rng) for _ in range(3)]),
+            coeff2=np.stack([np.stack([rskew(3, rng) for _ in range(3)])
+                             for _ in range(3)]))
     base = dyn.canonical_field(G, cartan_split(G))
     return {"canonical": base,
             "shifted": dyn.shifted_field(
@@ -1020,19 +1041,100 @@ def test_canonical_field_is_kept_per_structure_and_split():
 @pytest.mark.parametrize("name", ["ev-sl3", "su2-lagrangian", "sl2-cartan",
                                   "sl3-invariant"])
 def test_value_and_jet_read_the_record_bitwise(name):
-    # the record's value and jet are bitwise value and the stack of
-    # derivative along each e_b, and they are copies
+    # value and jet are bitwise the record's value and jet, and the stack
+    # of derivative along each e_b; they are copies
     field = field_by_name(name)
     k = field.base_dim
     for p in dyn.sample_domain_points(field, 3, seed=5, scale=0.6):
-        lmat, dl = field._value_and_jet(p)
-        assert np.array_equal(lmat, field.value(p))
+        lmat, dl = field.value(p), field.jet(p)
+        rec = field._at(p)
+        assert np.array_equal(lmat, rec["value"])
+        assert np.array_equal(dl, field._jet(rec)[0])
         want = np.stack([field.derivative(p, e) for e in np.eye(k)])
         assert np.array_equal(dl, want)
+        lmat[...] = np.nan
         dl[...] = np.nan
-        assert np.array_equal(field._value_and_jet(p)[1], want)
+        assert np.array_equal(field.jet(p), want)
+        assert not np.isnan(field.value(p)).any()
     with pytest.raises(dyn.OutOfDomain):
-        field._value_and_jet(np.full(k, 1e3))
+        field.jet(np.full(k, 1e3))
+
+
+FIELD_KINDS = ("zero", "polynomial", "cocom", "canonical", "shifted",
+               "gauged")
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_every_field_kind_differentiates_by_contracting_its_jet(kind):
+    # the jet is the one derivative a kind computes: derivative(p, alpha)
+    # is bitwise its _combine, and along e_b bitwise its slice; the jet is
+    # an owned (k, n, n) array
+    field = field_of_kind(kind)
+    k, n = field.base_dim, field.G.dim
+    rng = np.random.default_rng(64)
+    for p in dyn.sample_domain_points(field, 2, seed=10, scale=0.5):
+        jet = field.jet(p)
+        assert jet.shape == (k, n, n)
+        for alpha in rng.standard_normal((3, k)):
+            assert np.array_equal(field.derivative(p, alpha),
+                                  dyn._combine(alpha, jet))
+        for b, e in enumerate(np.eye(k)):
+            assert np.array_equal(field.derivative(p, e), jet[b])
+        jet[...] = np.nan
+        assert not np.isnan(field.jet(p)).any()
+
+
+def _polynomial_derivative_along(field, p, alpha):
+    """A polynomial field's derivative along alpha alone: T1 and T2
+    contracted with alpha, as the field took it before it had a jet."""
+    return (np.einsum('a,aij->ij', alpha, field.t1)
+            + 2.0 * np.einsum('a,b,abij->ij', alpha, p, field.t2))
+
+
+def _gauged_derivative_along(field, p, alpha):
+    """A gauged field's derivative along alpha alone, by the product rule
+    through each gauge factor, as the field took it before it had a jet."""
+    g, n, k = field.G.g, field.G.dim, field.base_dim
+    pre, dpre = np.eye(n), np.zeros((n, n))
+    dmap, ddmap = np.zeros((n, k)), np.zeros((n, k))
+    for f in field.factors:
+        ad_s = g.ad_matrix(f.value(p))
+        e_s = scipy.linalg.expm(ad_s)
+        g_s = linalg.EXPM1_OVER.apply(ad_s)
+        jac = f.jacobian(p)
+        dad_s = g.ad_matrix(jac @ alpha)
+        ddmap = (ddmap + dpre @ g_s @ jac
+                 + pre @ linalg.EXPM1_OVER.frechet(ad_s, dad_s) @ jac
+                 + pre @ g_s @ f.jacobian_derivative(p, alpha))
+        dmap = dmap + pre @ g_s @ jac
+        dpre = dpre @ e_s + pre @ linalg.expm_frechet(ad_s, dad_s)
+        pre = pre @ e_s
+    istar = field.inj.T
+    dtheta = (ddmap @ istar @ pre.T + dmap @ istar @ dpre.T
+              - field.inj @ ddmap.T)
+    lb, dlb = field.base.value(p), field.base.derivative(p, alpha)
+    return (dpre @ lb @ pre.T + pre @ dlb @ pre.T + pre @ lb @ dpre.T
+            + dtheta)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "gauged"])
+def test_jet_derivatives_match_the_per_direction_formulas(kind):
+    # a contraction of the jet rounds differently from the formula along
+    # alpha alone, but agrees with it to roundoff
+    field = field_of_kind(kind)
+    if kind == "gauged":
+        # two factors, so that the product rule runs through both
+        field = dyn.gauge_transform(
+            field.base, [equivariant_gauge(0.4, 0.15),
+                         equivariant_gauge(-0.3, 0.2)])
+    along = {"polynomial": _polynomial_derivative_along,
+             "gauged": _gauged_derivative_along}[kind]
+    rng = np.random.default_rng(65)
+    for p in dyn.sample_domain_points(field, 3, seed=11, scale=0.8):
+        for alpha in rng.standard_normal((3, field.base_dim)):
+            want = along(field, p, alpha)
+            err = np.max(np.abs(field.derivative(p, alpha) - want))
+            assert err <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -1380,11 +1482,10 @@ def test_fd_check_fails_a_wrong_derivative(name, monkeypatch):
     field = dyn.canonical_field(entry.G, entry.decomp)
     p = dyn.sample_domain_points(field, 1, seed=77)[0]
     assert dyn.cdybe_residual(field, p)["derivative_fd_residual"] <= 1e-6
-    right = field.derivative
+    right = field.jet
     bump = rskew(field.G.dim, np.random.default_rng(78), scale=1e-4)
-    for wrong in (lambda q, alpha: 1.001 * right(q, alpha),
-                  lambda q, alpha: right(q, alpha) + bump):
-        monkeypatch.setattr(field, "derivative", wrong)
+    for wrong in (lambda q: 1.001 * right(q), lambda q: right(q) + bump):
+        monkeypatch.setattr(field, "jet", wrong)
         rep = dyn.cdybe_residual(field, p)
         assert rep["derivative_fd_residual"] > 1e-6
 

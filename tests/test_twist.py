@@ -136,6 +136,21 @@ def test_first_condition_invariance_zero_twist():
     assert twist.first_condition_invariance(G, np.zeros((3, 3))) == 0.0
 
 
+def test_rejects_a_nan_twist():
+    # a NaN skew residual is no skew residual within the bound: before,
+    # the membership report read NaN beside a twisted-phi residual of 0
+    G = cocommutative_sl2()
+    dec = lie.ReductiveDecomposition(G.g, [0], [1, 2])
+    nan = np.full((3, 3), np.nan)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(twist.NotSkew):
+            twist.moduli_membership(G, dec, nan)
+        with pytest.raises(twist.NotSkew):
+            twist.first_condition_invariance(G, nan)
+        with pytest.raises(twist.NotSkew):
+            twist.apply_twist(G, nan)
+
+
 def test_moduli_membership_cartan():
     # the standard skew rotation in the root plane is a member for the
     # Cartan split of sl2, and the twisted structure stays canonical
